@@ -138,9 +138,10 @@ def cmd_yield_curve(args) -> int:
         rho, _ = recovery.dominant_eigenpair(G, r)
         asym = -rho
         header.append("asymptote")
+    Y = pricing.yield_curve(G, r, args.t, grid)
     rows = []
-    for T in grid:
-        row = [float(T)] + [pricing.zero_yield(G, r, args.t, float(T), i) for i in range(G.n)]
+    for T, y in zip(grid, Y):
+        row = [float(T)] + [float(v) for v in y]
         if asym is not None:
             row.append(asym)
         rows.append(row)
@@ -161,14 +162,14 @@ def cmd_hedge(args) -> int:
         + [f"position_T{_fmt(Tm)}" for Tm in basis.maturities]
         + ["money_market_residual"]
     )
+    D, residual = plan.schedule(grid)
     rows = []
-    for t in grid:
+    for m, t in enumerate(grid):
         for i in range(G.n):
-            D = plan.positions(float(t), i)
             rows.append(
                 [float(t), spec.states.label(i)]
-                + [float(d) for d in D]
-                + [plan.money_market_residual(float(t), i)]
+                + [float(d) for d in D[m, i]]
+                + [float(residual[m, i])]
             )
     _write_output(args, header, rows,
                   {"T": args.T, "basis": args.basis, "payoff": args.payoff,

@@ -2,7 +2,9 @@
 
 Every claim paying phi(J_T) has value vector e^{(T-t)(G-R)} Phi, with R the
 diagonal matrix of short rates. Bonds, yields, forward rates, caplets,
-floorlets and Arrow-Debreu securities are all special cases.
+floorlets and Arrow-Debreu securities are all special cases, and all of them
+go through model.propagate: yields and forward rates through its log scale,
+so they stay finite at any maturity.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .errors import ModelValidationError
 from .model import (
     GeneratorMatrix,
     RateMap,
-    matrix_exponential,
+    propagate,
     simulate_terminal,
 )
 
@@ -65,9 +67,8 @@ def discounted_transition(
     """State-price kernel e^{(T-t)(G-R)}."""
     if t > T:
         raise ValueError(f"valuation time {t} is after maturity {T}")
-    if G.n != r.n:
-        raise ModelValidationError("generator and rate vector sizes differ")
-    return matrix_exponential((T - t) * (G.entries - r.diagonal))
+    scaled, log_scale = propagate(G, r, [T - t], np.eye(G.n))
+    return scaled[0] * np.exp(log_scale[0])
 
 
 def price_claim(
@@ -75,10 +76,10 @@ def price_claim(
 ) -> PriceVector:
     if payoff.values.shape[0] != G.n:
         raise ModelValidationError("payoff length does not match state count")
-    if t == payoff.maturity:
-        values = payoff.values.copy()
-    else:
-        values = discounted_transition(G, r, t, payoff.maturity) @ payoff.values
+    if t > payoff.maturity:
+        raise ValueError(f"valuation time {t} is after maturity {payoff.maturity}")
+    scaled, log_scale = propagate(G, r, [payoff.maturity - t], payoff.values[:, None])
+    values = scaled[0, :, 0] * np.exp(log_scale[0, 0])
     return PriceVector(values=values, valuation_time=t, maturity=payoff.maturity)
 
 
@@ -90,11 +91,23 @@ def bond_price(G: GeneratorMatrix, r: RateMap, t: float, T: float, i: int) -> fl
     return float(bond_prices(G, r, t, T).values[i])
 
 
+def _log_bonds(G: GeneratorMatrix, r: RateMap, t: float, Ts: np.ndarray) -> np.ndarray:
+    """log B(t, i; T) for every T >= t in Ts, shape (len(Ts), n)."""
+    scaled, log_scale = propagate(G, r, Ts - t, np.ones((G.n, 1)))
+    return np.log(scaled[:, :, 0]) + log_scale
+
+
+def yield_curve(G: GeneratorMatrix, r: RateMap, t: float, Ts) -> np.ndarray:
+    """Yields -log B(t, i; T) / (T - t) for every T in Ts, shape (len(Ts), n)."""
+    Ts = np.asarray(Ts, dtype=float)
+    if np.any(Ts <= t):
+        raise ValueError(f"yield needs t < T, got t={t} and maturities {Ts}")
+    return -_log_bonds(G, r, t, Ts) / (Ts - t)[:, None]
+
+
 def zero_yield(G: GeneratorMatrix, r: RateMap, t: float, T: float, i: int) -> float:
     """Continuously compounded yield -log B / (T - t); undefined at t = T."""
-    if t >= T:
-        raise ValueError(f"yield needs t < T, got t={t}, T={T}")
-    return -np.log(bond_price(G, r, t, T, i)) / (T - t)
+    return float(yield_curve(G, r, t, [T])[0, i])
 
 
 def forward_rate(
@@ -103,8 +116,8 @@ def forward_rate(
     """Simple forward rate locked at t for the accrual period [T, Tb]."""
     if Tb <= T:
         raise ValueError(f"need T < Tb, got T={T}, Tb={Tb}")
-    ratio = bond_price(G, r, t, T, i) / bond_price(G, r, t, Tb, i)
-    return (ratio - 1.0) / (Tb - T)
+    log_B = _log_bonds(G, r, t, np.array([T, Tb], dtype=float))[:, i]
+    return float(np.expm1(log_B[0] - log_B[1]) / (Tb - T))
 
 
 def price_forward_rate_option(

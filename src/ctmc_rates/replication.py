@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelValidationError, UnhedgeableBasisError
-from .model import ChainPath, GeneratorMatrix, RateMap, matrix_exponential
+from .model import ChainPath, GeneratorMatrix, RateMap, propagate
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .pricing import ClaimPayoff, arrow_debreu, bond_prices, price_claim
+from .pricing import ClaimPayoff, arrow_debreu
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,47 @@ def _difference_system(
     target_values: np.ndarray,
     reachable: tuple[int, ...] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Exposure system at (t, current) for claim values already priced at t.
+
+    Returns (E, dA) as _exposures does, with target_values in place of U.
+    """
+    P = _claim_and_bonds(G, r, t, np.array([t], dtype=float), target_values, basis)[0]
+    return _exposures(P, current, _other_states(G.n, current, reachable))
+
+
+def _claim_and_bonds(
+    G: GeneratorMatrix,
+    r: RateMap,
+    T: float,
+    ts: np.ndarray,
+    claim: np.ndarray,
+    basis: BondBasis,
+) -> np.ndarray:
+    """Claim and basis-bond values at every t in ts, shape (len(ts), n, 1 + K).
+
+    Column 0 is e^{(T-t)M} phi and column 1 + k the T_k bond, written as
+    e^{(T-t)M} e^{(T_k-T)M} 1, so one block propagation over the t-grid
+    serves the claim and every bond.
+    """
+    scaled, log_scale = propagate(
+        G, r, np.array(basis.maturities) - T, np.ones((G.n, 1))
+    )
+    bonds_at_T = (scaled[:, :, 0] * np.exp(log_scale)).T
+    scaled, log_scale = propagate(G, r, T - ts, np.column_stack([claim, bonds_at_T]))
+    return scaled * np.exp(log_scale)[:, None, :]
+
+
+def _exposures(
+    P: np.ndarray, current: int, others: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """One exposure-matching equation per other state, one unknown per bond.
 
-    Returns (E, dA) with E[row j][col i] = B(t, j; T_i) - B(t, current; T_i).
+    P is one (n, 1 + K) slice of _claim_and_bonds. Returns (E, dU) with
+    E[row j][col k] = B(t, j; T_k) - B(t, current; T_k) and
+    dU[j] = U(t, j) - U(t, current).
     """
-    others = _other_states(G.n, current, reachable)
-    B = np.array([bond_prices(G, r, t, Tm).values for Tm in basis.maturities])
-    E = np.array([[B[i, j] - B[i, current] for i in range(len(basis.maturities))] for j in others])
-    dA = np.array([target_values[j] - target_values[current] for j in others])
-    return E, dA
+    jumps = P[others] - P[current]
+    return jumps[:, 1:], jumps[:, 0]
 
 
 def _check_solvable(E: np.ndarray, policy: NumericPolicy, context: str) -> None:
@@ -199,21 +231,37 @@ class HedgePlan:
             return None
         return reachable_states(self.G.n, state, self.jump_offsets)
 
+    def _values(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return _claim_and_bonds(self.G, self.r, self.T, ts, self.payoff.values, self.basis)
+
+    def _solve(self, t: float, state: int, P: np.ndarray) -> np.ndarray:
+        E, dU = _exposures(P, state, _other_states(self.G.n, state, self._reachable(state)))
+        return _solve_exposures(E, dU, self.policy, f" at (t={t}, state={state})")
+
     def positions(self, t: float, state: int) -> np.ndarray:
-        target = price_claim(self.G, self.r, self.payoff, t).values
-        dB, dU = _difference_system(
-            self.G, self.r, t, state, self.basis, target, self._reachable(state)
-        )
-        return _solve_exposures(dB, dU, self.policy, f" at (t={t}, state={state})")
+        return self._solve(t, state, self._values([t])[0])
 
     def money_market_residual(self, t: float, state: int) -> float:
-        D = self.positions(t, state)
-        value = price_claim(self.G, self.r, self.payoff, t).values[state]
-        bonds = sum(
-            D[i] * bond_prices(self.G, self.r, t, Tm).values[state]
-            for i, Tm in enumerate(self.basis.maturities)
-        )
-        return float(value - bonds)
+        P = self._values([t])[0]
+        return float(P[state, 0] - self._solve(t, state, P) @ P[state, 1:])
+
+    def schedule(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and money-market residuals at every (t, state) on a grid.
+
+        Returns arrays of shape (len(ts), n, K) and (len(ts), n); the claim
+        and bond values on the whole grid come from one block propagation.
+        """
+        ts = np.asarray(ts, dtype=float)
+        P = self._values(ts)
+        n, K = self.G.n, len(self.basis.maturities)
+        D = np.empty((ts.size, n, K))
+        residual = np.empty((ts.size, n))
+        for m, t in enumerate(ts):
+            for s in range(n):
+                D[m, s] = self._solve(float(t), s, P[m])
+                residual[m, s] = P[m, s, 0] - D[m, s] @ P[m, s, 1:]
+        return D, residual
 
 
 def hedge_for_payoff(
@@ -226,28 +274,6 @@ def hedge_for_payoff(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> HedgePlan:
     return HedgePlan(G, r, T, basis, payoff, jump_offsets, policy)
-
-
-def _backward_values(
-    M: np.ndarray, ts: np.ndarray, maturity: float, terminal: np.ndarray
-) -> np.ndarray:
-    """Price vectors e^{(maturity - t)M} terminal at every grid time.
-
-    Computed by backward recursion with cached one-step propagators, so the
-    cost is one small matrix exponential per distinct step length.
-    """
-    cache: dict[float, np.ndarray] = {}
-
-    def prop(dt: float) -> np.ndarray:
-        if dt not in cache:
-            cache[dt] = matrix_exponential(dt * M)
-        return cache[dt]
-
-    out = np.empty((len(ts), len(terminal)))
-    out[-1] = prop(maturity - ts[-1]) @ terminal
-    for m in range(len(ts) - 2, -1, -1):
-        out[m] = prop(ts[m + 1] - ts[m]) @ out[m + 1]
-    return out
 
 
 def replicate_on_path(
@@ -282,12 +308,10 @@ def replicate_on_path(
     jumps_in = [tau for tau in path.jump_times if tau < T]
     ts = np.unique(np.concatenate([grid, np.array(jumps_in)])) if jumps_in else np.unique(grid)
 
-    M = G.entries - r.diagonal
-    U = _backward_values(M, ts, T, payoff.values)
-    Bs = [_backward_values(M, ts, Tm, np.ones(G.n)) for Tm in basis.maturities]
+    P = _claim_and_bonds(G, r, T, ts, payoff.values, basis)
 
     state = path.state_at(0.0)
-    X = float(U[0][state])
+    X = float(P[0, state, 0])
     max_track = 0.0
     n_jumps_used = 0
     for m in range(len(ts) - 1):
@@ -295,12 +319,10 @@ def replicate_on_path(
         reach = (
             None if jump_offsets is None else reachable_states(G.n, state, jump_offsets)
         )
-        others = _other_states(G.n, state, reach)
-        E = np.array([[Bk[m][j] - Bk[m][state] for Bk in Bs] for j in others])
-        dU = np.array([U[m][j] - U[m][state] for j in others])
+        E, dU = _exposures(P[m], state, _other_states(G.n, state, reach))
         D = _solve_exposures(E, dU, policy, f" at (t={t0}, state={state})")
 
-        cash = X - sum(D[i] * Bs[i][m][state] for i in range(len(Bs)))
+        cash = X - D @ P[m, state, 1:]
         new_state = path.state_at(t1)
         if new_state != state:
             n_jumps_used += 1
@@ -309,11 +331,8 @@ def replicate_on_path(
                     f"path jumps {state}->{new_state} at t={t1}, outside the "
                     f"declared jump structure"
                 )
-        X = float(
-            sum(D[i] * Bs[i][m + 1][new_state] for i in range(len(Bs)))
-            + cash * np.exp(r.rates[state] * (t1 - t0))
-        )
-        max_track = max(max_track, abs(X - float(U[m + 1][new_state])))
+        X = float(D @ P[m + 1, new_state, 1:] + cash * np.exp(r.rates[state] * (t1 - t0)))
+        max_track = max(max_track, abs(X - float(P[m + 1, new_state, 0])))
         state = new_state
 
     terminal_error = abs(X - float(payoff.values[path.state_at(T)]))

@@ -63,26 +63,30 @@ def closed_form_ad(m: TwoStateModel, t: float, T: float) -> np.ndarray:
     )
 
 
-def closed_form_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
-    """Zero-coupon bond prices (B(t,0;T), B(t,1;T))."""
+def closed_form_log_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
+    """(log B(t,0;T), log B(t,1;T)) = rho tau + log(c_i + d_i e^{-gamma tau}).
+
+    rho = -limiting_yield(m), c_{0,1} = (gamma + 2 lambda +- r)/(2 gamma) and
+    d_i = 1 - c_i, so the log term is log1p(d_i expm1(-gamma tau)), which no
+    factor e^{gamma tau} can overflow: finite at every maturity.
+    """
     if t > T:
         raise ValueError(f"need t <= T, got t={t}, T={T}")
     lam, r, gam = m.lam, m.rate, m.gamma
     tau = T - t
-    e = np.exp(gam * tau)
-    pref = np.exp(-0.5 * tau * (gam + 2.0 * lam + r)) / (2.0 * gam)
-    return pref * np.array(
-        [
-            (gam - 2.0 * lam - r) + e * (gam + 2.0 * lam + r),
-            (gam - 2.0 * lam + r) + e * (gam + 2.0 * lam - r),
-        ]
-    )
+    d = np.array([gam - 2.0 * lam - r, gam - 2.0 * lam + r]) / (2.0 * gam)
+    return -limiting_yield(m) * tau + np.log1p(d * np.expm1(-gam * tau))
+
+
+def closed_form_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
+    """Zero-coupon bond prices (B(t,0;T), B(t,1;T))."""
+    return np.exp(closed_form_log_bonds(m, t, T))
 
 
 def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
     if t >= T:
         raise ValueError(f"yield needs t < T, got t={t}, T={T}")
-    return float(-np.log(closed_form_bonds(m, t, T)[i]) / (T - t))
+    return float(-closed_form_log_bonds(m, t, T)[i] / (T - t))
 
 
 def limiting_yield(m: TwoStateModel) -> float:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,17 @@ rates: 0.0 0.1
 """
 
 ZERO_RATE = TWO_STATE.replace("rates: 0.0 0.1", "rates: 0.0 0.0")
+HIGH_RATE = TWO_STATE.replace("rates: 0.0 0.1", "rates: 0 1")
+
+
+def perron_coefficients(lam, rate):
+    """c_i with B_i(T) = c_i e^{rho T} (1 + O(e^{-gamma T})) in the two-state model."""
+    gam = np.hypot(2 * lam, rate)
+    return np.array([gam + 2 * lam + rate, gam + 2 * lam - rate]) / (2 * gam)
+
+
+# |log c_1| for lam = 0.5, r = 0.1: T times the state-1 yield gap at large T
+STATE1_KAPPA = float(abs(np.log(perron_coefficients(0.5, 0.1)[1])))
 
 SCALAR = """\
 states: 1
@@ -96,6 +108,25 @@ class TestYieldCurve:
         last = rows[-1]
         assert abs(float(last[1]) - asym) < 1e-3
         assert abs(float(last[2]) - asym) < 1e-3
+
+    def test_long_maturity_curve_is_exact(self, capsys, tmp_path):
+        # with rates (0, 1) the bonds fall below the smallest normal double
+        # near T = 2500 and underflow to 0 past it; the yields, taken from
+        # log bonds, must follow y_i(T) = -rho - log(c_i) / T
+        p = tmp_path / "high.txt"
+        p.write_text(HIGH_RATE)
+        code, out, _ = run(capsys, "yield-curve", str(p), "--T-grid", "2500:2700:100")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r[0]) for r in rows] == [2500.0, 2600.0, 2700.0]
+        minus_rho = (1.0 + 1.0 - np.hypot(1.0, 1.0)) / 2
+        c = perron_coefficients(0.5, 1.0)
+        for row in rows:
+            T = float(row[0])
+            for i in (0, 1):
+                assert abs(float(row[1 + i]) - (minus_rho - np.log(c[i]) / T)) <= 1e-12
+        assert float(rows[0][1]) == pytest.approx(0.2928179282508686, abs=1e-12)
+        assert float(rows[0][2]) == pytest.approx(0.2931704776856764, abs=1e-12)
 
     def test_scalar_model_flat_curve(self, capsys, tmp_path):
         p = tmp_path / "one.txt"
@@ -211,7 +242,18 @@ class TestDemo:
         y1 = [float(r[2]) for r in rows]
         assert all(np.diff(y0) > 0) and all(np.diff(y1) < 0)
         assert abs(y0[-1] - asym) < 1e-3
-        assert abs(y1[-1] - asym) < 1.1e-3
+        # the state-1 gap decays like kappa_1 / T with kappa_1 = |log c_1|
+        T = float(rows[-1][0])
+        assert abs(T * abs(y1[-1] - asym) - STATE1_KAPPA) <= 1e-9
+
+    def test_long_maturity_demo_is_finite(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "demo", "--rate", "1", "--T-grid", "400:1000:200")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        assert all(np.isfinite(float(x)) for row in rows for x in row)
 
 
 class TestHedge:

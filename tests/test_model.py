@@ -18,7 +18,10 @@ from ctmc_rates import (
     transition_matrix,
     validate_model,
 )
+import ctmc_rates.model as model_module
+from ctmc_rates.cli import main as cli_main
 from ctmc_rates.model import stationary_distribution
+from ctmc_rates.policy import NumericPolicy
 from ctmc_rates.two_state import closed_form_ad
 
 from conftest import random_model
@@ -74,6 +77,48 @@ class TestValidation:
 
     def test_n1_zero_generator_is_valid(self):
         assert validate_model(GeneratorMatrix(np.zeros((1, 1))), RateMap(np.array([0.05]))).ok
+
+    def test_generator_checks_run_once_per_instance(self, monkeypatch, two_state_example):
+        calls = []
+        real = model_module.is_irreducible
+        monkeypatch.setattr(
+            model_module, "is_irreducible", lambda G, p: calls.append(G) or real(G, p)
+        )
+        _, G, r = two_state_example
+        assert validate_model(G, r).ok
+        assert validate_model(G, r).ok
+        # the rate check still runs on every call
+        assert "rate for state 1" in str(validate_model(G, RateMap(np.array([0.0, -0.1]))))
+        assert len(calls) == 1
+        # a different policy, or an equal generator in a new instance, is checked again
+        assert validate_model(G, r, policy=NumericPolicy(support_eps=1e-3)).ok
+        assert validate_model(GeneratorMatrix(G.entries), r).ok
+        assert len(calls) == 3
+
+    def test_invalid_generator_is_reported_on_every_call(self):
+        G = GeneratorMatrix(np.array([[-1.0, 0.5], [1.0, -1.0]]))
+        r = RateMap(np.zeros(2))
+        first = validate_model(G, r)
+        assert not first.ok
+        assert validate_model(G, r) == first
+        with pytest.raises(ModelValidationError, match="sums to"):
+            simulate_terminal(G, r, 0, 1.0, 10, 0)
+
+    def test_recover_and_simulate_check_four_generators(self, monkeypatch, tmp_path, capsys):
+        # recover: the loaded model and the recovered generator; simulate
+        # under P: the same two again; every later use skips the checks
+        calls = []
+        real = model_module.is_irreducible
+        monkeypatch.setattr(
+            model_module, "is_irreducible", lambda G, p: calls.append(G) or real(G, p)
+        )
+        path = tmp_path / "m.txt"
+        path.write_text("states: 2\ngenerator:\n-0.5 0.5\n0.5 -0.5\nrates: 0.0 0.1\n")
+        assert cli_main(["recover", str(path)]) == 0
+        assert cli_main(["simulate", str(path), "--measure", "p", "--N", "100",
+                         "--horizon", "1", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 4
 
 
 class TestMatrixExponential:

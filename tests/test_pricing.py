@@ -7,6 +7,7 @@ from ctmc_rates import (
     ClaimPayoff,
     GeneratorMatrix,
     RateMap,
+    TwoStateModel,
     arrow_debreu,
     bond_price,
     bond_prices,
@@ -115,7 +116,9 @@ class TestYield:
         m, G, r = two_state_example
         asym = (m.rate + 2 * m.lam - m.gamma) / 2
         assert zero_yield(G, r, 0.0, 50.0, 0) == pytest.approx(asym, abs=1e-3)
-        assert zero_yield(G, r, 0.0, 50.0, 1) == pytest.approx(asym, abs=1.1e-3)
+        # B_1(T) = c_1 e^{rho T} (1 + O(e^{-gamma T})), so T * gap_1 -> |log c_1|
+        kappa_1 = abs(np.log((m.gamma + 2 * m.lam - m.rate) / (2 * m.gamma)))
+        assert abs(50.0 * abs(zero_yield(G, r, 0.0, 50.0, 1) - asym) - kappa_1) <= 1e-9
         for i in (0, 1):
             assert zero_yield(G, r, 0.0, 60.0, i) == pytest.approx(asym, abs=1e-3)
 
@@ -158,6 +161,15 @@ class TestForwardRate:
         _, G, r = two_state_example
         with pytest.raises(ValueError):
             forward_rate(G, r, 0.0, 0, 2.0, 2.0)
+
+    def test_long_maturity_is_finite(self):
+        # rates (0, 1): both bonds underflow to 0 as plain doubles; from log
+        # bonds the forward rate is expm1(-rho) up to O(e^{-gamma T}), with
+        # log B ~ -880 carrying an absolute error of a few ulps (~1e-13)
+        m = TwoStateModel(0.5, 1.0)
+        rho = -(m.rate + 2 * m.lam - m.gamma) / 2
+        F = forward_rate(m.generator(), m.rate_map(), 0.0, 0, 3000.0, 3001.0)
+        assert F == pytest.approx(np.expm1(-rho), rel=1e-11)
 
 
 class TestForwardRateOptions:

@@ -1,0 +1,139 @@
+"""Property tests of model.propagate, the batched e^{tau (G - R)} V kernel."""
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import ctmc_rates.model as model_module
+from ctmc_rates import GeneratorMatrix, ModelValidationError, RateMap, matrix_exponential
+from ctmc_rates.model import propagate
+
+
+@st.composite
+def models(draw, n_max=5, rate_max=1.0):
+    """Irreducible models with 1..n_max states and intensities up to 1e6."""
+    n = draw(st.integers(1, n_max))
+    scale = 10.0 ** draw(st.floats(-2.0, 6.0))
+    offs = draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1), max_size=n * (n - 1)))
+    Q = np.zeros((n, n))
+    Q[~np.eye(n, dtype=bool)] = scale * np.array(offs)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    rates = draw(st.lists(st.floats(0.0, rate_max), min_size=n, max_size=n))
+    return GeneratorMatrix(Q), RateMap(np.array(rates))
+
+
+@st.composite
+def time_grids(draw, tau_max=20.0):
+    """Unsorted, irregular grids that may hold tau = 0 and repeated taus."""
+    taus = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, tau_max)), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        taus.append(taus[0])
+    return np.array(taus)
+
+
+@st.composite
+def blocks(draw, n):
+    """Nonnegative n x m payoff blocks, sometimes with a zero column."""
+    m = draw(st.integers(1, 3))
+    V = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+    if draw(st.booleans()):
+        V[:, draw(st.integers(0, m - 1))] = 0.0
+    return V
+
+
+def values(scaled, log_scale):
+    return scaled * np.exp(log_scale)[:, None, :]
+
+
+def expm_floor(tau, M):
+    """Forward error of scaling-and-squaring expm, about eps * ||tau M||_1.
+
+    Stiff chains reach it: the rows of scipy's e^{tau G} sum to 1 +- 3e-11 at
+    intensity 1e6 and tau = 3, so no route built on expm can agree with
+    another to 1e-12 there. For ||tau M||_1 <= 900 it adds at most 2e-13.
+    """
+    return np.finfo(float).eps * tau * float(np.abs(M).sum(axis=0).max())
+
+
+def close(got, want, tau, M):
+    """Columnwise |got - want| <= (1e-12 + expm_floor) * max|want column|.
+
+    A zero column must match exactly.
+    """
+    rel = 1e-12 + expm_floor(tau, M)
+    return bool(np.all(np.abs(got - want) <= rel * np.abs(want).max(axis=0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_matches_per_tau_matrix_exponential(data):
+    G, r = data.draw(models())
+    taus = data.draw(time_grids())
+    V = data.draw(blocks(G.n))
+    out = values(*propagate(G, r, taus, V))
+    M = G.entries - r.diagonal
+    for k, tau in enumerate(taus):
+        assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
+    assert np.array_equal(out[taus == 0.0], np.broadcast_to(V, out[taus == 0.0].shape))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_semigroup_law(data, s, t):
+    G, r = data.draw(models())
+    V = data.draw(blocks(G.n))
+    M = G.entries - r.diagonal
+    both = values(*propagate(G, r, [s, s + t], V))
+    stepped = values(*propagate(G, r, [t], both[0]))[0]
+    assert close(stepped, both[1], s + t, M)
+    assert close(values(*propagate(G, r, [s + t], V))[0], both[1], s + t, M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_log_bonds_stay_finite_at_long_maturities(data):
+    # e^{-tau max r} underflows from tau max r ~ 745; maturities up to 1e4
+    # with some rate of at least 0.5 take every model past that
+    G, r = data.draw(models(rate_max=1.0))
+    assume(r.rates.max() >= 0.5)
+    taus = np.sort(data.draw(time_grids(tau_max=1e4)))
+    ones = np.ones((G.n, 1))
+    scaled, log_scale = propagate(G, r, taus, ones)
+    log_B = np.log(scaled[:, :, 0]) + log_scale
+    assert np.all(np.isfinite(log_B))
+    assert np.all(log_B <= 1e-12)
+    assert np.all(np.diff(log_B, axis=0) <= 1e-12 * (1.0 + np.abs(log_B[1:])))
+    # semigroup law in log form: tau_max reached in one call or via tau_max / 2
+    half, half_log = propagate(G, r, [taus[-1] / 2], ones)
+    again, again_log = propagate(G, r, [taus[-1] / 2], half[0])
+    composed = np.log(again[0, :, 0]) + again_log[0, 0] + half_log[0, 0]
+    floor = expm_floor(taus[-1], G.entries - r.diagonal)
+    assert np.all(np.abs(composed - log_B[-1]) <= 1e-12 * (1.0 + np.abs(log_B[-1])) + floor)
+
+
+def test_one_matrix_exponential_per_distinct_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        model_module, "matrix_exponential", lambda M: calls.append(M) or matrix_exponential(M)
+    )
+    G = GeneratorMatrix(np.array([[-1.0, 1.0], [2.0, -2.0]]))
+    r = RateMap(np.array([0.0, 0.1]))
+    scaled, log_scale = propagate(G, r, [3.0, 1.0, 1.0, 0.0, 2.0], np.eye(2))
+    assert len(calls) == 1  # every gap between sorted taus is 1.0
+    assert np.array_equal(scaled[3], np.eye(2))
+    assert np.array_equal(scaled[1], scaled[2])
+    assert not np.any(log_scale)
+
+
+def test_rejects_bad_input():
+    G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    r = RateMap(np.array([0.0, 0.1]))
+    for taus in ([-1.0], [np.inf], [np.nan]):
+        with pytest.raises(ValueError):
+            propagate(G, r, taus, np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        propagate(G, r, [1.0], np.ones(2))
+    with pytest.raises(ValueError):
+        propagate(G, r, [1.0], np.ones((3, 1)))
+    with pytest.raises(ModelValidationError):
+        propagate(G, RateMap(np.zeros(3)), [1.0], np.ones((2, 1)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ctmc_rates.two_state import (
     closed_form_ad,
     closed_form_bonds,
     closed_form_hedge,
+    closed_form_log_bonds,
     closed_form_recovered_generator,
     closed_form_yield,
     eigen_pairs,
@@ -109,8 +112,52 @@ class TestLimitingYield:
         assert np.all(np.diff(y0) > 0) and np.all(y0 < asym)
         assert np.all(np.diff(y1) < 0) and np.all(y1 > asym)
         assert asym - y0[-1] < 1e-3
-        # the state-1 gap at T=50 is 1.0729e-3; see the decisions ledger
-        assert y1[-1] - asym < 1.1e-3
+        # the state-1 gap at T = 50 is 1.0729e-3: it decays like kappa_1 / T,
+        # kappa_1 = |log c_1|, c_1 = (gamma + 2 lam - r) / (2 gamma)
+        kappa_1 = abs(np.log((m.gamma + 2 * m.lam - m.rate) / (2 * m.gamma)))
+        assert abs(Ts[-1] * (y1[-1] - asym) - kappa_1) <= 1e-9
+
+
+def product_form_bonds(m, tau):
+    """The bond formula pref * (a + b e^{gamma tau}), which overflows past gamma tau ~ 709."""
+    lam, r, gam = m.lam, m.rate, m.gamma
+    e = np.exp(gam * tau)
+    pref = np.exp(-0.5 * tau * (gam + 2.0 * lam + r)) / (2.0 * gam)
+    return pref * np.array(
+        [
+            (gam - 2.0 * lam - r) + e * (gam + 2.0 * lam + r),
+            (gam - 2.0 * lam + r) + e * (gam + 2.0 * lam - r),
+        ]
+    )
+
+
+class TestLogForm:
+    def test_matches_product_form_up_to_T50(self):
+        # against a 50-digit evaluation the product form itself is off by up
+        # to 4.6e-14 relative (lam = 2, r = 0.01, T = 49.8) and the log form
+        # by 4e-15, so bonds agree to 1e-13 and yields to 1e-14
+        Ts = np.arange(1, 501) * 0.1
+        for lam, r, _ in GRID:
+            m = TwoStateModel(lam, r)
+            for T in Ts:
+                old = product_form_bonds(m, T)
+                assert np.all(np.abs(closed_form_bonds(m, 0.0, T) / old - 1.0) <= 1e-13)
+                for i in (0, 1):
+                    assert abs(closed_form_yield(m, 0.0, T, i) + np.log(old[i]) / T) <= 1e-14
+
+    def test_finite_at_T_1e4(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam, r, _ in GRID:
+                m = TwoStateModel(lam, r)
+                gam = m.gamma
+                c = np.array([gam + 2 * lam + r, gam + 2 * lam - r]) / (2 * gam)
+                logB = closed_form_log_bonds(m, 0.0, 1e4)
+                assert np.all(np.isfinite(logB))
+                assert np.allclose(logB, -limiting_yield(m) * 1e4 + np.log(c), rtol=1e-14, atol=0)
+                for i in (0, 1):
+                    y = closed_form_yield(m, 0.0, 1e4, i)
+                    assert abs(y - (limiting_yield(m) - np.log(c[i]) / 1e4)) <= 1e-12
 
 
 class TestClosedFormHedge:
