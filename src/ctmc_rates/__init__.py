@@ -10,7 +10,6 @@ from .errors import (
 from .model import (
     ChainPath,
     GeneratorMatrix,
-    IntegratedRate,
     RateMap,
     StateSpace,
     ValidationReport,
@@ -50,10 +49,7 @@ from .replication import (
     BondBasis,
     HedgePlan,
     ReplicationReport,
-    hedge_for_payoff,
-    hedge_system,
     replicate_on_path,
-    solve_hedge,
 )
 from .two_state import TwoStateModel
 

@@ -154,7 +154,7 @@ def cmd_hedge(args) -> int:
     G, r = spec.generator, spec.rates
     basis = replication.BondBasis(tuple(float(x) for x in args.basis.split(",")))
     payoff = _parse_payoff(args.payoff, G.n, args.T)
-    plan = replication.hedge_for_payoff(G, r, args.T, basis, payoff)
+    plan = replication.HedgePlan(G, r, args.T, basis, payoff)
     grid = _parse_grid(args.t_grid)
     grid = grid[grid <= args.T]
     header = (

@@ -319,13 +319,63 @@ class ChainPath:
         yield (t0, end, state)
 
 
-@dataclass(frozen=True)
-class IntegratedRate:
-    """Exact value of the pathwise rate integral over some window."""
+def _sample_chain(
+    G: GeneratorMatrix,
+    rates: np.ndarray,
+    initial: int,
+    horizon: float,
+    n_paths: int,
+    rng: np.random.Generator,
+    record: bool = False,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, int]]]:
+    """Event loop behind simulate_path and simulate_terminal.
 
-    value: float
-    start: float
-    end: float
+    Each round draws one Exponential(1) holding time, scaled by the exit rate
+    -g_ii, for every path still short of the horizon, then one uniform for
+    each path that jumps, whose next state j has probability g_ij / (-g_ii)
+    and is picked by inverse CDF. One path thus draws the variates of a
+    Gillespie loop in the same order. Returns the states at the horizon, the
+    exact integrals of `rates` along the paths and, with `record` and one
+    path, its (jump time, new state) pairs.
+    """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if not (0 <= initial < G.n):
+        raise ValueError(f"initial state {initial} outside state space")
+    states = np.full(n_paths, initial, dtype=np.int64)
+    integ = np.zeros(n_paths)
+    jumps: list[tuple[float, int]] = []
+    if G.n == 1:
+        return states, integ + rates[0] * horizon, jumps
+
+    Q = G.entries
+    exit_rate = -np.diag(Q)
+    probs = np.clip(Q, 0.0, None)
+    np.fill_diagonal(probs, 0.0)
+    cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+
+    clock = np.zeros(n_paths)
+    alive = np.arange(n_paths)
+    while alive.size:
+        s = states[alive]
+        hold = rng.exponential(1.0, alive.size) / exit_rate[s]
+        t_new = clock[alive] + hold
+        integ[alive] += rates[s] * (np.minimum(t_new, horizon) - clock[alive])
+        clock[alive] = t_new
+        jumping = t_new < horizon
+        jump_idx = alive[jumping]
+        if jump_idx.size:
+            u = rng.random(jump_idx.size)
+            states[jump_idx] = (u[:, None] >= cum[states[jump_idx]]).sum(axis=1)
+            if record:
+                jumps.append((float(t_new[0]), int(states[0])))
+        alive = jump_idx
+    return states, integ, jumps
+
+
+def _rng(seed: int | np.random.Generator) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 def simulate_path(
@@ -335,54 +385,31 @@ def simulate_path(
     seed: int | np.random.Generator,
     r: RateMap | None = None,
 ) -> ChainPath:
-    """Gillespie simulation of one trajectory on [0, horizon].
+    """Simulate one trajectory on [0, horizon]; the one-path case of the
+    event loop behind simulate_terminal.
 
     Holding time in state i is Exponential(-g_ii); the next state is j with
     probability g_ij / (-g_ii). Deterministic given the seed.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if r is not None:
         require_valid_model(G, r)
     elif not is_irreducible(G):
         raise ModelValidationError("generator is not irreducible")
-    n = G.n
-    if not (0 <= initial < n):
-        raise ValueError(f"initial state {initial} outside state space")
-    if isinstance(seed, np.random.Generator):
-        rng, seed_out = seed, None
-    else:
-        rng, seed_out = np.random.default_rng(seed), int(seed)
-
-    Q = G.entries
-    jump_times: list[float] = []
-    states: list[int] = []
-    t, state = 0.0, initial
-    while True:
-        rate = -Q[state, state]
-        if rate <= 0.0:  # n == 1 only; an absorbing state fails validation otherwise
-            break
-        t += rng.exponential(1.0 / rate)
-        if t > horizon:
-            break
-        probs = np.clip(Q[state], 0.0, None)
-        probs[state] = 0.0
-        state = int(rng.choice(n, p=probs / probs.sum()))
-        jump_times.append(t)
-        states.append(state)
+    rates = np.zeros(G.n) if r is None else r.rates
+    _, _, jumps = _sample_chain(G, rates, initial, horizon, 1, _rng(seed), record=True)
     return ChainPath(
         initial_state=initial,
-        jump_times=tuple(jump_times),
-        post_jump_states=tuple(states),
+        jump_times=tuple(t for t, _ in jumps),
+        post_jump_states=tuple(s for _, s in jumps),
         horizon=float(horizon),
-        n_states=n,
-        seed=seed_out,
+        n_states=G.n,
+        seed=None if isinstance(seed, np.random.Generator) else int(seed),
     )
 
 
 def integrate_rate(
     path: ChainPath, r: RateMap, start: float = 0.0, end: float | None = None
-) -> IntegratedRate:
+) -> float:
     """Exact piecewise-constant integral of r(J_s) over [start, end]."""
     if end is None:
         end = path.horizon
@@ -391,7 +418,7 @@ def integrate_rate(
     total = 0.0
     for t0, t1, state in path.segments(start, end):
         total += (t1 - t0) * r.rates[state]
-    return IntegratedRate(value=total, start=float(start), end=float(end))
+    return float(total)
 
 
 def simulate_terminal(
@@ -408,38 +435,8 @@ def simulate_terminal(
     the exact value of the pathwise rate integral, per path. Used by the Monte
     Carlo pricing oracle, where per-path ChainPath objects would be too slow.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     require_valid_model(G, r)
-    n = G.n
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    states = np.full(n_paths, initial, dtype=np.int64)
-    integ = np.zeros(n_paths)
-    if n == 1:
-        return states, integ + r.rates[0] * horizon
-
-    Q = G.entries
-    exit_rate = -np.diag(Q)
-    probs = np.clip(Q, 0.0, None)
-    np.fill_diagonal(probs, 0.0)
-    cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
-    cum[:, -1] = 1.0
-
-    clock = np.zeros(n_paths)
-    alive = np.arange(n_paths)
-    while alive.size:
-        s = states[alive]
-        hold = rng.exponential(1.0, alive.size) / exit_rate[s]
-        t_new = clock[alive] + hold
-        integ[alive] += r.rates[s] * (np.minimum(t_new, horizon) - clock[alive])
-        clock[alive] = t_new
-        jumping = t_new < horizon
-        jump_idx = alive[jumping]
-        if jump_idx.size:
-            u = rng.random(jump_idx.size)
-            states[jump_idx] = (u[:, None] >= cum[states[jump_idx]]).sum(axis=1)
-        alive = jump_idx
+    states, integ, _ = _sample_chain(G, r.rates, initial, horizon, n_paths, _rng(seed))
     return states, integ

@@ -134,7 +134,7 @@ def radon_nikodym_along_path(
     Z_T = exp(-int_0^T r(J_s) ds - rho T) * pi(J_T) / pi(J_0); its
     expectation over pricing-measure paths is 1.
     """
-    integ = integrate_rate(path, r, 0.0, T).value
+    integ = integrate_rate(path, r, 0.0, T)
     i0 = path.state_at(0.0)
     iT = path.state_at(T)
     return float(np.exp(-integ - pair.rho * T) * pair.pi[iT] / pair.pi[i0])

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ModelValidationError, UnhedgeableBasisError
 from .model import ChainPath, GeneratorMatrix, RateMap, propagate
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .pricing import ClaimPayoff, arrow_debreu
+from .pricing import ClaimPayoff
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,6 @@ class ReplicationReport:
     seed: int | None
 
 
-def _other_states(n: int, current: int, reachable: tuple[int, ...] | None) -> list[int]:
-    if reachable is None:
-        return [j for j in range(n) if j != current]
-    return list(reachable)
-
-
 def reachable_states(n: int, current: int, jump_offsets: tuple[int, ...]) -> tuple[int, ...]:
     """States reachable from `current` under a declared jump structure."""
     out = sorted({current + o for o in jump_offsets if 0 <= current + o < n} - {current})
@@ -67,47 +61,6 @@ def reachable_states(n: int, current: int, jump_offsets: tuple[int, ...]) -> tup
             f"declared jump structure leaves state {current} with no exits"
         )
     return tuple(out)
-
-
-def hedge_system(
-    G: GeneratorMatrix,
-    r: RateMap,
-    t: float,
-    current: int,
-    T: float,
-    basis: BondBasis,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bond-difference matrix and Arrow-Debreu-difference vector at (t, current).
-
-    Row i is bond maturity T_i; column j runs over the other states in
-    ascending order. dB[i][j] = B(t, j; T_i) - B(t, current; T_i), and
-    dA[j] = A(t, j; T, k) - A(t, current; T, k). The positions D match the
-    portfolio's jump exposure to the claim's in every reachable state, i.e.
-    they satisfy one equation per state: dB.T @ D = dA (see solve_hedge).
-    """
-    basis.check_against(T, G.n)
-    A = arrow_debreu(G, r, t, T).entries
-    target = A[:, k]
-    E, dA_vec = _difference_system(G, r, t, current, basis, target, reachable=None)
-    return E.T, dA_vec
-
-
-def _difference_system(
-    G: GeneratorMatrix,
-    r: RateMap,
-    t: float,
-    current: int,
-    basis: BondBasis,
-    target_values: np.ndarray,
-    reachable: tuple[int, ...] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exposure system at (t, current) for claim values already priced at t.
-
-    Returns (E, dA) as _exposures does, with target_values in place of U.
-    """
-    P = _claim_and_bonds(G, r, t, np.array([t], dtype=float), target_values, basis)[0]
-    return _exposures(P, current, _other_states(G.n, current, reachable))
 
 
 def _claim_and_bonds(
@@ -132,74 +85,76 @@ def _claim_and_bonds(
     return scaled * np.exp(log_scale)[:, None, :]
 
 
-def _exposures(
-    P: np.ndarray, current: int, others: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One exposure-matching equation per other state, one unknown per bond.
-
-    P is one (n, 1 + K) slice of _claim_and_bonds. Returns (E, dU) with
-    E[row j][col k] = B(t, j; T_k) - B(t, current; T_k) and
-    dU[j] = U(t, j) - U(t, current).
-    """
-    jumps = P[others] - P[current]
-    return jumps[:, 1:], jumps[:, 0]
-
-
-def _check_solvable(E: np.ndarray, policy: NumericPolicy, context: str) -> None:
-    # condition number alone misses a uniformly tiny system (e.g. all bonds
-    # constant under zero rates), so also reject when every singular value is
-    # below the noise floor of O(1) bond prices
-    s = np.linalg.svd(E, compute_uv=False)
-    smax = s.max(initial=0.0)
-    floor = max(smax, 1.0) / policy.condition_limit
-    if smax == 0.0 or s.min() <= floor:
-        cond = np.inf if s.min() == 0.0 else smax / s.min()
-        raise UnhedgeableBasisError(
-            f"unhedgeable basis{context}: bond-difference matrix is numerically "
-            f"singular (condition estimate {cond:.3e}, largest singular value "
-            f"{smax:.3e})"
-        )
-
-
-def solve_hedge(
-    dB: np.ndarray,
-    dA: np.ndarray,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    context: str = "",
-) -> np.ndarray:
-    """Bond positions solving the exposure-matching system from hedge_system.
-
-    dB is laid out (bond x state) as documented there, so the per-state
-    equations read dB.T @ D = dA. Raises UnhedgeableBasisError when the
-    system is numerically singular.
-    """
-    dB = np.atleast_2d(np.asarray(dB, dtype=float))
-    dA = np.atleast_1d(np.asarray(dA, dtype=float))
-    if dB.shape[0] != dB.shape[1] or dB.shape[0] != dA.shape[0]:
-        raise ModelValidationError(f"hedge system is not square: {dB.shape}")
-    return _solve_exposures(dB.T, dA, policy, context)
-
-
-def _solve_exposures(
-    E: np.ndarray,
-    dA: np.ndarray,
+def _hedge(
+    P: np.ndarray,
+    ts: np.ndarray,
+    steps: np.ndarray,
+    states: np.ndarray,
+    jump_offsets: tuple[int, ...] | None,
     policy: NumericPolicy,
-    context: str,
 ) -> np.ndarray:
-    """Solve E @ D = dA; minimum-norm solve when E is not square."""
-    if E.size == 0:
-        return np.zeros(E.shape[1] if E.ndim == 2 else 0)
-    if np.linalg.norm(dA) <= 1e-13:  # zero exposure needs no bonds
-        return np.zeros(E.shape[1])
-    if E.shape[0] == E.shape[1]:
-        _check_solvable(E, policy, context)
-        D = np.linalg.solve(E, dA)
-    else:
-        D, *_ = np.linalg.lstsq(E, dA, rcond=None)
-    resid = np.linalg.norm(E @ D - dA)
-    if resid > policy.hedge_residual_tol * (1.0 + np.linalg.norm(dA)):
+    """Bond positions at every (ts[steps[i]], states[i]), shape (len(states), K).
+
+    P comes from _claim_and_bonds. Each position vector D solves E @ D = dU,
+    one equation per state j reachable from the current state s:
+    E[j, k] = B(t, j; T_k) - B(t, s; T_k) and dU[j] = U(t, j) - U(t, s), so
+    the portfolio's jump exposure matches the claim's. The systems of one
+    current state share a shape and are handled as one stack: an SVD gate on
+    square ones, one batched solve (minimum-norm when not square) and a
+    residual gate. Raises UnhedgeableBasisError for the first failing pair.
+    """
+    n, K = P.shape[1], P.shape[2] - 1
+    D = np.zeros((len(states), K))
+    failures: list[tuple[int, str, str]] = []  # (pair, what failed, detail)
+    for s in sorted(set(states.tolist())):
+        pick = np.flatnonzero(states == s)
+        if jump_offsets is None:
+            others = [j for j in range(n) if j != s]
+        else:
+            others = list(reachable_states(n, s, jump_offsets))
+        if K == 0:
+            continue
+        rows = steps[pick]
+        jumps = P[rows[:, None], others]
+        jumps -= P[rows, s][:, None]
+        # a claim that does not move across any jump needs no bonds; "does not
+        # move" is judged against the claim's own size, so scaling the payoff
+        # scales the positions
+        scale = np.abs(P[rows, :, 0]).max(axis=1)
+        live = np.linalg.norm(jumps[..., 0], axis=1) > 1e-13 * scale
+        pick, jumps = pick[live], jumps[live]
+        E, dU = jumps[..., 1:], jumps[..., 0]
+        if len(others) == K:
+            # condition number alone misses a uniformly tiny system (e.g. all
+            # bonds constant under zero rates), so also reject when every
+            # singular value is below the noise floor of O(1) bond prices
+            sv = np.linalg.svd(E, compute_uv=False)
+            smax, smin = sv.max(axis=1), sv.min(axis=1)
+            ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / policy.condition_limit)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                cond = np.inf if smin[i] == 0.0 else smax[i] / smin[i]
+                failures.append((int(pick[i]), "unhedgeable basis", (
+                    f"bond-difference matrix is numerically singular (condition "
+                    f"estimate {cond:.3e}, largest singular value {smax[i]:.3e})"
+                )))
+                # only the steps before this one can still fail earlier
+                pick, E, dU = pick[:i], E[:i], dU[:i]
+            D[pick] = np.linalg.solve(E, dU[..., None])[..., 0]
+        else:  # least squares with lstsq's default cutoff
+            rcond = np.finfo(float).eps * max(E.shape[1:])
+            D[pick] = (np.linalg.pinv(E, rcond=rcond) @ dU[..., None])[..., 0]
+        resid = np.linalg.norm((E @ D[pick][..., None])[..., 0] - dU, axis=1)
+        bad = resid > policy.hedge_residual_tol * (1.0 + np.linalg.norm(dU, axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            failures.append(
+                (int(pick[i]), "basis cannot match jump exposures", f"residual {resid[i]:.3e}")
+            )
+    if failures:
+        i, what, detail = min(failures)
         raise UnhedgeableBasisError(
-            f"basis cannot match jump exposures{context}: residual {resid:.3e}"
+            f"{what} at (t={float(ts[steps[i]])}, state={int(states[i])}): {detail}"
         )
     return D
 
@@ -226,54 +181,32 @@ class HedgePlan:
         self.jump_offsets = jump_offsets
         self.policy = policy
 
-    def _reachable(self, state: int) -> tuple[int, ...] | None:
-        if self.jump_offsets is None:
-            return None
-        return reachable_states(self.G.n, state, self.jump_offsets)
-
-    def _values(self, ts) -> np.ndarray:
+    def _positions_at(self, ts, steps, states) -> tuple[np.ndarray, np.ndarray]:
+        """Claim and bond values on ts and the positions at every
+        (ts[steps[i]], states[i])."""
         ts = np.asarray(ts, dtype=float)
-        return _claim_and_bonds(self.G, self.r, self.T, ts, self.payoff.values, self.basis)
-
-    def _solve(self, t: float, state: int, P: np.ndarray) -> np.ndarray:
-        E, dU = _exposures(P, state, _other_states(self.G.n, state, self._reachable(state)))
-        return _solve_exposures(E, dU, self.policy, f" at (t={t}, state={state})")
+        P = _claim_and_bonds(self.G, self.r, self.T, ts, self.payoff.values, self.basis)
+        return P, _hedge(P, ts, steps, states, self.jump_offsets, self.policy)
 
     def positions(self, t: float, state: int) -> np.ndarray:
-        return self._solve(t, state, self._values([t])[0])
+        return self._positions_at([t], np.zeros(1, dtype=int), np.array([state]))[1][0]
 
     def money_market_residual(self, t: float, state: int) -> float:
-        P = self._values([t])[0]
-        return float(P[state, 0] - self._solve(t, state, P) @ P[state, 1:])
+        P, D = self._positions_at([t], np.zeros(1, dtype=int), np.array([state]))
+        return float(P[0, state, 0] - D[0] @ P[0, state, 1:])
 
     def schedule(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Positions and money-market residuals at every (t, state) on a grid.
 
         Returns arrays of shape (len(ts), n, K) and (len(ts), n); the claim
-        and bond values on the whole grid come from one block propagation.
+        and bond values on the whole grid come from one block propagation and
+        the positions from one call of the hedge kernel.
         """
-        ts = np.asarray(ts, dtype=float)
-        P = self._values(ts)
-        n, K = self.G.n, len(self.basis.maturities)
-        D = np.empty((ts.size, n, K))
-        residual = np.empty((ts.size, n))
-        for m, t in enumerate(ts):
-            for s in range(n):
-                D[m, s] = self._solve(float(t), s, P[m])
-                residual[m, s] = P[m, s, 0] - D[m, s] @ P[m, s, 1:]
-        return D, residual
-
-
-def hedge_for_payoff(
-    G: GeneratorMatrix,
-    r: RateMap,
-    T: float,
-    basis: BondBasis,
-    payoff: ClaimPayoff,
-    jump_offsets: tuple[int, ...] | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> HedgePlan:
-    return HedgePlan(G, r, T, basis, payoff, jump_offsets, policy)
+        m, n = len(ts), self.G.n
+        steps, states = np.divmod(np.arange(m * n), n)
+        P, D = self._positions_at(ts, steps, states)
+        D = D.reshape(m, n, -1)
+        return D, P[..., 0] - np.einsum("msk,msk->ms", D, P[..., 1:])
 
 
 def replicate_on_path(
@@ -295,52 +228,46 @@ def replicate_on_path(
     short rate, which is the exact solution of the self-financing dynamics on
     a jump-free interval.
     """
-    if dt <= 0:
-        raise ValueError("rebalance step dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("rebalance step dt must be positive and finite")
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} shorter than maturity {T}")
-    basis.check_against(T, G.n, reduced=jump_offsets is not None)
-    if payoff.maturity != T:
-        raise ModelValidationError("payoff maturity must equal T")
+    plan = HedgePlan(G, r, T, basis, payoff, jump_offsets, policy)
 
     n_steps = int(np.ceil(T / dt))
     grid = np.minimum(np.arange(n_steps + 1) * dt, T)
     jumps_in = [tau for tau in path.jump_times if tau < T]
     ts = np.unique(np.concatenate([grid, np.array(jumps_in)])) if jumps_in else np.unique(grid)
 
-    P = _claim_and_bonds(G, r, T, ts, payoff.values, basis)
-
-    state = path.state_at(0.0)
-    X = float(P[0, state, 0])
-    max_track = 0.0
-    n_jumps_used = 0
-    for m in range(len(ts) - 1):
-        t0, t1 = float(ts[m]), float(ts[m + 1])
-        reach = (
-            None if jump_offsets is None else reachable_states(G.n, state, jump_offsets)
-        )
-        E, dU = _exposures(P[m], state, _other_states(G.n, state, reach))
-        D = _solve_exposures(E, dU, policy, f" at (t={t0}, state={state})")
-
-        cash = X - D @ P[m, state, 1:]
-        new_state = path.state_at(t1)
-        if new_state != state:
-            n_jumps_used += 1
-            if reach is not None and new_state not in reach:
+    # state at each grid time (cadlag: a jump time carries the post-jump state)
+    held = np.array((path.initial_state,) + path.post_jump_states)[
+        np.searchsorted(np.asarray(path.jump_times, dtype=float), ts, side="right")
+    ]
+    moves = np.flatnonzero(held[1:] != held[:-1])
+    if jump_offsets is not None:
+        for m in moves.tolist():
+            if held[m + 1] - held[m] not in jump_offsets:
                 raise ModelValidationError(
-                    f"path jumps {state}->{new_state} at t={t1}, outside the "
-                    f"declared jump structure"
+                    f"path jumps {held[m]}->{held[m + 1]} at t={float(ts[m + 1])}, "
+                    f"outside the declared jump structure"
                 )
-        X = float(D @ P[m + 1, new_state, 1:] + cash * np.exp(r.rates[state] * (t1 - t0)))
-        max_track = max(max_track, abs(X - float(P[m + 1, new_state, 0])))
-        state = new_state
+    steps = np.arange(len(ts) - 1)
+    P, D = plan._positions_at(ts, steps, held[:-1])
 
-    terminal_error = abs(X - float(payoff.values[path.state_at(T)]))
+    now, nxt = P[steps, held[:-1]], P[steps + 1, held[1:]]
+    bonds_now = np.einsum("mk,mk->m", D, now[:, 1:])
+    bonds_next = np.einsum("mk,mk->m", D, nxt[:, 1:])
+    growth = np.exp(r.rates[held[:-1]] * np.diff(ts))
+    X, wealth = float(P[0, held[0], 0]), []
+    for v0, v1, g in zip(bonds_now.tolist(), bonds_next.tolist(), growth.tolist()):
+        X = v1 + (X - v0) * g
+        wealth.append(X)
+
     return ReplicationReport(
-        terminal_error=terminal_error,
-        max_tracking_error=max_track,
+        terminal_error=abs(X - float(payoff.values[path.state_at(T)])),
+        max_tracking_error=float(np.abs(np.array(wealth) - nxt[:, 0]).max(initial=0.0)),
         step=float(dt),
-        n_jumps=n_jumps_used,
+        n_jumps=len(moves),
         n_grid_points=len(ts),
         initial_state=path.initial_state,
         seed=path.seed,

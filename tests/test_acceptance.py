@@ -9,20 +9,19 @@ import numpy as np
 from ctmc_rates import (
     BondBasis,
     ClaimPayoff,
+    HedgePlan,
     RateMap,
     TwoStateModel,
     arrow_debreu,
     bond_prices,
     caplet,
     floorlet,
-    hedge_system,
     perron_pair,
     price_claim,
     recover_generator,
     replicate_on_path,
     simulate_path,
     simulate_terminal,
-    solve_hedge,
     tipk_price,
     validate_model,
 )
@@ -68,8 +67,8 @@ def closed_form_pass():
         worst = max(worst, deviation(A, A_cf))
         worst = max(worst, deviation(B, B_cf))
         for k in (0, 1):
-            dB, dA = hedge_system(G, rm, 0.0, 0, tau, BondBasis((1.5 * tau,)), k)
-            D = solve_hedge(dB, dA)[0]
+            plan = HedgePlan(G, rm, tau, BondBasis((1.5 * tau,)), ClaimPayoff(np.eye(2)[k], tau))
+            D = plan.positions(0.0, 0)[0]
             D_cf = closed_form_hedge(m, 0.0, tau, 1.5 * tau, k)
             worst = max(worst, deviation(D, D_cf))
         Gp = recover_generator(perron_pair(G, rm), G).generator_p.entries

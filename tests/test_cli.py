@@ -228,6 +228,14 @@ class TestReplicate:
         assert code == 3
         assert "basis" in err
 
+    def test_nan_step_exit_1(self, capsys, model_file):
+        code, _, err = run(
+            capsys, "replicate", model_file, "--T", "1.0", "--basis", "1.5",
+            "--payoff", "1,0", "--dt", "nan", "--N", "1", "--seed", "3",
+        )
+        assert code == 1
+        assert "error: rebalance step dt must be positive" in err
+
 
 class TestDemo:
     def test_demo_dataset(self, capsys):

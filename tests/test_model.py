@@ -225,13 +225,45 @@ class TestSimulation:
         integ_p = []
         for _ in range(4000):
             path = simulate_path(G, 0, 2.0, rng)
-            integ_p.append(integrate_rate(path, r).value)
+            integ_p.append(integrate_rate(path, r))
         integ_p = np.array(integ_p)
         se = np.hypot(
             integ_v.std(ddof=1) / np.sqrt(integ_v.size),
             integ_p.std(ddof=1) / np.sqrt(integ_p.size),
         )
         assert abs(integ_v.mean() - integ_p.mean()) <= 4.0 * se
+
+
+    def test_one_path_of_both_samplers_agrees(self):
+        # simulate_path is the one-path case of the simulate_terminal loop
+        rng = np.random.default_rng(17)
+        for G, r in ((GeneratorMatrix([[-0.5, 0.5], [0.5, -0.5]]), RateMap([0.0, 0.1])),
+                     random_model(rng, n_max=4), random_model(rng, n_max=5)):
+            for seed in range(20):
+                initial, horizon = seed % G.n, 0.5 + seed
+                path = simulate_path(G, initial, horizon, seed, r=r)
+                states, integ = simulate_terminal(G, r, initial, horizon, 1, seed)
+                assert states[0] == path.state_at(horizon)
+                assert integ[0] == integrate_rate(path, r)
+
+    def test_seed_stream_is_stable(self):
+        # one exponential and one uniform per jump, in the order of a
+        # Gillespie loop; the values were drawn by that loop
+        G, r = random_model(np.random.default_rng(17), n_max=4)
+        path = simulate_path(G, 2, 6.0, 2024, r=r)
+        assert path.post_jump_states == (
+            1, 3, 0, 1, 3, 0, 1, 3, 1, 0, 1, 0, 3, 0, 1, 3, 1, 2, 3, 0, 3
+        )
+        assert path.jump_times[0] == pytest.approx(1.0175281838388521, rel=1e-14)
+        assert path.jump_times[-1] == pytest.approx(5.946699887875314, rel=1e-14)
+
+    def test_initial_state_outside_space_rejected(self, two_state_example):
+        _, G, r = two_state_example
+        for initial in (-1, 2):
+            with pytest.raises(ValueError, match="initial state"):
+                simulate_terminal(G, r, initial, 1.0, 10, seed=0)
+            with pytest.raises(ValueError, match="initial state"):
+                simulate_path(G, initial, 1.0, 0, r=r)
 
 
 class TestIntegrateRate:
@@ -241,17 +273,17 @@ class TestIntegrateRate:
     def test_zero_rate_state(self, two_state_example):
         _, _, r = two_state_example
         path = ChainPath(0, (), (), 1.0, 2)
-        assert integrate_rate(path, r).value == 0.0
+        assert integrate_rate(path, r) == 0.0
 
     def test_constant_state(self, two_state_example):
         _, _, r = two_state_example
         path = ChainPath(1, (), (), 2.5, 2)
-        assert integrate_rate(path, r).value == pytest.approx(0.1 * 2.5, rel=1e-15)
+        assert integrate_rate(path, r) == pytest.approx(0.1 * 2.5, rel=1e-15)
 
     def test_single_jump(self, two_state_example):
         _, _, r = two_state_example
         path = self._jump_path(tau=0.4, horizon=1.0)
-        assert integrate_rate(path, r).value == pytest.approx(0.1 * 0.6, rel=1e-12)
+        assert integrate_rate(path, r) == pytest.approx(0.1 * 0.6, rel=1e-12)
 
     def test_interval_outside_horizon_rejected(self, two_state_example):
         _, _, r = two_state_example
@@ -263,9 +295,9 @@ class TestIntegrateRate:
     def test_additive_over_adjacent_intervals(self, split):
         r = RateMap(np.array([0.0, 0.1]))
         path = ChainPath(0, (0.3, 0.7), (1, 0), 1.0, 2)
-        whole = integrate_rate(path, r, 0.0, 1.0).value
-        left = integrate_rate(path, r, 0.0, split).value
-        right = integrate_rate(path, r, split, 1.0).value
+        whole = integrate_rate(path, r, 0.0, 1.0)
+        left = integrate_rate(path, r, 0.0, split)
+        right = integrate_rate(path, r, split, 1.0)
         assert left + right == pytest.approx(whole, abs=1e-15)
 
 

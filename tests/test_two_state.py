@@ -9,10 +9,8 @@ from ctmc_rates import (
     UnhedgeableBasisError,
     arrow_debreu,
     bond_prices,
-    hedge_system,
     perron_pair,
     recover_generator,
-    solve_hedge,
     zero_yield,
 )
 from ctmc_rates.two_state import (
@@ -166,11 +164,11 @@ class TestClosedFormHedge:
             m = TwoStateModel(lam, r)
             G, rm = m.generator(), m.rate_map()
             t, T, T1 = 0.0, tau, tau * 1.5
-            from ctmc_rates import BondBasis
+            from ctmc_rates import BondBasis, ClaimPayoff, HedgePlan
 
             for k in (0, 1):
-                dB, dA = hedge_system(G, rm, t, 0, T, BondBasis((T1,)), k)
-                D = solve_hedge(dB, dA)
+                plan = HedgePlan(G, rm, T, BondBasis((T1,)), ClaimPayoff(np.eye(2)[k], T))
+                D = plan.positions(t, 0)
                 assert D[0] == pytest.approx(closed_form_hedge(m, t, T, T1, k), rel=1e-12)
 
     def test_at_maturity_k0_formula(self):
