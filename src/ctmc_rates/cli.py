@@ -136,7 +136,7 @@ def cmd_yield_curve(args) -> int:
     asym = None
     if G.n == 2:
         rho, _ = recovery.dominant_eigenpair(G, r)
-        asym = -rho
+        asym = -rho if rho else 0.0  # 0, not -0, at zero rates
         header.append("asymptote")
     Y = pricing.yield_curve(G, r, args.t, grid)
     rows = []
@@ -177,19 +177,28 @@ def cmd_hedge(args) -> int:
     return 0
 
 
+def _json_list(items, depth: int) -> str:
+    """json.dumps(items, indent=2) at `depth`, for JSON texts or floats (C encoder)."""
+    if isinstance(items, np.ndarray):
+        items = json.dumps(items.tolist())[1:-1].split(", ")  # no float's text holds ", "
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
 def cmd_recover(args) -> int:
     spec = load_model(args.model)
     G, r = spec.generator, spec.rates
     pair = recovery.perron_pair(G, r)
     rec = recovery.recover_generator(pair, G)
     report = {
-        "rho": pair.rho,
-        "pi": [float(x) for x in pair.pi],
-        "generator_p": [[float(x) for x in row] for row in rec.generator_p.entries],
-        "states": _state_names(spec),
-        "validation": "ok",
+        "rho": json.dumps(pair.rho),
+        "pi": _json_list(pair.pi, 1),
+        "generator_p": _json_list([_json_list(row, 2) for row in rec.generator_p.entries], 1),
+        "states": _json_list([json.dumps(name) for name in _state_names(spec)], 1),
+        "validation": json.dumps("ok"),
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    body = ",\n  ".join(f"{json.dumps(key)}: {text}" for key, text in report.items())
+    sys.stdout.write("{\n  " + body + "\n}\n")
     return 0
 
 

@@ -352,7 +352,8 @@ def _sample_chain(
     exit_rate = -np.diag(Q)
     probs = np.clip(Q, 0.0, None)
     np.fill_diagonal(probs, 0.0)
-    cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    # clipped: a cumsum can round above 1 early; a uniform in [0, 1) compares the same
+    cum = np.minimum(np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1), 1.0)
     cum[:, -1] = 1.0
 
     clock = np.zeros(n_paths)
@@ -367,7 +368,13 @@ def _sample_chain(
         jump_idx = alive[jumping]
         if jump_idx.size:
             u = rng.random(jump_idx.size)
-            states[jump_idx] = (u[:, None] >= cum[states[jump_idx]]).sum(axis=1)
+            cur = s[jumping]
+            if cur.min() == cur.max():
+                states[jump_idx] = np.searchsorted(cum[cur[0]], u, side="right")
+            else:  # one searchsorted per current state: memory stays linear in the paths
+                order = np.argsort(cur, kind="stable")
+                for group in np.split(order, np.flatnonzero(np.diff(cur[order])) + 1):
+                    states[jump_idx[group]] = np.searchsorted(cum[cur[group[0]]], u[group], side="right")
             if record:
                 jumps.append((float(t_new[0]), int(states[0])))
         alive = jump_idx

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig
+from scipy.linalg import solve_triangular
 
 from .errors import ModelValidationError, RecoveryHypothesisError
 from .model import (
@@ -24,6 +24,9 @@ from .model import (
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .pricing import ClaimPayoff
+
+# panel width of _gth_lu; unshifted and total steps of _perron; a closed bracket's width
+_PANEL, _CHEAP_STEPS, _MAX_STEPS, _CLOSED = 64, 64, 96, 4 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -41,72 +44,92 @@ class RecoveredMeasure:
     pi: np.ndarray
 
 
-def dominant_eigenpair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
-    """Ungated Perron eigenpair of G - R, sign-normalized to positive entries."""
-    require_valid_model(G, r)
-    M = G.entries - r.diagonal
-    vals, vecs = eig(M)
-    k = int(np.argmax(vals.real))
-    rho = float(vals[k].real)
-    pi = vecs[:, k].real
-    pi = pi / np.linalg.norm(pi)
-    if pi.sum() < 0:
-        pi = -pi
-    if np.any(pi <= 0):
-        raise ModelValidationError(
-            "dominant eigenvector has a nonpositive entry after sign "
-            "normalization; numerical failure (irreducibility guarantees "
-            "strict positivity)"
-        )
+def _gth_lu(N: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """L (unit, below the diagonal) and U in one matrix for A = diag(s + N 1) - N.
+
+    GTH-style, with no subtraction (Grassmann, Taksar & Heyman 1985; Alfa, Xue
+    & Ye 2002): N >= 0 (diagonal ignored) and the row sums s >= 0 are updated
+    by adding products, and each pivot is its row sum plus the magnitudes
+    right of it. Panels go column by column, the rest by one product each.
+    """
+    n = s.size
+    W = np.column_stack([N, s])
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        for k in range(k0, k1):
+            W[k, k + 1:] += W[k, k0:k] @ W[k0:k, k + 1:]
+            W[k + 1:, k] += W[k + 1:, k0:k] @ W[k0:k, k]
+            W[k, k] = W[k, n] + W[k, k + 1:n].sum()
+            W[k + 1:, k] /= W[k, k]
+        W[k1:, k1:] += W[k1:, k0:k1] @ W[k0:k1, k1:]
+    LU = -W[:, :n]
+    np.fill_diagonal(LU, np.diag(W))
+    return LU
+
+
+def _perron(Q: np.ndarray, rates: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
+    """Perron pair of M = Q - diag(rates), checked by |M pi - rho pi| <= tol |M| pi.
+
+    Each iterate v > 0 has w = A v, A = diag(rates) - Q, so [min w/v, max w/v]
+    brackets -rho (Collatz-Wielandt). Inverse iteration uses one factoring of
+    A; if the bracket is open after _CHEAP_STEPS, each step factors
+    D^-1 A D - min(w/v) I, D = diag(v), whose row sums are again >= 0 (Noda's
+    iteration, fast even for a tiny gap below rho).
+    """
+    v, w, LU = np.ones(rates.size), rates, None
+    try:
+        for step in range(_MAX_STEPS):
+            q = w / v
+            lo, hi = float(q.min()), float(q.max())
+            if hi - lo <= _CLOSED * hi:
+                break
+            cheap = LU is not None and step < _CHEAP_STEPS
+            if not cheap:
+                shift = 0.0 if LU is None else lo
+                LU = _gth_lu(Q * v / v[:, None], q - shift)
+                if not (np.all(np.diag(LU) > 0) and np.all(np.isfinite(LU))):
+                    raise ModelValidationError("a pivot is not positive and finite")
+            y = solve_triangular(LU, v if cheap else np.ones(v.size), lower=True,
+                                 unit_diagonal=True, check_finite=False)
+            y = solve_triangular(LU, y, check_finite=False)
+            v, w = (y, v) if cheap else (v * y, v * (1.0 + shift * y))
+            v, w = v / v.max(), w / v.max()
+        else:
+            raise ModelValidationError(f"the bracket is open after {_MAX_STEPS} steps")
+        rho, pi = -0.5 * (lo + hi), v / np.linalg.norm(v)
+        M = Q - np.diag(rates)
+        bad = ~((pi > 0) & (np.abs(M @ pi - rho * pi) <= tol * (np.abs(M) @ pi)))
+        if np.any(bad):
+            raise ModelValidationError(f"pi underflows or |M pi - rho pi| > {tol:g} |M| pi in {bad.sum()} states")
+    except (FloatingPointError, ModelValidationError) as exc:
+        raise ModelValidationError(f"Perron solve failed: {exc}; bracket on -rho [{lo:.17g}, {hi:.17g}]") from exc
     return rho, pi
+
+
+def dominant_eigenpair(G: GeneratorMatrix, r: RateMap,
+                       policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float, np.ndarray]:
+    """Perron eigenvalue rho of G - R and its positive unit eigenvector pi, each
+    entry accurate relative to itself; exactly (0, 1/sqrt(n)) when r = 0."""
+    require_valid_model(G, r, policy)
+    if not np.any(r.rates):
+        return 0.0, np.full(G.n, 1.0 / np.sqrt(G.n))
+    # underflow from tiny valid data (a 1e-311 rate) is no error; _perron checks pi
+    with np.errstate(all="raise", under="ignore"):
+        return _perron(G.entries, r.rates, policy.eigen_residual_tol)
 
 
 def perron_pair(
     G: GeneratorMatrix, r: RateMap, policy: NumericPolicy = DEFAULT_POLICY
 ) -> PerronPair:
-    """Perron eigenpair, gated on the recovery hypothesis rho < 0."""
-    rho, pi = dominant_eigenpair(G, r)
-    if rho >= -1e-14:
-        raise RecoveryHypothesisError(
-            f"recovery hypothesis violated: rho = {rho:.6g} is nonnegative "
-            "(holds iff the short rate is identically zero)"
-        )
+    """Perron eigenpair, gated on the recovery hypothesis rho < 0, i.e. r not identically 0."""
+    rho, pi = dominant_eigenpair(G, r, policy)
+    if rho == 0.0:
+        raise RecoveryHypothesisError("recovery hypothesis violated: rho = 0 (the short rate is identically 0)")
     resid = np.linalg.norm((G.entries - r.diagonal) @ pi - rho * pi)
     if resid > policy.eigen_residual_tol:
         raise ModelValidationError(f"Perron eigen-residual too large: {resid:.3e}")
-    pi = pi.copy()
     pi.setflags(write=False)
     return PerronPair(rho=rho, pi=pi)
-
-
-def perron_pair_power(
-    G: GeneratorMatrix,
-    r: RateMap,
-    tol: float = 1e-13,
-    max_iter: int = 200_000,
-) -> tuple[float, np.ndarray]:
-    """Verification fallback: shifted power iteration on G - R + cI.
-
-    The shift c >= max_i(r_i - g_ii) makes the matrix entrywise nonnegative,
-    so the iteration converges to the Perron vector.
-    """
-    require_valid_model(G, r)
-    M = G.entries - r.diagonal
-    c = float(np.max(r.rates - np.diag(G.entries))) + 1.0
-    A = M + c * np.eye(G.n)
-    v = np.ones(G.n) / np.sqrt(G.n)
-    mu = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        mu_new = float(np.linalg.norm(w))
-        w /= mu_new
-        if np.linalg.norm(w - v) < tol:
-            v = w
-            mu = mu_new
-            break
-        v, mu = w, mu_new
-    rho = float(v @ (M @ v))  # Rayleigh quotient refines the shifted estimate
-    return rho, v
 
 
 def recover_generator(

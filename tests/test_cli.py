@@ -136,6 +136,14 @@ class TestYieldCurve:
         _, rows = parse_csv(out)
         assert all(float(r[1]) == pytest.approx(0.05, abs=1e-12) for r in rows)
 
+    def test_zero_rate_asymptote_is_zero(self, capsys, tmp_path):
+        p = tmp_path / "zero.txt"
+        p.write_text(ZERO_RATE)
+        code, out, _ = run(capsys, "yield-curve", str(p), "--T-grid", "1:3:1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["0", "0", "0"]
+
     def test_empty_grid_exit_1(self, capsys, model_file):
         code, _, err = run(capsys, "yield-curve", model_file, "--T-grid", "5:1:1")
         assert code == 1
@@ -151,6 +159,19 @@ class TestRecover:
         Gp = np.array(report["generator_p"])
         assert Gp[0, 1] == pytest.approx(0.4524937810560445, abs=1e-12)
         assert report["validation"] == "ok"
+
+    def test_report_layout_is_json_indent_2(self, capsys, model_file, tmp_path):
+        labelled = tmp_path / "labelled.txt"
+        labelled.write_text(
+            'states: lo"w mid h\u00e9\ngenerator:\n-1 0.5 0.5\n0.25 -0.5 0.25\n1 2 -3\n'
+            "rates: 0.01 0.02 0.07\n",
+            encoding="utf-8",
+        )
+        for path in (model_file, str(labelled)):
+            code, out, _ = run(capsys, "recover", path)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)["states"] == ['lo"w', "mid", "h\u00e9"]
 
     def test_zero_rates_exit_2(self, capsys, tmp_path):
         p = tmp_path / "zero.txt"

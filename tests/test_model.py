@@ -257,6 +257,53 @@ class TestSimulation:
         assert path.jump_times[0] == pytest.approx(1.0175281838388521, rel=1e-14)
         assert path.jump_times[-1] == pytest.approx(5.946699887875314, rel=1e-14)
 
+    def test_grouped_draw_matches_broadcast_draw(self):
+        # reference: the event loop with the paths x n broadcast inverse-CDF
+        # draw that simulate_terminal used before grouping paths by state
+        def broadcast_terminal(Q, rates, initial, horizon, n_paths, seed):
+            rng = np.random.default_rng(seed)
+            states = np.full(n_paths, initial, dtype=np.int64)
+            integ = np.zeros(n_paths)
+            exit_rate = -np.diag(Q)
+            probs = np.clip(Q, 0.0, None)
+            np.fill_diagonal(probs, 0.0)
+            cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+            cum[:, -1] = 1.0
+            clock = np.zeros(n_paths)
+            alive = np.arange(n_paths)
+            while alive.size:
+                s = states[alive]
+                t_new = clock[alive] + rng.exponential(1.0, alive.size) / exit_rate[s]
+                integ[alive] += rates[s] * (np.minimum(t_new, horizon) - clock[alive])
+                clock[alive] = t_new
+                jump_idx = alive[t_new < horizon]
+                if jump_idx.size:
+                    u = rng.random(jump_idx.size)
+                    states[jump_idx] = (u[:, None] >= cum[states[jump_idx]]).sum(axis=1)
+                alive = jump_idx
+            return states, integ
+
+        rng = np.random.default_rng(606)
+        n = 60
+        Q = rng.uniform(0.0, 1.0, (n, n)) / n
+        # a row whose cumsum rounds above 1.0 before its last entry, which
+        # is too small to bring it back
+        for _ in range(1000):
+            Q[0, 1:-1] = rng.uniform(0.5, 1.5, n - 2) / n
+            Q[0, -1] = 1e-300
+            row = np.cumsum(Q[0, 1:] / Q[0, 1:].sum())
+            if row[-2] > 1.0:
+                break
+        assert row[-2] > 1.0
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        rates = rng.uniform(0.0, 0.1, n)
+        states, integ = simulate_terminal(GeneratorMatrix(Q), RateMap(rates), 0, 5.0, 20_000, seed=31)
+        ref_states, ref_integ = broadcast_terminal(Q, rates, 0, 5.0, 20_000, 31)
+        assert np.bincount(states, minlength=n).min() > 0
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(integ, ref_integ)
+
     def test_initial_state_outside_space_rejected(self, two_state_example):
         _, G, r = two_state_example
         for initial in (-1, 2):

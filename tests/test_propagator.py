@@ -8,18 +8,7 @@ import ctmc_rates.model as model_module
 from ctmc_rates import GeneratorMatrix, ModelValidationError, RateMap, matrix_exponential
 from ctmc_rates.model import propagate
 
-
-@st.composite
-def models(draw, n_max=5, rate_max=1.0):
-    """Irreducible models with 1..n_max states and intensities up to 1e6."""
-    n = draw(st.integers(1, n_max))
-    scale = 10.0 ** draw(st.floats(-2.0, 6.0))
-    offs = draw(st.lists(st.floats(0.05, 1.0), min_size=n * (n - 1), max_size=n * (n - 1)))
-    Q = np.zeros((n, n))
-    Q[~np.eye(n, dtype=bool)] = scale * np.array(offs)
-    np.fill_diagonal(Q, -Q.sum(axis=1))
-    rates = draw(st.lists(st.floats(0.0, rate_max), min_size=n, max_size=n))
-    return GeneratorMatrix(Q), RateMap(np.array(rates))
+from conftest import models
 
 
 @st.composite
