@@ -20,7 +20,7 @@ from . import pricing, recovery, replication, two_state
 from .errors import CtmcRatesError
 from .model import RNG_ALGORITHM, simulate_path, simulate_terminal
 from .modelfile import load_model
-from .pricing import ClaimPayoff
+from .pricing import ClaimPayoff, mean_and_se
 
 try:
     TOOL_VERSION = version("ctmc-rates")
@@ -216,17 +216,15 @@ def cmd_simulate(args) -> int:
         G_sim, r, args.initial, args.horizon, args.N, args.seed
     )
     counts = np.bincount(states, minlength=G.n)
-    disc = np.exp(-integ)
     rows = [
         ["n_paths", "", args.N],
         ["measure", "", args.measure],
     ]
     for i in range(G.n):
         rows.append(["occupancy_at_horizon", spec.states.label(i), counts[i] / args.N])
-    rows.append(["mean_integrated_rate", "", float(integ.mean())])
-    rows.append(["se_integrated_rate", "", float(integ.std(ddof=1) / np.sqrt(args.N))])
-    rows.append(["mean_discount_factor", "", float(disc.mean())])
-    rows.append(["se_discount_factor", "", float(disc.std(ddof=1) / np.sqrt(args.N))])
+    for name, samples in (("integrated_rate", integ), ("discount_factor", np.exp(-integ))):
+        mean, se = mean_and_se(samples)
+        rows += [[f"mean_{name}", "", mean], [f"se_{name}", "", se]]
     _write_output(
         args, ["statistic", "state", "value"], rows,
         {"measure": args.measure, "N": args.N, "horizon": args.horizon,

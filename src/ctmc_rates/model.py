@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelValidationError
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 # identifier recorded in run manifests; all randomness flows through
 # numpy.random.default_rng (PCG64)
@@ -61,8 +61,8 @@ class GeneratorMatrix:
     """
 
     entries: np.ndarray
-    # the NumericPolicy under which the generator checks of validate_model passed
-    _passed: NumericPolicy | None = field(default=None, init=False, repr=False, compare=False)
+    # set once the generator checks of validate_model have passed
+    _passed: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = _as_readonly(self.entries)
@@ -102,7 +102,11 @@ class RateMap:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Violated invariants and, for each, the part of the model it concerns:
+    a generator row index, "generator" for the matrix as a whole or "rates"."""
+
     violations: tuple[str, ...] = ()
+    parts: tuple[int | str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -112,11 +116,11 @@ class ValidationReport:
         return "valid model" if self.ok else "; ".join(self.violations)
 
 
-def is_irreducible(G: GeneratorMatrix, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def is_irreducible(G: GeneratorMatrix) -> bool:
     """Strong connectivity of the graph with an edge i->j iff g_ij > support_eps."""
     if G.n == 1:
         return True
-    support = G.entries > policy.support_eps
+    support = G.entries > DEFAULT_POLICY.support_eps
     np.fill_diagonal(support, False)
     n_comp, _ = connected_components(
         csr_matrix(support), directed=True, connection="strong"
@@ -125,17 +129,14 @@ def is_irreducible(G: GeneratorMatrix, policy: NumericPolicy = DEFAULT_POLICY) -
 
 
 def validate_model(
-    G: GeneratorMatrix,
-    r: RateMap,
-    S: StateSpace | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    G: GeneratorMatrix, r: RateMap, S: StateSpace | None = None
 ) -> ValidationReport:
     """Collect every violated model invariant; an empty report means admissible.
 
     Dimension mismatches are hard errors (there is no sensible partial report
     for them); everything else is accumulated. The generator checks depend on
-    G alone, so they run once per GeneratorMatrix instance and policy; the
-    rate check runs on every call.
+    G alone, so they run once per GeneratorMatrix instance; the rate check
+    runs on every call.
     """
     n = S.n if S is not None else G.n
     if G.n != n:
@@ -143,31 +144,29 @@ def validate_model(
     if r.n != n:
         raise ModelValidationError(f"rate vector has length {r.n} but n={n}")
 
-    bad: list[str] = []
-    if G._passed != policy:
+    bad: list[tuple[str, int | str]] = []  # (violation, part)
+    if not G._passed:
         Q = G.entries
         scale = max(1.0, float(np.max(np.abs(Q)))) if Q.size else 1.0
         row_sums = Q.sum(axis=1)
-        for i in np.flatnonzero(np.abs(row_sums) > policy.row_sum_tol * scale):
-            bad.append(f"generator row {i} sums to {row_sums[i]:.3e}, not 0")
+        for i in np.flatnonzero(np.abs(row_sums) > DEFAULT_POLICY.row_sum_tol * scale):
+            bad.append((f"generator row {i} sums to {row_sums[i]:.3e}, not 0", int(i)))
         off = Q - np.diag(np.diag(Q))
         for i, j in zip(*np.nonzero(off < 0)):
-            bad.append(f"generator entry ({i},{j}) = {Q[i, j]:.3e} is negative off-diagonal")
+            bad.append((f"generator entry ({i},{j}) = {Q[i, j]:.3e} is negative off-diagonal", int(i)))
         for i in np.flatnonzero(np.diag(Q) > 0):
-            bad.append(f"generator diagonal ({i},{i}) = {Q[i, i]:.3e} is positive")
-        if not is_irreducible(G, policy):
-            bad.append("generator is not irreducible (transition graph not strongly connected)")
+            bad.append((f"generator diagonal ({i},{i}) = {Q[i, i]:.3e} is positive", int(i)))
+        if not is_irreducible(G):
+            bad.append(("generator is not irreducible (transition graph not strongly connected)", "generator"))
         if not bad:
-            object.__setattr__(G, "_passed", policy)
+            object.__setattr__(G, "_passed", True)
     for i in np.flatnonzero(r.rates < 0):
-        bad.append(f"rate for state {i} is negative: {r.rates[i]:.3e}")
-    return ValidationReport(tuple(bad))
+        bad.append((f"rate for state {i} is negative: {r.rates[i]:.3e}", "rates"))
+    return ValidationReport(tuple(v for v, _ in bad), tuple(p for _, p in bad))
 
 
-def require_valid_model(
-    G: GeneratorMatrix, r: RateMap, policy: NumericPolicy = DEFAULT_POLICY
-) -> None:
-    report = validate_model(G, r, policy=policy)
+def require_valid_model(G: GeneratorMatrix, r: RateMap) -> None:
+    report = validate_model(G, r)
     if not report.ok:
         raise ModelValidationError(str(report))
 
@@ -396,14 +395,13 @@ def simulate_path(
     event loop behind simulate_terminal.
 
     Holding time in state i is Exponential(-g_ii); the next state is j with
-    probability g_ij / (-g_ii). Deterministic given the seed.
+    probability g_ij / (-g_ii). Deterministic given the seed. Without r the
+    model is validated with zero rates.
     """
-    if r is not None:
-        require_valid_model(G, r)
-    elif not is_irreducible(G):
-        raise ModelValidationError("generator is not irreducible")
-    rates = np.zeros(G.n) if r is None else r.rates
-    _, _, jumps = _sample_chain(G, rates, initial, horizon, 1, _rng(seed), record=True)
+    if r is None:
+        r = RateMap(np.zeros(G.n))
+    require_valid_model(G, r)
+    _, _, jumps = _sample_chain(G, r.rates, initial, horizon, 1, _rng(seed), record=True)
     return ChainPath(
         initial_state=initial,
         jump_times=tuple(t for t, _ in jumps),

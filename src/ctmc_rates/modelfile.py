@@ -8,8 +8,9 @@ Format (comments with '#', blank lines ignored)::
      0.5 -0.5
     rates: 0.0 0.1
 
-The parser reports malformed input and every violated model invariant with
-the offending line number.
+Every error names the offending line: malformed or non-finite input, a key
+given twice, and each violated model invariant, which validate_model reports
+with the generator row, the generator or the rates it concerns.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .model import (
     StateSpace,
     validate_model,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,19 @@ def _fail(path: str, lineno: int, msg: str):
 def _parse_floats(path: str, lineno: int, text: str, what: str) -> list[float]:
     parts = text.replace(",", " ").split()
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         _fail(path, lineno, f"could not parse {what}: {text!r}")
+    if not np.all(np.isfinite(values)):
+        _fail(path, lineno, f"{what} must be finite: {text!r}")
+    return values
 
 
-def parse_model_text(
-    text: str, path: str = "<model>", policy: NumericPolicy = DEFAULT_POLICY
-) -> ModelSpec:
+def parse_model_text(text: str, path: str = "<model>") -> ModelSpec:
     lines = text.splitlines()
     n = None
     labels = None
-    states_line = gen_line = rates_line = None
+    key_line: dict[str, int] = {}
     gen_rows: list[list[float]] = []
     gen_row_lines: list[int] = []
     rates = None
@@ -70,8 +71,10 @@ def parse_model_text(
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
+        if key in key_line:
+            _fail(path, lineno, f"{key!r} already given on line {key_line[key]}")
+        key_line[key] = lineno
         if key == "states":
-            states_line = lineno
             if not value:
                 _fail(path, lineno, "states needs a count or a label list")
             tokens = value.replace(",", " ").split()
@@ -87,7 +90,6 @@ def parse_model_text(
         elif key == "generator":
             if n is None:
                 _fail(path, lineno, "states must be declared before the generator")
-            gen_line = lineno
             if value:
                 _fail(path, lineno, "generator rows belong on the following lines")
             while len(gen_rows) < n and idx < len(lines):
@@ -102,9 +104,8 @@ def parse_model_text(
                 gen_rows.append(row)
                 gen_row_lines.append(row_no)
             if len(gen_rows) < n:
-                _fail(path, gen_line, f"generator needs {n} rows, found {len(gen_rows)}")
+                _fail(path, lineno, f"generator needs {n} rows, found {len(gen_rows)}")
         elif key == "rates":
-            rates_line = lineno
             rates = _parse_floats(path, lineno, value, "rates")
         else:
             _fail(path, lineno, f"unknown key {key!r}")
@@ -116,28 +117,24 @@ def parse_model_text(
     if rates is None:
         _fail(path, 1, "missing 'rates' entry")
     if len(rates) != n:
-        _fail(path, rates_line, f"{len(rates)} rates for {n} states")
+        _fail(path, key_line["rates"], f"{len(rates)} rates for {n} states")
 
     S = StateSpace(n=n, labels=labels)
     G = GeneratorMatrix(np.array(gen_rows))
     r = RateMap(np.array(rates))
-    report = validate_model(G, r, S, policy)
+    report = validate_model(G, r, S)
     if not report.ok:
-        anchored = []
-        for v in report.violations:
-            if v.startswith("generator row ") or v.startswith("generator entry ") or v.startswith("generator diagonal "):
-                row = int(v.split("(")[1].split(",")[0]) if "(" in v else int(v.split()[2])
-                anchored.append(f"{path}:{gen_row_lines[row]}: {v}")
-            elif v.startswith("generator"):
-                anchored.append(f"{path}:{gen_line}: {v}")
-            elif v.startswith("rate"):
-                anchored.append(f"{path}:{rates_line}: {v}")
-            else:
-                anchored.append(f"{path}:{states_line}: {v}")
-        raise ModelFileError("\n".join(anchored))
+        raise ModelFileError("\n".join(
+            f"{path}:{gen_row_lines[p] if isinstance(p, int) else key_line[p]}: {v}"
+            for v, p in zip(report.violations, report.parts)
+        ))
     return ModelSpec(states=S, generator=G, rates=r)
 
 
-def load_model(path: str, policy: NumericPolicy = DEFAULT_POLICY) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_text(fh.read(), path=path, policy=policy)
+def load_model(path: str) -> ModelSpec:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ModelFileError(f"{path}: {exc.strerror}") from exc
+    return parse_model_text(text, path=path)

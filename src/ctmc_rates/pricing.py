@@ -120,6 +120,19 @@ def forward_rate(
     return float(np.expm1(log_B[0] - log_B[1]) / (Tb - T))
 
 
+def _price_at_reset(
+    G: GeneratorMatrix, r: RateMap, t: float, T: float, Tb: float, psi: Callable
+) -> PriceVector:
+    """Value at t of the T-maturity claim psi(B, Tb - T), B = B(T, j; Tb) over states j."""
+    if Tb <= T:
+        raise ValueError(f"need T < Tb, got T={T}, Tb={Tb}")
+    if t > T:
+        raise ValueError(f"valuation time {t} is after reset date {T}")
+    psi_T = psi(bond_prices(G, r, T, Tb).values, Tb - T)
+    out = price_claim(G, r, ClaimPayoff(psi_T, T), t)
+    return PriceVector(values=out.values, valuation_time=t, maturity=T)
+
+
 def price_forward_rate_option(
     G: GeneratorMatrix,
     r: RateMap,
@@ -133,28 +146,23 @@ def price_forward_rate_option(
     The payment is known at the reset date T, so it is priced as the
     T-maturity claim psi(j) = B(T, j; Tb) * h(F(T, j; T, Tb)).
     """
-    if Tb <= T:
-        raise ValueError(f"need T < Tb, got T={T}, Tb={Tb}")
-    if t > T:
-        raise ValueError(f"valuation time {t} is after reset date {T}")
-    B_T = bond_prices(G, r, T, Tb).values
-    psi = np.array(
-        [B_T[j] * h((1.0 / B_T[j] - 1.0) / (Tb - T)) for j in range(G.n)]
+    return _price_at_reset(
+        G, r, t, T, Tb, lambda B, d: np.array([b * h((1.0 / b - 1.0) / d) for b in B])
     )
-    out = price_claim(G, r, ClaimPayoff(psi, T), t)
-    return PriceVector(values=out.values, valuation_time=t, maturity=T)
 
 
+# Caplet and floorlet pay (F - K)+ and (K - F)+ at Tb. Written in B alone,
+# their reset-date claims stay finite where B(T, j; Tb) underflows to 0.
 def caplet(
     G: GeneratorMatrix, r: RateMap, t: float, T: float, Tb: float, K: float
 ) -> PriceVector:
-    return price_forward_rate_option(G, r, t, T, Tb, lambda F: max(F - K, 0.0))
+    return _price_at_reset(G, r, t, T, Tb, lambda B, d: np.maximum(1.0 - B * (1.0 + K * d), 0.0) / d)
 
 
 def floorlet(
     G: GeneratorMatrix, r: RateMap, t: float, T: float, Tb: float, K: float
 ) -> PriceVector:
-    return price_forward_rate_option(G, r, t, T, Tb, lambda F: max(K - F, 0.0))
+    return _price_at_reset(G, r, t, T, Tb, lambda B, d: np.maximum(B * (1.0 + K * d) - 1.0, 0.0) / d)
 
 
 def arrow_debreu(
@@ -183,7 +191,11 @@ def mc_price_claim(
     if T <= 0:
         raise ValueError("Monte Carlo pricing needs maturity > 0")
     states, integ = simulate_terminal(G, r, initial, T, n_paths, seed)
-    samples = np.exp(-integ) * payoff.values[states]
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
-    return mean, se
+    return mean_and_se(np.exp(-integ) * payoff.values[states])
+
+
+def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error is inf for one sample."""
+    n = samples.size
+    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+    return float(samples.mean()), se

@@ -22,8 +22,8 @@ from .model import (
     simulate_terminal,
     validate_model,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
-from .pricing import ClaimPayoff
+from .policy import DEFAULT_POLICY
+from .pricing import ClaimPayoff, mean_and_se
 
 # panel width of _gth_lu; unshifted and total steps of _perron; a closed bracket's width
 _PANEL, _CHEAP_STEPS, _MAX_STEPS, _CLOSED = 64, 64, 96, 4 * float(np.finfo(float).eps)
@@ -89,14 +89,18 @@ def _perron(Q: np.ndarray, rates: np.ndarray, tol: float) -> tuple[float, np.nda
                 LU = _gth_lu(Q * v / v[:, None], q - shift)
                 if not (np.all(np.diag(LU) > 0) and np.all(np.isfinite(LU))):
                     raise ModelValidationError("a pivot is not positive and finite")
-            y = solve_triangular(LU, v if cheap else np.ones(v.size), lower=True,
+                # a power of two at most the least pivot: scaling the right-hand
+                # side by it keeps y finite on tiny rates and changes no bits
+                c = np.ldexp(1.0, min(0, int(np.frexp(np.diag(LU).min())[1]) - 1))
+            y = solve_triangular(LU, c * (v if cheap else np.ones(v.size)), lower=True,
                                  unit_diagonal=True, check_finite=False)
             y = solve_triangular(LU, y, check_finite=False)
-            v, w = (y, v) if cheap else (v * y, v * (1.0 + shift * y))
+            v, w = (y, c * v) if cheap else (v * y, v * (c + shift * y))
             v, w = v / v.max(), w / v.max()
         else:
             raise ModelValidationError(f"the bracket is open after {_MAX_STEPS} steps")
-        rho, pi = -0.5 * (lo + hi), v / np.linalg.norm(v)
+        # r is not 0, so rho < 0 even where it is nearer 0 than -5e-324
+        rho, pi = -0.5 * (lo + hi) or -5e-324, v / np.linalg.norm(v)
         M = Q - np.diag(rates)
         bad = ~((pi > 0) & (np.abs(M @ pi - rho * pi) <= tol * (np.abs(M) @ pi)))
         if np.any(bad):
@@ -106,35 +110,30 @@ def _perron(Q: np.ndarray, rates: np.ndarray, tol: float) -> tuple[float, np.nda
     return rho, pi
 
 
-def dominant_eigenpair(G: GeneratorMatrix, r: RateMap,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> tuple[float, np.ndarray]:
+def dominant_eigenpair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
     """Perron eigenvalue rho of G - R and its positive unit eigenvector pi, each
     entry accurate relative to itself; exactly (0, 1/sqrt(n)) when r = 0."""
-    require_valid_model(G, r, policy)
+    require_valid_model(G, r)
     if not np.any(r.rates):
         return 0.0, np.full(G.n, 1.0 / np.sqrt(G.n))
     # underflow from tiny valid data (a 1e-311 rate) is no error; _perron checks pi
     with np.errstate(all="raise", under="ignore"):
-        return _perron(G.entries, r.rates, policy.eigen_residual_tol)
+        return _perron(G.entries, r.rates, DEFAULT_POLICY.eigen_residual_tol)
 
 
-def perron_pair(
-    G: GeneratorMatrix, r: RateMap, policy: NumericPolicy = DEFAULT_POLICY
-) -> PerronPair:
+def perron_pair(G: GeneratorMatrix, r: RateMap) -> PerronPair:
     """Perron eigenpair, gated on the recovery hypothesis rho < 0, i.e. r not identically 0."""
-    rho, pi = dominant_eigenpair(G, r, policy)
+    rho, pi = dominant_eigenpair(G, r)
     if rho == 0.0:
         raise RecoveryHypothesisError("recovery hypothesis violated: rho = 0 (the short rate is identically 0)")
     resid = np.linalg.norm((G.entries - r.diagonal) @ pi - rho * pi)
-    if resid > policy.eigen_residual_tol:
+    if resid > DEFAULT_POLICY.eigen_residual_tol:
         raise ModelValidationError(f"Perron eigen-residual too large: {resid:.3e}")
     pi.setflags(write=False)
     return PerronPair(rho=rho, pi=pi)
 
 
-def recover_generator(
-    pair: PerronPair, G: GeneratorMatrix, policy: NumericPolicy = DEFAULT_POLICY
-) -> RecoveredMeasure:
+def recover_generator(pair: PerronPair, G: GeneratorMatrix) -> RecoveredMeasure:
     """Real-world generator: off-diagonals pi(j)/pi(i) g_ij, diagonals rebalanced."""
     pi = pair.pi
     if pi.shape[0] != G.n:
@@ -143,7 +142,7 @@ def recover_generator(
     np.fill_diagonal(Gp, 0.0)
     np.fill_diagonal(Gp, -Gp.sum(axis=1))
     generator_p = GeneratorMatrix(Gp)
-    report = validate_model(generator_p, RateMap(np.zeros(G.n)), policy=policy)
+    report = validate_model(generator_p, RateMap(np.zeros(G.n)))
     if not report.ok:
         raise ModelValidationError(f"recovered generator inadmissible: {report}")
     return RecoveredMeasure(generator_p=generator_p, rho=pair.rho, pi=pair.pi)
@@ -188,9 +187,6 @@ def tipk_price(
     states, _ = simulate_terminal(
         recovered.generator_p, zero_rates, i, T - t, n_paths, seed
     )
-    samples = (
+    return mean_and_se(
         pair.pi[i] * np.exp(pair.rho * (T - t)) * payoff.values[states] / pair.pi[states]
     )
-    mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
-    return mean, se

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ModelValidationError, UnhedgeableBasisError
 from .model import ChainPath, GeneratorMatrix, RateMap, propagate
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .pricing import ClaimPayoff
 
 
@@ -91,7 +91,6 @@ def _hedge(
     steps: np.ndarray,
     states: np.ndarray,
     jump_offsets: tuple[int, ...] | None,
-    policy: NumericPolicy,
 ) -> np.ndarray:
     """Bond positions at every (ts[steps[i]], states[i]), shape (len(states), K).
 
@@ -130,7 +129,7 @@ def _hedge(
             # singular value is below the noise floor of O(1) bond prices
             sv = np.linalg.svd(E, compute_uv=False)
             smax, smin = sv.max(axis=1), sv.min(axis=1)
-            ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / policy.condition_limit)
+            ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / DEFAULT_POLICY.condition_limit)
             if not ok.all():
                 i = int(np.argmin(ok))
                 cond = np.inf if smin[i] == 0.0 else smax[i] / smin[i]
@@ -145,7 +144,7 @@ def _hedge(
             rcond = np.finfo(float).eps * max(E.shape[1:])
             D[pick] = (np.linalg.pinv(E, rcond=rcond) @ dU[..., None])[..., 0]
         resid = np.linalg.norm((E @ D[pick][..., None])[..., 0] - dU, axis=1)
-        bad = resid > policy.hedge_residual_tol * (1.0 + np.linalg.norm(dU, axis=1))
+        bad = resid > DEFAULT_POLICY.hedge_residual_tol * (1.0 + np.linalg.norm(dU, axis=1))
         if bad.any():
             i = int(np.argmax(bad))
             failures.append(
@@ -170,7 +169,6 @@ class HedgePlan:
         basis: BondBasis,
         payoff: ClaimPayoff,
         jump_offsets: tuple[int, ...] | None = None,
-        policy: NumericPolicy = DEFAULT_POLICY,
     ):
         basis.check_against(T, G.n, reduced=jump_offsets is not None)
         if payoff.maturity != T:
@@ -179,14 +177,13 @@ class HedgePlan:
         self.basis = basis
         self.payoff = payoff
         self.jump_offsets = jump_offsets
-        self.policy = policy
 
     def _positions_at(self, ts, steps, states) -> tuple[np.ndarray, np.ndarray]:
         """Claim and bond values on ts and the positions at every
         (ts[steps[i]], states[i])."""
         ts = np.asarray(ts, dtype=float)
         P = _claim_and_bonds(self.G, self.r, self.T, ts, self.payoff.values, self.basis)
-        return P, _hedge(P, ts, steps, states, self.jump_offsets, self.policy)
+        return P, _hedge(P, ts, steps, states, self.jump_offsets)
 
     def positions(self, t: float, state: int) -> np.ndarray:
         return self._positions_at([t], np.zeros(1, dtype=int), np.array([state]))[1][0]
@@ -218,7 +215,6 @@ def replicate_on_path(
     payoff: ClaimPayoff,
     dt: float,
     jump_offsets: tuple[int, ...] | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ReplicationReport:
     """Run the discrete-rebalancing hedge along one realized path.
 
@@ -232,7 +228,7 @@ def replicate_on_path(
         raise ValueError("rebalance step dt must be positive and finite")
     if path.horizon < T:
         raise ValueError(f"path horizon {path.horizon} shorter than maturity {T}")
-    plan = HedgePlan(G, r, T, basis, payoff, jump_offsets, policy)
+    plan = HedgePlan(G, r, T, basis, payoff, jump_offsets)
 
     n_steps = int(np.ceil(T / dt))
     grid = np.minimum(np.arange(n_steps + 1) * dt, T)

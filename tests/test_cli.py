@@ -225,6 +225,17 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_single_path_has_infinite_standard_errors(self, capsys, model_file):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "simulate", model_file, "--N", "1", "--horizon", "1.0", "--seed", "3"
+            )
+        assert code == 0 and err == ""
+        stats = {r[0]: r[2] for r in parse_csv(out)[1]}
+        assert stats["se_integrated_rate"] == stats["se_discount_factor"] == "inf"
+        assert np.isfinite(float(stats["mean_discount_factor"]))
+
 
 class TestReplicate:
     def test_error_halves_with_dt(self, capsys, model_file):

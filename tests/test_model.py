@@ -21,7 +21,6 @@ from ctmc_rates import (
 import ctmc_rates.model as model_module
 from ctmc_rates.cli import main as cli_main
 from ctmc_rates.model import stationary_distribution
-from ctmc_rates.policy import NumericPolicy
 from ctmc_rates.two_state import closed_form_ad
 
 from conftest import random_model
@@ -82,7 +81,7 @@ class TestValidation:
         calls = []
         real = model_module.is_irreducible
         monkeypatch.setattr(
-            model_module, "is_irreducible", lambda G, p: calls.append(G) or real(G, p)
+            model_module, "is_irreducible", lambda G: calls.append(G) or real(G)
         )
         _, G, r = two_state_example
         assert validate_model(G, r).ok
@@ -90,10 +89,9 @@ class TestValidation:
         # the rate check still runs on every call
         assert "rate for state 1" in str(validate_model(G, RateMap(np.array([0.0, -0.1]))))
         assert len(calls) == 1
-        # a different policy, or an equal generator in a new instance, is checked again
-        assert validate_model(G, r, policy=NumericPolicy(support_eps=1e-3)).ok
+        # an equal generator in a new instance is checked again
         assert validate_model(GeneratorMatrix(G.entries), r).ok
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_invalid_generator_is_reported_on_every_call(self):
         G = GeneratorMatrix(np.array([[-1.0, 0.5], [1.0, -1.0]]))
@@ -104,13 +102,22 @@ class TestValidation:
         with pytest.raises(ModelValidationError, match="sums to"):
             simulate_terminal(G, r, 0, 1.0, 10, 0)
 
+    def test_simulate_path_validates_with_or_without_rates(self):
+        G = GeneratorMatrix(np.array([[-1.0, 0.5], [0.5, -0.5]]))
+        messages = []
+        for r in (None, RateMap(np.zeros(2))):
+            with pytest.raises(ModelValidationError) as exc:
+                simulate_path(G, 0, 10.0, 1, r=r)
+            messages.append(str(exc.value))
+        assert messages == ["generator row 0 sums to -5.000e-01, not 0"] * 2
+
     def test_recover_and_simulate_check_four_generators(self, monkeypatch, tmp_path, capsys):
         # recover: the loaded model and the recovered generator; simulate
         # under P: the same two again; every later use skips the checks
         calls = []
         real = model_module.is_irreducible
         monkeypatch.setattr(
-            model_module, "is_irreducible", lambda G, p: calls.append(G) or real(G, p)
+            model_module, "is_irreducible", lambda G: calls.append(G) or real(G)
         )
         path = tmp_path / "m.txt"
         path.write_text("states: 2\ngenerator:\n-0.5 0.5\n0.5 -0.5\nrates: 0.0 0.1\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,20 @@ class TestForwardRateOptions:
     def test_zero_strike_floorlet_vanishes(self, two_state_example):
         _, G, r = two_state_example
         assert np.allclose(floorlet(G, r, 0.0, 1.0, 2.0, 0.0).values, 0.0, atol=1e-15)
+
+    def test_long_accrual_period_matches_mpmath(self):
+        # B(1, j; 3000) ~ 1e-382 underflows to 0: the caplet pays 1/delta at
+        # the reset date and the floorlet nothing; reference from 40-digit
+        # mpmath.expm of (G - R)
+        m = TwoStateModel(lam=0.5, rate=1.0)
+        G, r = m.generator(), m.rate_map()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cap = caplet(G, r, 0.0, 1.0, 3000.0, 0.01).values
+            flo = floorlet(G, r, 0.0, 1.0, 3000.0, 0.01).values
+        ref = np.array([2.877817555119501474589676e-4, 1.546334846164583744023773e-4])
+        assert np.all(np.abs(cap / ref - 1.0) <= 1e-12)
+        assert np.array_equal(flo, np.zeros(2))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 500), K=st.floats(0.0, 0.5))

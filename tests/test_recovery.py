@@ -197,6 +197,16 @@ class TestPerronPair:
         if np.finfo(float).eps * np.linalg.norm(np.abs(M) @ pi) <= DEFAULT_POLICY.eigen_residual_tol / 16:
             assert perron_pair(G, r).rho == rho
 
+    @pytest.mark.parametrize("rate", [1e-303, 1.1125369292536007e-308, 1e-311, 5e-324])
+    @pytest.mark.parametrize("intensity", [1.0, 1e6])
+    def test_subnormal_rate_keeps_rho_negative(self, rate, intensity):
+        # 1 / rate overflows: the solve's right-hand side is scaled down, and
+        # -rate / 2 below the smallest double still gives rho < 0
+        G = GeneratorMatrix(intensity * np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        pair = perron_pair(G, RateMap(np.array([0.0, rate])))
+        assert -rate <= pair.rho < 0
+        assert np.allclose(pair.pi, np.sqrt(0.5), rtol=1e-15)
+
     def test_pi_beyond_double_range_is_a_typed_error(self):
         # pi falls by ~1e-5 per state, below the smallest double by state 70
         n = 80

@@ -17,7 +17,6 @@ from ctmc_rates import (
     simulate_path,
 )
 from ctmc_rates.replication import _hedge, reachable_states
-from ctmc_rates.policy import DEFAULT_POLICY
 from ctmc_rates.two_state import closed_form_hedge
 
 from conftest import random_model
@@ -109,8 +108,7 @@ class TestSolveHedge:
         P = np.zeros((1, 3, 3))
         P[0, 1:, 0] = dA
         P[0, 1:, 1:] = np.eye(2)
-        D = _hedge(P, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int),
-                   None, DEFAULT_POLICY)[0]
+        D = _hedge(P, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int), None)[0]
         assert np.allclose(D, dA, atol=1e-15)
 
 
