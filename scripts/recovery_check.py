@@ -21,6 +21,7 @@ from ctmc_rates import (
     tipk_price,
 )
 from ctmc_rates.model import simulate_terminal
+from ctmc_rates.pricing import mean_and_se
 
 
 def random_model(rng, n_max=5, intensity_cap=2.0, rate_cap=0.2):
@@ -46,23 +47,24 @@ def main(argv=None):
     for k in range(args.n_models):
         G, r = random_model(rng)
         pair = perron_pair(G, r)
-        rec = recover_generator(pair, G)
+        G_p = recover_generator(pair, G)
 
         states, integ = simulate_terminal(
             G, r, 0, args.T, args.n_paths, seed=rng.integers(2**31)
         )
-        Z = np.exp(-integ - pair.rho * args.T) * pair.pi[states] / pair.pi[0]
-        se = Z.std(ddof=1) / np.sqrt(Z.size)
+        mean_Z, se_Z = mean_and_se(
+            np.exp(-integ - pair.rho * args.T) * pair.pi[states] / pair.pi[0]
+        )
 
         phi = rng.uniform(0.0, 2.0, size=G.n)
         payoff = ClaimPayoff(phi, args.T)
-        analytic = price_claim(G, r, payoff, 0.0).values[0]
+        analytic = price_claim(G, r, payoff, 0.0)[0]
         est, se_p = tipk_price(
-            pair, rec, payoff, 0.0, args.T, 0, args.n_paths,
+            pair, G_p, payoff, 0.0, args.T, 0, args.n_paths,
             seed=rng.integers(2**31),
         )
         print(
-            f"{k},{G.n},{pair.rho:.6f},{Z.mean():.6f},{se:.2e},"
+            f"{k},{G.n},{pair.rho:.6f},{mean_Z:.6f},{se_Z:.2e},"
             f"{abs(est - analytic) / se_p:.2f}"
         )
 

@@ -23,9 +23,7 @@ from .model import (
 from .modelfile import ModelSpec, load_model, parse_model_text
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .pricing import (
-    ArrowDebreuMatrix,
     ClaimPayoff,
-    PriceVector,
     arrow_debreu,
     bond_price,
     bond_prices,
@@ -39,7 +37,6 @@ from .pricing import (
 )
 from .recovery import (
     PerronPair,
-    RecoveredMeasure,
     perron_pair,
     radon_nikodym_along_path,
     recover_generator,

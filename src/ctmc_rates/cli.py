@@ -118,7 +118,7 @@ def cmd_price(args) -> int:
     else:
         pv = pricing.bond_prices(G, r, t, T)
         kind = "bond"
-    rows = [(name, v) for name, v in zip(_state_names(spec), pv.values)]
+    rows = [(name, v) for name, v in zip(_state_names(spec), pv)]
     _write_output(args, ["state", f"{kind}_price"], rows,
                   {"t": t, "T": T, "Tb": args.Tb})
     return 0
@@ -193,7 +193,7 @@ def cmd_recover(args) -> int:
     report = {
         "rho": json.dumps(pair.rho),
         "pi": _json_list(pair.pi, 1),
-        "generator_p": _json_list([_json_list(row, 2) for row in rec.generator_p.entries], 1),
+        "generator_p": _json_list([_json_list(row, 2) for row in rec.entries], 1),
         "states": _json_list([json.dumps(name) for name in _state_names(spec)], 1),
         "validation": json.dumps("ok"),
     }
@@ -209,7 +209,7 @@ def cmd_simulate(args) -> int:
         raise CtmcRatesError(f"need at least one path, got N={args.N}")
     if args.measure == "p":
         pair = recovery.perron_pair(G, r)
-        G_sim = recovery.recover_generator(pair, G).generator_p
+        G_sim = recovery.recover_generator(pair, G)
     else:
         G_sim = G
     states, integ = simulate_terminal(

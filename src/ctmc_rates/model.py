@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelValidationError
 from .policy import DEFAULT_POLICY
@@ -116,16 +114,23 @@ class ValidationReport:
         return "valid model" if self.ok else "; ".join(self.violations)
 
 
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether state 0 reaches every state along the boolean edges[i, j] = i->j."""
+    seen = np.zeros(len(edges), dtype=bool)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        new = np.flatnonzero(edges[stack.pop()] & ~seen)
+        seen[new] = True
+        stack.extend(new.tolist())
+    return bool(seen.all())
+
+
 def is_irreducible(G: GeneratorMatrix) -> bool:
-    """Strong connectivity of the graph with an edge i->j iff g_ij > support_eps."""
-    if G.n == 1:
-        return True
+    """Strong connectivity of the graph with an edge i->j iff g_ij > support_eps:
+    state 0 reaches every state along the edges and against them."""
     support = G.entries > DEFAULT_POLICY.support_eps
-    np.fill_diagonal(support, False)
-    n_comp, _ = connected_components(
-        csr_matrix(support), directed=True, connection="strong"
-    )
-    return n_comp == 1
+    return G.n > 0 and _reaches_all(support) and _reaches_all(support.T)
 
 
 def validate_model(
@@ -272,7 +277,6 @@ class ChainPath:
     post_jump_states: tuple[int, ...]
     horizon: float
     n_states: int
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.jump_times) != len(self.post_jump_states):
@@ -408,7 +412,6 @@ def simulate_path(
         post_jump_states=tuple(s for _, s in jumps),
         horizon=float(horizon),
         n_states=G.n,
-        seed=None if isinstance(seed, np.random.Generator) else int(seed),
     )
 
 

@@ -39,56 +39,23 @@ class ClaimPayoff:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class PriceVector:
-    """Per-state claim values at a valuation time."""
-
-    values: np.ndarray
-    valuation_time: float
-    maturity: float
-
-
-@dataclass(frozen=True)
-class ArrowDebreuMatrix:
-    """entries[i, j] = price in state i of the claim paying 1_{J_T = j}."""
-
-    entries: np.ndarray
-    valuation_time: float
-    maturity: float
-
-    @property
-    def bond_prices(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-
-def discounted_transition(
-    G: GeneratorMatrix, r: RateMap, t: float, T: float
-) -> np.ndarray:
-    """State-price kernel e^{(T-t)(G-R)}."""
-    if t > T:
-        raise ValueError(f"valuation time {t} is after maturity {T}")
-    scaled, log_scale = propagate(G, r, [T - t], np.eye(G.n))
-    return scaled[0] * np.exp(log_scale[0])
-
-
 def price_claim(
     G: GeneratorMatrix, r: RateMap, payoff: ClaimPayoff, t: float
-) -> PriceVector:
+) -> np.ndarray:
     if payoff.values.shape[0] != G.n:
         raise ModelValidationError("payoff length does not match state count")
     if t > payoff.maturity:
         raise ValueError(f"valuation time {t} is after maturity {payoff.maturity}")
     scaled, log_scale = propagate(G, r, [payoff.maturity - t], payoff.values[:, None])
-    values = scaled[0, :, 0] * np.exp(log_scale[0, 0])
-    return PriceVector(values=values, valuation_time=t, maturity=payoff.maturity)
+    return scaled[0, :, 0] * np.exp(log_scale[0, 0])
 
 
-def bond_prices(G: GeneratorMatrix, r: RateMap, t: float, T: float) -> PriceVector:
+def bond_prices(G: GeneratorMatrix, r: RateMap, t: float, T: float) -> np.ndarray:
     return price_claim(G, r, ClaimPayoff(np.ones(G.n), T), t)
 
 
 def bond_price(G: GeneratorMatrix, r: RateMap, t: float, T: float, i: int) -> float:
-    return float(bond_prices(G, r, t, T).values[i])
+    return float(bond_prices(G, r, t, T)[i])
 
 
 def _log_bonds(G: GeneratorMatrix, r: RateMap, t: float, Ts: np.ndarray) -> np.ndarray:
@@ -122,15 +89,14 @@ def forward_rate(
 
 def _price_at_reset(
     G: GeneratorMatrix, r: RateMap, t: float, T: float, Tb: float, psi: Callable
-) -> PriceVector:
+) -> np.ndarray:
     """Value at t of the T-maturity claim psi(B, Tb - T), B = B(T, j; Tb) over states j."""
     if Tb <= T:
         raise ValueError(f"need T < Tb, got T={T}, Tb={Tb}")
     if t > T:
         raise ValueError(f"valuation time {t} is after reset date {T}")
-    psi_T = psi(bond_prices(G, r, T, Tb).values, Tb - T)
-    out = price_claim(G, r, ClaimPayoff(psi_T, T), t)
-    return PriceVector(values=out.values, valuation_time=t, maturity=T)
+    psi_T = psi(bond_prices(G, r, T, Tb), Tb - T)
+    return price_claim(G, r, ClaimPayoff(psi_T, T), t)
 
 
 def price_forward_rate_option(
@@ -140,37 +106,45 @@ def price_forward_rate_option(
     T: float,
     Tb: float,
     h: Callable[[float], float],
-) -> PriceVector:
+) -> np.ndarray:
     """Value of a claim paying h(forward rate fixed at T for [T, Tb]) at Tb.
 
     The payment is known at the reset date T, so it is priced as the
     T-maturity claim psi(j) = B(T, j; Tb) * h(F(T, j; T, Tb)).
     """
-    return _price_at_reset(
-        G, r, t, T, Tb, lambda B, d: np.array([b * h((1.0 / b - 1.0) / d) for b in B])
-    )
+    def psi(B, d):
+        with np.errstate(divide="ignore", over="ignore"):
+            F = (1.0 / B - 1.0) / d
+        if not np.all(np.isfinite(F)):
+            j = int(np.argmin(np.isfinite(F)))
+            raise ModelValidationError(f"B(T, {j}; Tb) underflows on [T, Tb] = [{T}, {Tb}]: F is not a double")
+        return np.array([b * h(f) for b, f in zip(B, F)])
+
+    return _price_at_reset(G, r, t, T, Tb, psi)
 
 
 # Caplet and floorlet pay (F - K)+ and (K - F)+ at Tb. Written in B alone,
 # their reset-date claims stay finite where B(T, j; Tb) underflows to 0.
 def caplet(
     G: GeneratorMatrix, r: RateMap, t: float, T: float, Tb: float, K: float
-) -> PriceVector:
+) -> np.ndarray:
     return _price_at_reset(G, r, t, T, Tb, lambda B, d: np.maximum(1.0 - B * (1.0 + K * d), 0.0) / d)
 
 
 def floorlet(
     G: GeneratorMatrix, r: RateMap, t: float, T: float, Tb: float, K: float
-) -> PriceVector:
+) -> np.ndarray:
     return _price_at_reset(G, r, t, T, Tb, lambda B, d: np.maximum(B * (1.0 + K * d) - 1.0, 0.0) / d)
 
 
 def arrow_debreu(
     G: GeneratorMatrix, r: RateMap, t: float, T: float
-) -> ArrowDebreuMatrix:
-    return ArrowDebreuMatrix(
-        entries=discounted_transition(G, r, t, T), valuation_time=t, maturity=T
-    )
+) -> np.ndarray:
+    """State-price kernel e^{(T-t)(G-R)}: entry (i, j) prices 1_{J_T = j} in state i."""
+    if t > T:
+        raise ValueError(f"valuation time {t} is after maturity {T}")
+    scaled, log_scale = propagate(G, r, [T - t], np.eye(G.n))
+    return scaled[0] * np.exp(log_scale[0])
 
 
 def mc_price_claim(

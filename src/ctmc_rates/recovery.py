@@ -37,13 +37,6 @@ class PerronPair:
     pi: np.ndarray
 
 
-@dataclass(frozen=True)
-class RecoveredMeasure:
-    generator_p: GeneratorMatrix
-    rho: float
-    pi: np.ndarray
-
-
 def _gth_lu(N: np.ndarray, s: np.ndarray) -> np.ndarray:
     """L (unit, below the diagonal) and U in one matrix for A = diag(s + N 1) - N.
 
@@ -133,19 +126,19 @@ def perron_pair(G: GeneratorMatrix, r: RateMap) -> PerronPair:
     return PerronPair(rho=rho, pi=pi)
 
 
-def recover_generator(pair: PerronPair, G: GeneratorMatrix) -> RecoveredMeasure:
-    """Real-world generator: off-diagonals pi(j)/pi(i) g_ij, diagonals rebalanced."""
+def recover_generator(pair: PerronPair, G: GeneratorMatrix) -> GeneratorMatrix:
+    """Real-world generator G^pi: off-diagonals pi(j)/pi(i) g_ij, diagonals rebalanced."""
     pi = pair.pi
     if pi.shape[0] != G.n:
         raise ModelValidationError("eigenvector length does not match state count")
     Gp = (pi[None, :] / pi[:, None]) * G.entries
     np.fill_diagonal(Gp, 0.0)
     np.fill_diagonal(Gp, -Gp.sum(axis=1))
-    generator_p = GeneratorMatrix(Gp)
-    report = validate_model(generator_p, RateMap(np.zeros(G.n)))
+    G_p = GeneratorMatrix(Gp)
+    report = validate_model(G_p, RateMap(np.zeros(G.n)))
     if not report.ok:
         raise ModelValidationError(f"recovered generator inadmissible: {report}")
-    return RecoveredMeasure(generator_p=generator_p, rho=pair.rho, pi=pair.pi)
+    return G_p
 
 
 def radon_nikodym_along_path(
@@ -164,7 +157,7 @@ def radon_nikodym_along_path(
 
 def tipk_price(
     pair: PerronPair,
-    recovered: RecoveredMeasure,
+    G_p: GeneratorMatrix,
     payoff: ClaimPayoff,
     t: float,
     T: float,
@@ -172,7 +165,7 @@ def tipk_price(
     n_paths: int,
     seed: int | np.random.Generator,
 ) -> tuple[float, float]:
-    """Price via the transition-independent kernel, by simulation under G^pi.
+    """Price via the transition-independent kernel, by simulation under G_p = G^pi.
 
     Estimates pi(i) e^{rho (T-t)} E^pi[ phi(J_T)/pi(J_T) | J_t = i ]; returns
     (estimate, standard error). Cross-checks the analytic price.
@@ -183,10 +176,8 @@ def tipk_price(
         raise ValueError(f"valuation time {t} after maturity {T}")
     if t == T:
         return float(payoff.values[i]), 0.0
-    zero_rates = RateMap(np.zeros(recovered.generator_p.n))
-    states, _ = simulate_terminal(
-        recovered.generator_p, zero_rates, i, T - t, n_paths, seed
-    )
+    zero_rates = RateMap(np.zeros(G_p.n))
+    states, _ = simulate_terminal(G_p, zero_rates, i, T - t, n_paths, seed)
     return mean_and_se(
         pair.pi[i] * np.exp(pair.rho * (T - t)) * payoff.values[states] / pair.pi[states]
     )

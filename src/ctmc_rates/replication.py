@@ -46,11 +46,8 @@ class BondBasis:
 class ReplicationReport:
     terminal_error: float
     max_tracking_error: float
-    step: float
     n_jumps: int
     n_grid_points: int
-    initial_state: int
-    seed: int | None
 
 
 def reachable_states(n: int, current: int, jump_offsets: tuple[int, ...]) -> tuple[int, ...]:
@@ -262,9 +259,6 @@ def replicate_on_path(
     return ReplicationReport(
         terminal_error=abs(X - float(payoff.values[path.state_at(T)])),
         max_tracking_error=float(np.abs(np.array(wealth) - nxt[:, 0]).max(initial=0.0)),
-        step=float(dt),
         n_jumps=len(moves),
         n_grid_points=len(ts),
-        initial_state=path.initial_state,
-        seed=path.seed,
     )

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ctmc_rates import (
     ChainPath,
@@ -18,6 +25,7 @@ from ctmc_rates import (
     transition_matrix,
     validate_model,
 )
+import ctmc_rates
 import ctmc_rates.model as model_module
 from ctmc_rates.cli import main as cli_main
 from ctmc_rates.model import stationary_distribution
@@ -126,6 +134,36 @@ class TestValidation:
                          "--horizon", "1", "--seed", "1"]) == 0
         capsys.readouterr()
         assert len(calls) == 4
+
+
+@st.composite
+def support_patterns(draw, n_max=8):
+    """Generators on 1..n_max states whose off-diagonal entries are edges
+    (> support_eps), zeros or nonzero entries at or below support_eps."""
+    n = draw(st.integers(1, n_max))
+    eps = DEFAULT_POLICY.support_eps
+    kinds = st.sampled_from([0.0, eps, 0.5 * eps, 2 * eps, 1.0, 1e6])
+    Q = np.zeros((n, n))
+    Q[~np.eye(n, dtype=bool)] = draw(st.lists(kinds, min_size=n * (n - 1), max_size=n * (n - 1)))
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q
+
+
+class TestIrreducibility:
+    @settings(max_examples=500, deadline=None)
+    @given(support_patterns())
+    def test_matches_strong_components(self, Q):
+        edges = Q > DEFAULT_POLICY.support_eps
+        np.fill_diagonal(edges, False)
+        n_comp, _ = connected_components(csr_matrix(edges), directed=True, connection="strong")
+        assert model_module.is_irreducible(GeneratorMatrix(Q)) == (n_comp == 1)
+
+    def test_cli_import_leaves_scipy_sparse_out(self):
+        src = str(Path(ctmc_rates.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, ctmc_rates.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestMatrixExponential:

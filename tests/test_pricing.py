@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ctmc_rates import (
     ClaimPayoff,
     GeneratorMatrix,
+    ModelValidationError,
     RateMap,
     TwoStateModel,
     arrow_debreu,
@@ -23,7 +24,7 @@ from ctmc_rates import (
 )
 from ctmc_rates.two_state import closed_form_ad
 
-from conftest import random_model
+from conftest import models, random_model
 
 # frozen from the two-state closed form (lam=0.5, r=0.1, T=1)
 B0_REF = (0.9821813464961849, 0.9220275299423587)
@@ -39,24 +40,24 @@ class TestPriceClaim:
     def test_all_ones_equals_bond_prices(self):
         for G, r in seeded_models(count=5):
             pv = price_claim(G, r, ClaimPayoff(np.ones(G.n), 2.0), 0.3)
-            assert np.allclose(pv.values, bond_prices(G, r, 0.3, 2.0).values, rtol=1e-14)
+            assert np.allclose(pv, bond_prices(G, r, 0.3, 2.0), rtol=1e-14)
 
     def test_zero_rates_preserve_constants(self):
         G, _ = seeded_models(count=1)[0]
         r0 = RateMap(np.zeros(G.n))
         pv = price_claim(G, r0, ClaimPayoff(np.ones(G.n), 3.0), 0.0)
-        assert np.allclose(pv.values, 1.0, atol=1e-12)
+        assert np.allclose(pv, 1.0, atol=1e-12)
 
     def test_two_state_indicator_matches_closed_form_column(self, two_state_example):
         m, G, r = two_state_example
         pv = price_claim(G, r, ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.0)
-        assert np.allclose(pv.values, closed_form_ad(m, 0.0, 1.0)[:, 0], rtol=1e-12)
+        assert np.allclose(pv, closed_form_ad(m, 0.0, 1.0)[:, 0], rtol=1e-12)
 
     def test_at_maturity_returns_payoff_exactly(self, two_state_example):
         _, G, r = two_state_example
         phi = np.array([0.3, -1.7])
         pv = price_claim(G, r, ClaimPayoff(phi, 1.0), 1.0)
-        assert np.array_equal(pv.values, phi)
+        assert np.array_equal(pv, phi)
 
     def test_after_maturity_rejected(self, two_state_example):
         _, G, r = two_state_example
@@ -74,10 +75,10 @@ class TestPriceClaim:
         G, r = random_model(rng, n_max=10)
         phi1 = rng.normal(size=G.n)
         phi2 = rng.normal(size=G.n)
-        lhs = price_claim(G, r, ClaimPayoff(a * phi1 + b * phi2, 1.5), 0.2).values
-        rhs = a * price_claim(G, r, ClaimPayoff(phi1, 1.5), 0.2).values + b * price_claim(
+        lhs = price_claim(G, r, ClaimPayoff(a * phi1 + b * phi2, 1.5), 0.2)
+        rhs = a * price_claim(G, r, ClaimPayoff(phi1, 1.5), 0.2) + b * price_claim(
             G, r, ClaimPayoff(phi2, 1.5), 0.2
-        ).values
+        )
         assert np.allclose(lhs, rhs, atol=1e-12 * (1 + abs(a) + abs(b)))
 
 
@@ -85,15 +86,15 @@ class TestBonds:
     def test_reference_values(self, two_state_example):
         _, G, r = two_state_example
         pv = bond_prices(G, r, 0.0, 1.0)
-        assert pv.values[0] == pytest.approx(B0_REF[0], abs=1e-12)
-        assert pv.values[1] == pytest.approx(B0_REF[1], abs=1e-12)
+        assert pv[0] == pytest.approx(B0_REF[0], abs=1e-12)
+        assert pv[1] == pytest.approx(B0_REF[1], abs=1e-12)
         # coarse guard against the published rounded values
-        assert pv.values[0] == pytest.approx(0.98211, abs=1e-4)
-        assert pv.values[1] == pytest.approx(0.92196, abs=1e-4)
+        assert pv[0] == pytest.approx(0.98211, abs=1e-4)
+        assert pv[1] == pytest.approx(0.92196, abs=1e-4)
 
     def test_at_maturity_is_one(self, two_state_example):
         _, G, r = two_state_example
-        assert np.array_equal(bond_prices(G, r, 2.0, 2.0).values, np.ones(2))
+        assert np.array_equal(bond_prices(G, r, 2.0, 2.0), np.ones(2))
 
     def test_scalar_model(self):
         G = GeneratorMatrix(np.zeros((1, 1)))
@@ -102,7 +103,7 @@ class TestBonds:
 
     def test_in_unit_interval(self):
         for G, r in seeded_models(seed=7, count=5):
-            vals = bond_prices(G, r, 0.0, 4.0).values
+            vals = bond_prices(G, r, 0.0, 4.0)
             assert np.all(vals > 0) and np.all(vals <= 1)
 
 
@@ -178,29 +179,29 @@ class TestForwardRateOptions:
     def test_zero_h_prices_to_zero(self, two_state_example):
         _, G, r = two_state_example
         pv = price_forward_rate_option(G, r, 0.0, 1.0, 2.0, lambda F: 0.0)
-        assert np.array_equal(pv.values, np.zeros(2))
+        assert np.array_equal(pv, np.zeros(2))
 
     def test_h_one_recovers_long_bond(self):
         for G, r in seeded_models(seed=13, count=5):
             pv = price_forward_rate_option(G, r, 0.1, 1.0, 2.0, lambda F: 1.0)
-            assert np.allclose(pv.values, bond_prices(G, r, 0.1, 2.0).values, atol=1e-12)
+            assert np.allclose(pv, bond_prices(G, r, 0.1, 2.0), atol=1e-12)
 
     def test_zero_strike_caplet_identity(self):
         # h(F) = F with F >= 0 gives (B_t^T - B_t^Tb)/(Tb - T)
         for G, r in seeded_models(seed=19, count=5):
             pv = caplet(G, r, 0.0, 1.0, 2.5, 0.0)
             expected = (
-                bond_prices(G, r, 0.0, 1.0).values - bond_prices(G, r, 0.0, 2.5).values
+                bond_prices(G, r, 0.0, 1.0) - bond_prices(G, r, 0.0, 2.5)
             ) / 1.5
-            assert np.allclose(pv.values, expected, atol=1e-12)
+            assert np.allclose(pv, expected, atol=1e-12)
 
     def test_huge_strike_caplet_vanishes(self, two_state_example):
         _, G, r = two_state_example
-        assert np.allclose(caplet(G, r, 0.0, 1.0, 2.0, 1e9).values, 0.0, atol=1e-12)
+        assert np.allclose(caplet(G, r, 0.0, 1.0, 2.0, 1e9), 0.0, atol=1e-12)
 
     def test_zero_strike_floorlet_vanishes(self, two_state_example):
         _, G, r = two_state_example
-        assert np.allclose(floorlet(G, r, 0.0, 1.0, 2.0, 0.0).values, 0.0, atol=1e-15)
+        assert np.allclose(floorlet(G, r, 0.0, 1.0, 2.0, 0.0), 0.0, atol=1e-15)
 
     def test_long_accrual_period_matches_mpmath(self):
         # B(1, j; 3000) ~ 1e-382 underflows to 0: the caplet pays 1/delta at
@@ -210,11 +211,18 @@ class TestForwardRateOptions:
         G, r = m.generator(), m.rate_map()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cap = caplet(G, r, 0.0, 1.0, 3000.0, 0.01).values
-            flo = floorlet(G, r, 0.0, 1.0, 3000.0, 0.01).values
+            cap = caplet(G, r, 0.0, 1.0, 3000.0, 0.01)
+            flo = floorlet(G, r, 0.0, 1.0, 3000.0, 0.01)
         ref = np.array([2.877817555119501474589676e-4, 1.546334846164583744023773e-4])
         assert np.all(np.abs(cap / ref - 1.0) <= 1e-12)
         assert np.array_equal(flo, np.zeros(2))
+
+    def test_underflowing_long_bond_is_a_typed_error(self):
+        # B(1, j; 3000) underflows to 0, so F = (1/B - 1)/delta is no double;
+        # a warning would fail this test under filterwarnings = error
+        m = TwoStateModel(lam=0.5, rate=1.0)
+        with pytest.raises(ModelValidationError, match=r"B\(T, 0; Tb\) underflows on \[T, Tb\] = \[1, 3000\]"):
+            price_forward_rate_option(m.generator(), m.rate_map(), 0, 1, 3000, lambda F: F)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 500), K=st.floats(0.0, 0.5))
@@ -222,10 +230,10 @@ class TestForwardRateOptions:
         rng = np.random.default_rng(seed)
         G, r = random_model(rng)
         t, T, Tb = 0.0, 1.0, 2.0
-        lhs = caplet(G, r, t, T, Tb, K).values - floorlet(G, r, t, T, Tb, K).values
+        lhs = caplet(G, r, t, T, Tb, K) - floorlet(G, r, t, T, Tb, K)
         rhs = (
-            bond_prices(G, r, t, T).values - bond_prices(G, r, t, Tb).values
-        ) / (Tb - T) - K * bond_prices(G, r, t, Tb).values
+            bond_prices(G, r, t, T) - bond_prices(G, r, t, Tb)
+        ) / (Tb - T) - K * bond_prices(G, r, t, Tb)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -233,19 +241,19 @@ class TestArrowDebreu:
     def test_identity_at_maturity(self, two_state_example):
         _, G, r = two_state_example
         A = arrow_debreu(G, r, 1.0, 1.0)
-        assert np.allclose(A.entries, np.eye(2), atol=1e-12)
+        assert np.allclose(A, np.eye(2), atol=1e-12)
 
     def test_two_state_closed_form(self, two_state_example):
         m, G, r = two_state_example
         assert np.allclose(
-            arrow_debreu(G, r, 0.0, 1.0).entries, closed_form_ad(m, 0.0, 1.0), rtol=1e-12
+            arrow_debreu(G, r, 0.0, 1.0), closed_form_ad(m, 0.0, 1.0), rtol=1e-12
         )
 
     def test_row_sums_are_bond_prices(self):
         for G, r in seeded_models(seed=41, count=8):
             A = arrow_debreu(G, r, 0.2, 1.7)
-            assert np.allclose(A.bond_prices, bond_prices(G, r, 0.2, 1.7).values, atol=1e-10)
-            assert np.all(A.entries >= -1e-12)
+            assert np.allclose(A.sum(axis=1), bond_prices(G, r, 0.2, 1.7), atol=1e-10)
+            assert np.all(A >= -1e-12)
 
     def test_linearity_against_price_claim(self, two_state_example):
         _, G, r = two_state_example
@@ -253,20 +261,41 @@ class TestArrowDebreu:
         phi = rng.normal(size=2)
         A = arrow_debreu(G, r, 0.0, 1.0)
         pv = price_claim(G, r, ClaimPayoff(phi, 1.0), 0.0)
-        assert np.allclose(A.entries @ phi, pv.values, atol=1e-12)
+        assert np.allclose(A @ phi, pv, atol=1e-12)
 
     def test_tower_property(self):
         for G, r in seeded_models(seed=43, count=5):
-            A_full = arrow_debreu(G, r, 0.0, 2.0).entries
-            A_split = arrow_debreu(G, r, 0.0, 0.8).entries @ arrow_debreu(G, r, 0.8, 2.0).entries
+            A_full = arrow_debreu(G, r, 0.0, 2.0)
+            A_split = arrow_debreu(G, r, 0.0, 0.8) @ arrow_debreu(G, r, 0.8, 2.0)
             assert np.allclose(A_full, A_split, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.floats(0.01, 5.0), st.floats(0.0, 1.0))
+def test_stiff_chain_pricing_properties(model, t, tau, delta, K):
+    """Arrow-Debreu rows sum to the bonds and are >= 0, and caplet - floorlet
+    parity holds, on chains with intensities up to 1e6.
+
+    The parity gap is judged against expm's forward error eps ||(Tb - t) M||_1,
+    as in tests/test_propagator.py: a flat 1e-12 cannot hold on stiff chains.
+    """
+    G, r = model
+    T, Tb = t + tau, t + tau + delta
+    A, B_T, B_Tb = arrow_debreu(G, r, t, T), bond_prices(G, r, t, T), bond_prices(G, r, t, Tb)
+    assert np.all(np.abs(A.sum(axis=1) - B_T) <= 1e-14 * B_T)
+    assert np.all(A >= 0.0)
+    parity = caplet(G, r, t, T, Tb, K) - floorlet(G, r, t, T, Tb, K)
+    M = G.entries - r.diagonal
+    rel = 1e-12 + np.finfo(float).eps * (Tb - t) * np.abs(M).sum(axis=0).max()
+    scale = (B_T + (1.0 + K * delta) * B_Tb) / delta
+    assert np.all(np.abs(parity - (B_T - (1.0 + K * delta) * B_Tb) / delta) <= rel * scale)
 
 
 class TestMonteCarloAgreement:
     def test_mc_within_standard_errors_smoke(self, two_state_example):
         _, G, r = two_state_example
         payoff = ClaimPayoff(np.array([1.0, 0.0]), 1.0)
-        analytic = price_claim(G, r, payoff, 0.0).values[0]
+        analytic = price_claim(G, r, payoff, 0.0)[0]
         est, se = mc_price_claim(G, r, payoff, 0, 50_000, seed=77)
         assert se > 0
         assert abs(est - analytic) <= 3.5 * se

@@ -148,7 +148,7 @@ class TestPerronPair:
         assert pair.rho == pytest.approx(rho_p, rel=1e-12)
         assert np.allclose(pair.pi, pi_p, rtol=1e-12, atol=0)
         rec = recover_generator(pair, m.generator())
-        assert np.allclose(rec.generator_p.entries, closed_form_recovered_generator(m),
+        assert np.allclose(rec.entries, closed_form_recovered_generator(m),
                            rtol=1e-12, atol=0)
 
     def test_long_birth_death_chain_matches_reference(self, tmp_path, capsys):
@@ -189,7 +189,7 @@ class TestPerronPair:
         assert rho < 0 and np.all(pi > 0)
         assert entrywise_residual_ok(G, r, rho, pi)
         rec = recover_generator(PerronPair(rho=rho, pi=pi), G)
-        assert validate_model(rec.generator_p, RateMap(np.zeros(G.n))).ok
+        assert validate_model(rec, RateMap(np.zeros(G.n))).ok
         # perron_pair's absolute gate |M pi - rho pi| <= 1e-10 also holds
         # wherever rounding pi to doubles leaves room for it: that alone puts
         # about eps |M| pi into M pi, ~1e-10 at intensity 1e6
@@ -224,23 +224,23 @@ class TestRecoverGenerator:
     def test_two_state_closed_form(self, two_state_example):
         m, G, r = two_state_example
         rec = recover_generator(perron_pair(G, r), G)
-        assert np.allclose(rec.generator_p.entries, closed_form_recovered_generator(m), rtol=1e-12)
-        assert rec.generator_p.entries[0, 1] == pytest.approx(0.4524937810560445, abs=1e-12)
-        assert rec.generator_p.entries[1, 0] == pytest.approx(0.5524937810560445, abs=1e-12)
+        assert np.allclose(rec.entries, closed_form_recovered_generator(m), rtol=1e-12)
+        assert rec.entries[0, 1] == pytest.approx(0.4524937810560445, abs=1e-12)
+        assert rec.entries[1, 0] == pytest.approx(0.5524937810560445, abs=1e-12)
 
     def test_uniform_eigenvector_recovers_original(self):
         G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         pair = PerronPair(rho=-0.1, pi=np.ones(2) / np.sqrt(2))
         rec = recover_generator(pair, G)
-        assert np.allclose(rec.generator_p.entries, G.entries, atol=1e-14)
+        assert np.allclose(rec.entries, G.entries, atol=1e-14)
 
     def test_scaling_invariance(self, two_state_example):
         _, G, r = two_state_example
         pair = perron_pair(G, r)
         scaled = PerronPair(rho=pair.rho, pi=3.7 * pair.pi)
         assert np.allclose(
-            recover_generator(pair, G).generator_p.entries,
-            recover_generator(scaled, G).generator_p.entries,
+            recover_generator(pair, G).entries,
+            recover_generator(scaled, G).entries,
             rtol=1e-13,
         )
 
@@ -249,8 +249,8 @@ class TestRecoverGenerator:
         for _ in range(10):
             G, r = random_model(rng, n_max=8)
             rec = recover_generator(perron_pair(G, r), G)
-            assert validate_model(rec.generator_p, RateMap(np.zeros(G.n))).ok
-            assert np.array_equal(rec.generator_p.entries != 0.0, G.entries != 0.0)
+            assert validate_model(rec, RateMap(np.zeros(G.n))).ok
+            assert np.array_equal(rec.entries != 0.0, G.entries != 0.0)
 
 
 class TestRadonNikodym:
@@ -331,4 +331,4 @@ class TestEigenClaim:
             G, r = random_model(rng, n_max=6)
             pair = perron_pair(G, r)
             pv = price_claim(G, r, ClaimPayoff(pair.pi, 2.0), 0.5)
-            assert np.allclose(pv.values, np.exp(pair.rho * 1.5) * pair.pi, atol=1e-10)
+            assert np.allclose(pv, np.exp(pair.rho * 1.5) * pair.pi, atol=1e-10)

@@ -40,7 +40,7 @@ def arrow_debreu_plan(G, r, T, basis, k):
 
 def bond_jumps(G, r, t, basis, current):
     """E[j, k] = B(t, j; T_k) - B(t, current; T_k) over every state j."""
-    B = np.array([bond_prices(G, r, t, Tm).values for Tm in basis.maturities]).T
+    B = np.array([bond_prices(G, r, t, Tm) for Tm in basis.maturities]).T
     return B - B[current]
 
 
@@ -50,8 +50,8 @@ class TestHedgeSystem:
     def test_two_state_scalar_system(self, two_state_example):
         _, G, r = two_state_example
         D = arrow_debreu_plan(G, r, 1.0, BondBasis((1.5,)), k=0).positions(0.2, 0)
-        B = bond_prices(G, r, 0.2, 1.5).values
-        A = arrow_debreu(G, r, 0.2, 1.0).entries
+        B = bond_prices(G, r, 0.2, 1.5)
+        A = arrow_debreu(G, r, 0.2, 1.0)
         assert D.shape == (1,)
         assert D[0] * (B[1] - B[0]) == pytest.approx(A[1, 0] - A[0, 0], rel=1e-14)
 
@@ -79,7 +79,7 @@ class TestHedgeSystem:
         current = 1
         D = arrow_debreu_plan(G, r, 1.0, basis, k=0).positions(0.1, current)
         E = bond_jumps(G, r, 0.1, basis, current)
-        A = arrow_debreu(G, r, 0.1, 1.0).entries[:, 0]
+        A = arrow_debreu(G, r, 0.1, 1.0)[:, 0]
         for j in range(n):
             if j != current:
                 assert D @ E[j] == pytest.approx(A[j] - A[current], rel=1e-10, abs=1e-12)
@@ -157,8 +157,8 @@ class TestHedgeForPayoff:
         plan = HedgePlan(G, r, 1.0, basis, payoff)
         t, i = 0.4, 1
         D = plan.positions(t, i)
-        value = D[0] * bond_prices(G, r, t, 1.5).values[i] + plan.money_market_residual(t, i)
-        assert value == pytest.approx(price_claim(G, r, payoff, t).values[i], abs=1e-10)
+        value = D[0] * bond_prices(G, r, t, 1.5)[i] + plan.money_market_residual(t, i)
+        assert value == pytest.approx(price_claim(G, r, payoff, t)[i], abs=1e-10)
 
     def test_basis_maturing_before_claim_rejected(self, two_state_example):
         _, G, r = two_state_example
@@ -175,7 +175,7 @@ class TestJumpCoverage:
             n = G.n
             basis = BondBasis(tuple(2.0 + 0.4 * i for i in range(n - 1)))
             payoff = ClaimPayoff(rng.normal(size=n), 1.0)
-            target = price_claim(G, r, payoff, 0.3).values
+            target = price_claim(G, r, payoff, 0.3)
             i = int(rng.integers(n))
             D = HedgePlan(G, r, 1.0, basis, payoff).positions(0.3, i)
             E = bond_jumps(G, r, 0.3, basis, i)
@@ -269,15 +269,15 @@ class TestReplicateOnPath:
         ts = np.unique(np.concatenate([np.arange(11) * 0.1, [0.23, 0.61]]))
 
         def bonds(t, s):
-            return np.array([bond_prices(G, r, t, Tm).values[s] for Tm in basis.maturities])
+            return np.array([bond_prices(G, r, t, Tm)[s] for Tm in basis.maturities])
 
-        X = price_claim(G, r, payoff, 0.0).values[0]
+        X = price_claim(G, r, payoff, 0.0)[0]
         track = 0.0
         for t0, t1 in zip(ts[:-1], ts[1:]):
             s0, s1 = path.state_at(t0), path.state_at(t1)
             D = plan.positions(t0, s0)
             X = D @ bonds(t1, s1) + (X - D @ bonds(t0, s0)) * np.exp(r.rates[s0] * (t1 - t0))
-            track = max(track, abs(X - price_claim(G, r, payoff, t1).values[s1]))
+            track = max(track, abs(X - price_claim(G, r, payoff, t1)[s1]))
         rep = replicate_on_path(G, r, path, 1.0, basis, payoff, 0.1)
         assert rep.n_grid_points == len(ts) and rep.n_jumps == 2
         assert rep.terminal_error == pytest.approx(abs(X - payoff.values[1]), abs=1e-10)
@@ -326,7 +326,7 @@ class TestReducedBasis:
         basis = BondBasis((1.6, 2.1))
         rng = np.random.default_rng(21)
         payoff = ClaimPayoff(rng.normal(size=4), 1.0)
-        target = price_claim(G, r, payoff, 0.5).values
+        target = price_claim(G, r, payoff, 0.5)
         for i in range(4):
             reach = reachable_states(4, i, (-1, 1))
             D = HedgePlan(G, r, 1.0, basis, payoff, jump_offsets=(-1, 1)).positions(0.5, i)

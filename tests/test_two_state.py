@@ -73,10 +73,10 @@ class TestClosedForms:
             m = TwoStateModel(lam, r)
             G, rm = m.generator(), m.rate_map()
             assert np.allclose(
-                arrow_debreu(G, rm, 0.0, tau).entries, closed_form_ad(m, 0.0, tau), rtol=1e-12, atol=1e-15
+                arrow_debreu(G, rm, 0.0, tau), closed_form_ad(m, 0.0, tau), rtol=1e-12, atol=1e-15
             )
             assert np.allclose(
-                bond_prices(G, rm, 0.0, tau).values, closed_form_bonds(m, 0.0, tau), rtol=1e-12
+                bond_prices(G, rm, 0.0, tau), closed_form_bonds(m, 0.0, tau), rtol=1e-12
             )
 
 
@@ -207,7 +207,7 @@ class TestRecoveredGenerator:
             G, rm = m.generator(), m.rate_map()
             rec = recover_generator(perron_pair(G, rm), G)
             assert np.allclose(
-                rec.generator_p.entries, closed_form_recovered_generator(m), rtol=1e-12
+                rec.entries, closed_form_recovered_generator(m), rtol=1e-12
             )
 
 
