@@ -8,11 +8,8 @@ accompanied by a JSON run manifest.
 from __future__ import annotations
 
 import argparse
-import datetime
-import hashlib
 import json
 import sys
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
@@ -21,11 +18,6 @@ from .errors import CtmcRatesError
 from .model import RNG_ALGORITHM, simulate_path, simulate_terminal
 from .modelfile import load_model
 from .pricing import ClaimPayoff, mean_and_se
-
-try:
-    TOOL_VERSION = version("ctmc-rates")
-except PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0.1.0+src"
 
 
 def _fmt(x: float) -> str:
@@ -41,11 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _model_hash(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _write_output(args, header: list[str], rows, params: dict, seed=None) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -53,16 +40,30 @@ def _write_output(args, header: list[str], rows, params: dict, seed=None) -> Non
     text = "\n".join(lines) + "\n"
     out = getattr(args, "output", None)
     if out:
+        # imported here: only a manifest needs them, and every command would
+        # otherwise pay for importlib.metadata at start-up
+        import datetime
+        import hashlib
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            tool_version = version("ctmc-rates")
+        except PackageNotFoundError:  # running from a source tree
+            tool_version = "0.1.0+src"
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        model, model_sha256 = getattr(args, "model", None), None
+        if model:
+            with open(model, "rb") as fh:
+                model_sha256 = hashlib.sha256(fh.read()).hexdigest()
         manifest = {
-            "model": getattr(args, "model", None),
-            "model_sha256": _model_hash(args.model) if getattr(args, "model", None) else None,
+            "model": model,
+            "model_sha256": model_sha256,
             "command": args.command,
             "parameters": params,
             "seed": seed,
             "rng": RNG_ALGORITHM if seed is not None else None,
-            "tool_version": TOOL_VERSION,
+            "tool_version": tool_version,
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "output": out,
             "output_sha256": hashlib.sha256(text.encode()).hexdigest(),

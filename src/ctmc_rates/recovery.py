@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ModelValidationError, RecoveryHypothesisError
 from .model import (
@@ -60,6 +60,67 @@ def _gth_lu(N: np.ndarray, s: np.ndarray) -> np.ndarray:
     return LU
 
 
+def _unit_upper_inverses(N: np.ndarray) -> np.ndarray:
+    """Inverses of I + N for a stack of strictly upper N <= 0, each _PANEL square.
+
+    By doubling: the inverse of [[T1, N12], [0, T2]] is [[X1, -X1 N12 X2],
+    [0, X2]] from the inverses X1, X2 >= 0 of its halves, so every entry is a
+    sum of nonnegative products. The w x w diagonal blocks of all matrices are
+    taken at once through a strided view.
+    """
+    X = np.zeros_like(N)
+    np.einsum("bii->bi", X)[...] = 1.0
+    s0, s1, s2 = N.strides
+    w = 2
+    while w <= _PANEL:
+        shape, strides, h = (len(N), _PANEL // w, w, w), (s0, w * (s1 + s2), s1, s2), w // 2
+        Nw, Xw = as_strided(N, shape, strides), as_strided(X, shape, strides)
+        Xw[..., :h, h:] = -(Xw[..., :h, :h] @ Nw[..., :h, h:]) @ Xw[..., h:, h:]
+        w *= 2
+    return X
+
+
+def _lu_panels(LU: np.ndarray) -> list[tuple]:
+    """For each _PANEL of rows k0:k1 of _gth_lu's factors: (k0, k1, L[k0:k1, :k0],
+    the inverse of L's diagonal block, U[k0:k1, k1:], the inverse of the
+    diagonal block of D^-1 U, D = diag(U), and the pivots D[k0:k1]).
+
+    The blocks of L (transposed) and of D^-1 U are unit triangular M-matrices,
+    so their inverses are >= 0; D^-1 U is row diagonally dominant, so its
+    inverse's entries lie in [0, 1]. The last panel is zero-padded to _PANEL.
+    """
+    n = len(LU)
+    starts = range(0, n, _PANEL)
+    N = np.zeros((2 * len(starts), _PANEL, _PANEL))
+    for i, k0 in enumerate(starts):
+        B = LU[k0:k0 + _PANEL, k0:k0 + _PANEL]
+        w = len(B)
+        N[2 * i, :w, :w] = np.tril(B, -1).T
+        N[2 * i + 1, :w, :w] = np.triu(B, 1) / np.diag(B)[:, None]
+    X = _unit_upper_inverses(N)
+    panels = []
+    for i, k0 in enumerate(starts):
+        k1 = min(k0 + _PANEL, n)
+        w = k1 - k0
+        panels.append((k0, k1, LU[k0:k1, :k0], X[2 * i, :w, :w].T, LU[k0:k1, k1:],
+                       X[2 * i + 1, :w, :w], np.diag(LU)[k0:k1]))
+    return panels
+
+
+def _lu_solve(panels: list[tuple], b: np.ndarray) -> np.ndarray:
+    """U^-1 L^-1 b for b >= 0, one block product per panel and triangle.
+
+    The off-diagonal factors are <= 0 and every vector >= 0, so each
+    subtraction adds magnitudes: the solve stays subtraction-free.
+    """
+    y, x = np.empty(b.size), np.empty(b.size)
+    for k0, k1, Lk, Li, _, _, _ in panels:
+        y[k0:k1] = Li @ (b[k0:k1] - Lk @ y[:k0])
+    for k0, k1, _, _, Uk, Ti, dk in reversed(panels):
+        x[k0:k1] = Ti @ ((y[k0:k1] - Uk @ x[k1:]) / dk)
+    return x
+
+
 def _perron(Q: np.ndarray, rates: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
     """Perron pair of M = Q - diag(rates), checked by |M pi - rho pi| <= tol |M| pi.
 
@@ -82,12 +143,11 @@ def _perron(Q: np.ndarray, rates: np.ndarray, tol: float) -> tuple[float, np.nda
                 LU = _gth_lu(Q * v / v[:, None], q - shift)
                 if not (np.all(np.diag(LU) > 0) and np.all(np.isfinite(LU))):
                     raise ModelValidationError("a pivot is not positive and finite")
+                panels = _lu_panels(LU)
                 # a power of two at most the least pivot: scaling the right-hand
                 # side by it keeps y finite on tiny rates and changes no bits
                 c = np.ldexp(1.0, min(0, int(np.frexp(np.diag(LU).min())[1]) - 1))
-            y = solve_triangular(LU, c * (v if cheap else np.ones(v.size)), lower=True,
-                                 unit_diagonal=True, check_finite=False)
-            y = solve_triangular(LU, y, check_finite=False)
+            y = _lu_solve(panels, c * (v if cheap else np.ones(v.size)))
             v, w = (y, c * v) if cheap else (v * y, v * (c + shift * y))
             v, w = v / v.max(), w / v.max()
         else:

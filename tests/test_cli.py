@@ -1,9 +1,17 @@
+import datetime
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from importlib.metadata import PackageNotFoundError, version
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctmc_rates
 from ctmc_rates.cli import main
 
 TWO_STATE = """\
@@ -309,3 +317,38 @@ class TestHedge:
         assert len(rows) == 6  # 3 times x 2 states
         # the two-state hedge ratio is state-independent
         assert float(rows[0][2]) == pytest.approx(float(rows[1][2]), rel=1e-10)
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_and_manifest_modules_out(self):
+        src = str(Path(ctmc_rates.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, ctmc_rates.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m in ('importlib.metadata', 'hashlib')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
+    def test_output_manifest_keys_and_tool_version(self, capsys, model_file, tmp_path):
+        out_file = str(tmp_path / "curve.csv")
+        code, _, _ = run(capsys, "yield-curve", model_file, "--T-grid", "1:3:1", "--output", out_file)
+        assert code == 0
+        text = open(out_file, encoding="utf-8").read()
+        manifest = json.loads(open(out_file + ".manifest.json", encoding="utf-8").read())
+        assert list(manifest) == [
+            "model", "model_sha256", "command", "parameters", "seed", "rng",
+            "tool_version", "created_at", "output", "output_sha256",
+        ]
+        try:
+            tool_version = version("ctmc-rates")
+        except PackageNotFoundError:
+            tool_version = "0.1.0+src"
+        assert manifest["tool_version"] == tool_version
+        assert manifest["model"] == model_file
+        assert manifest["model_sha256"] == hashlib.sha256(open(model_file, "rb").read()).hexdigest()
+        assert manifest["command"] == "yield-curve"
+        assert manifest["seed"] is None and manifest["rng"] is None
+        assert manifest["output"] == out_file
+        assert manifest["output_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+        assert datetime.datetime.fromisoformat(manifest["created_at"]).tzinfo is not None
