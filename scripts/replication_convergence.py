@@ -3,11 +3,15 @@
 
 Simulates two-state chain paths, replicates a state-contingent claim with a
 single-bond basis at several rebalancing steps, and prints the mean terminal
-replication error at each step. The error should shrink linearly with dt.
+replication error at each step and the fitted slope of log mean error
+against log dt. The error should shrink linearly with dt: slope near 1.
+Each step replicates every path in one replicate_paths call. The default
+run (1,000 paths down to dt = 1e-4) takes about 6 s and 110 MB on a
+shared 2-vCPU host, against 109 s for the per-path loop it replaced.
 
 Usage:
-    python3 scripts/replication_convergence.py [--n-paths 10] [--seed 0] \
-        [--dts 1e-3,5e-4,1e-4]
+    python3 scripts/replication_convergence.py [--n-paths 1000] [--seed 0] \
+        [--dts 1e-3,5e-4,2.5e-4,1e-4]
 """
 import argparse
 
@@ -17,7 +21,7 @@ from ctmc_rates import (
     BondBasis,
     ClaimPayoff,
     TwoStateModel,
-    replicate_on_path,
+    replicate_paths,
     simulate_path,
 )
 
@@ -28,10 +32,10 @@ def main(argv=None):
     ap.add_argument("--rate", type=float, default=0.1)
     ap.add_argument("--T", type=float, default=1.0)
     ap.add_argument("--basis", type=float, default=1.5)
-    ap.add_argument("--n-paths", type=int, default=10)
+    ap.add_argument("--n-paths", type=int, default=1000)
     ap.add_argument("--min-jumps", type=int, default=2)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--dts", default="1e-3,5e-4,1e-4")
+    ap.add_argument("--dts", default="1e-3,5e-4,2.5e-4,1e-4")
     args = ap.parse_args(argv)
 
     model = TwoStateModel(args.lam, args.rate)
@@ -48,13 +52,16 @@ def main(argv=None):
 
     print(f"{args.n_paths} paths with >= {args.min_jumps} jumps before T={args.T:g}")
     print("dt,mean_terminal_error,max_tracking_error")
-    for dt in (float(s) for s in args.dts.split(",")):
-        reports = [
-            replicate_on_path(G, r, p, args.T, basis, payoff, dt) for p in paths
-        ]
-        term = np.mean([rep.terminal_error for rep in reports])
+    dts = [float(s) for s in args.dts.split(",")]
+    means = []
+    for dt in dts:
+        reports = replicate_paths(G, r, paths, args.T, basis, payoff, dt)
+        means.append(np.mean([rep.terminal_error for rep in reports]))
         track = np.max([rep.max_tracking_error for rep in reports])
-        print(f"{dt:g},{term:.6e},{track:.6e}")
+        print(f"{dt:g},{means[-1]:.6e},{track:.6e}")
+    if len(dts) > 1:
+        slope = np.polyfit(np.log(dts), np.log(means), 1)[0]
+        print(f"slope of log mean_terminal_error against log dt: {slope:.3f}")
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from .replication import (
     HedgePlan,
     ReplicationReport,
     replicate_on_path,
+    replicate_paths,
 )
 from .two_state import TwoStateModel
 

@@ -244,15 +244,13 @@ def cmd_replicate(args) -> int:
     payoff = _parse_payoff(args.payoff, G.n, args.T)
     horizon = max(args.T, max(basis.maturities))
     rng = np.random.default_rng(args.seed)
-    rows = []
-    for p in range(args.N):
-        path = simulate_path(G, args.initial, horizon, rng, r=r)
-        rep = replication.replicate_on_path(G, r, path, args.T, basis, payoff, args.dt)
-        rows.append([p, rep.n_jumps, rep.terminal_error, rep.max_tracking_error])
+    paths = [simulate_path(G, args.initial, horizon, rng, r=r) for _ in range(args.N)]
+    reports = replication.replicate_paths(G, r, paths, args.T, basis, payoff, args.dt)
     _write_output(
         args,
         ["path", "n_jumps", "terminal_error", "max_tracking_error"],
-        rows,
+        [[p, rep.n_jumps, rep.terminal_error, rep.max_tracking_error]
+         for p, rep in enumerate(reports)],
         {"T": args.T, "basis": args.basis, "payoff": args.payoff, "dt": args.dt,
          "N": args.N, "initial": args.initial},
         seed=args.seed,

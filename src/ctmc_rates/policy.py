@@ -22,6 +22,8 @@ class NumericPolicy:
     eigen_residual_tol: float = 1e-10
     # hedge solve residual: <= hedge_residual_tol * (1 + |rhs|)
     hedge_residual_tol: float = 1e-10
+    # a claim needs no bonds iff its jump exposure is <= exposure_cutoff * max|claim|
+    exposure_cutoff: float = 1e-13
     # condition-number bound beyond which a bond basis is declared unhedgeable
     condition_limit: float = 1e12
 

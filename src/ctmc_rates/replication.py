@@ -7,6 +7,7 @@ pathwise.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,7 @@ def _hedge(
         # move" is judged against the claim's own size, so scaling the payoff
         # scales the positions
         scale = np.abs(P[rows, :, 0]).max(axis=1)
-        live = np.linalg.norm(jumps[..., 0], axis=1) > 1e-13 * scale
+        live = np.linalg.norm(jumps[..., 0], axis=1) > DEFAULT_POLICY.exposure_cutoff * scale
         pick, jumps = pick[live], jumps[live]
         E, dU = jumps[..., 1:], jumps[..., 0]
         if len(others) == K:
@@ -203,6 +204,146 @@ class HedgePlan:
         return D, P[..., 0] - np.einsum("msk,msk->ms", D, P[..., 1:])
 
 
+# paths are replicated in blocks of about 2**20 (step, path) cells, and each
+# block in windows of 128 steps, so memory does not grow with the number of
+# paths and the gathered claim and bond values stay small
+_BLOCK_CELLS = 1 << 20
+_WINDOW = 128
+
+
+def _path_grid(
+    path: ChainPath, ts: np.ndarray, on_mesh: np.ndarray, T: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ts on one path's rebalancing grid and the state held at each.
+
+    The path's grid is the uniform mesh (on_mesh) refined with its own jump
+    times before T; at a jump time it holds the post-jump state (cadlag).
+    """
+    jt = np.asarray(path.jump_times, dtype=float)
+    mask = on_mesh.copy()
+    mask[np.searchsorted(ts, jt[jt < T])] = True
+    rows = np.flatnonzero(mask)
+    held = np.array((path.initial_state,) + path.post_jump_states)[
+        np.searchsorted(jt, ts[rows], side="right")
+    ]
+    return rows, held
+
+
+def replicate_paths(
+    G: GeneratorMatrix,
+    r: RateMap,
+    paths: Sequence[ChainPath],
+    T: float,
+    basis: BondBasis,
+    payoff: ClaimPayoff,
+    dt: float,
+    jump_offsets: tuple[int, ...] | None = None,
+) -> list[ReplicationReport]:
+    """Run the discrete-rebalancing hedge along each realized path.
+
+    Positions are held constant over each interval of a path's grid: the
+    uniform dt mesh refined with that path's exact jump times. Bonds are
+    marked to model at interval ends and the cash residual accrues at the
+    state's short rate, which is the exact solution of the self-financing
+    dynamics on a jump-free interval.
+
+    The paths share the work. The claim and bonds are propagated once over
+    the union of their grids, and each distinct (time, state) is hedged once,
+    in one kernel call, numbered by first occurrence path by path, so a
+    failure names the first failing path's earliest failing step. A path that
+    leaves the declared jump structure raises only after every earlier
+    path's hedge has passed. The wealth recursion is one loop over steps,
+    vectorized across paths.
+    """
+    if not 0 < dt < np.inf:
+        raise ValueError("rebalance step dt must be positive and finite")
+    plan = HedgePlan(G, r, T, basis, payoff, jump_offsets)
+    n, K = G.n, len(basis.maturities)
+
+    n_steps = int(np.ceil(T / dt))
+    mesh = np.minimum(np.arange(n_steps + 1) * dt, T)
+    jumps = [tau for path in paths for tau in path.jump_times if tau < T]
+    ts = np.unique(np.concatenate([mesh, np.array(jumps)]))
+    on_mesh = np.zeros(len(ts), dtype=bool)
+    on_mesh[np.searchsorted(ts, mesh)] = True
+
+    # cell[row * n + state] numbers the distinct step starts by first
+    # occurrence, path by path; -1 marks a cell no path starts a step in
+    cell = np.full(len(ts) * n, -1)
+    firsts, n_jumps, n_cells, stop = [], [], 0, None
+    for path in paths:
+        if path.horizon < T:
+            stop = ValueError(f"path horizon {path.horizon} shorter than maturity {T}")
+            break
+        rows, held = _path_grid(path, ts, on_mesh, T)
+        moves = np.flatnonzero(held[1:] != held[:-1])
+        if jump_offsets is not None:
+            off = [m for m in moves.tolist() if held[m + 1] - held[m] not in jump_offsets]
+            if off:
+                m = off[0]
+                stop = ModelValidationError(
+                    f"path jumps {held[m]}->{held[m + 1]} at t={float(ts[rows[m + 1]])}, "
+                    f"outside the declared jump structure"
+                )
+                break
+            try:  # the kernel's own check, made here so that it keeps path order
+                for s in sorted(set(held[:-1].tolist())):
+                    reachable_states(n, s, jump_offsets)
+            except ModelValidationError as exc:
+                stop = exc
+                break
+        keys = rows[:-1] * n + held[:-1]
+        new = keys[cell[keys] < 0]
+        cell[new] = np.arange(n_cells, n_cells + len(new))
+        firsts.append(new)
+        n_cells += len(new)
+        n_jumps.append(len(moves))
+    cell_rows, cell_states = np.divmod(np.concatenate([np.zeros(0, dtype=int)] + firsts), n)
+    P, D = plan._positions_at(ts, cell_rows, cell_states)
+    if stop is not None:
+        raise stop
+
+    # a trailing zero row, reached by cell index -1, serves the steps that pad
+    # short paths: with v0 = v1 = 0 and growth 1 they leave the wealth as it is
+    bonds_now = np.append(np.einsum("ck,ck->c", D, P[cell_rows, cell_states, 1:]), 0.0)
+    D = np.concatenate([D, np.zeros((1, K))])
+    longest = n_steps + 1 + max((path.n_jumps for path in paths), default=0)
+    block = max(1, _BLOCK_CELLS // longest)
+    reports = []
+    for start in range(0, len(paths), block):
+        chunk = paths[start:start + block]
+        grids = [_path_grid(path, ts, on_mesh, T) for path in chunk]
+        width = max(len(rows) for rows, _ in grids)
+        # step-major: column c is path c's grid, padded with its last cell
+        rows = np.full((width, len(chunk)), len(ts) - 1)
+        held = np.empty((width, len(chunk)), dtype=int)
+        for c, (path_rows, path_held) in enumerate(grids):
+            rows[: len(path_rows), c] = path_rows
+            held[: len(path_held), c] = path_held
+            held[len(path_held):, c] = path_held[-1]
+        X, track = P[0, held[0], 0], np.zeros(len(chunk))
+        for lo in range(0, width - 1, _WINDOW):
+            at, hold = rows[lo:lo + _WINDOW + 1], held[lo:lo + _WINDOW + 1]
+            idx = cell[at[:-1] * n + hold[:-1]]
+            nxt = P[at[1:], hold[1:]]
+            v0, v1 = bonds_now[idx], np.einsum("mck,mck->mc", D[idx], nxt[..., 1:])
+            growth = np.exp(r.rates[hold[:-1]] * np.diff(ts[at], axis=0))
+            wealth = np.empty_like(v0)
+            for m in range(len(idx)):
+                X = v1[m] + (X - v0[m]) * growth[m]
+                wealth[m] = X
+            track = np.maximum(track, np.abs(wealth - nxt[..., 0]).max(axis=0))
+        final = payoff.values[[path.state_at(T) for path in chunk]]
+        for c, path in enumerate(chunk):
+            reports.append(ReplicationReport(
+                terminal_error=float(abs(X[c] - final[c])),
+                max_tracking_error=float(track[c]),
+                n_jumps=n_jumps[start + c],
+                n_grid_points=len(grids[c][0]),
+            ))
+    return reports
+
+
 def replicate_on_path(
     G: GeneratorMatrix,
     r: RateMap,
@@ -213,52 +354,6 @@ def replicate_on_path(
     dt: float,
     jump_offsets: tuple[int, ...] | None = None,
 ) -> ReplicationReport:
-    """Run the discrete-rebalancing hedge along one realized path.
-
-    Positions are held constant over each grid interval; the grid is the
-    uniform dt mesh refined with the path's exact jump times. Bonds are marked
-    to model at interval ends and the cash residual accrues at the state's
-    short rate, which is the exact solution of the self-financing dynamics on
-    a jump-free interval.
-    """
-    if not 0 < dt < np.inf:
-        raise ValueError("rebalance step dt must be positive and finite")
-    if path.horizon < T:
-        raise ValueError(f"path horizon {path.horizon} shorter than maturity {T}")
-    plan = HedgePlan(G, r, T, basis, payoff, jump_offsets)
-
-    n_steps = int(np.ceil(T / dt))
-    grid = np.minimum(np.arange(n_steps + 1) * dt, T)
-    jumps_in = [tau for tau in path.jump_times if tau < T]
-    ts = np.unique(np.concatenate([grid, np.array(jumps_in)])) if jumps_in else np.unique(grid)
-
-    # state at each grid time (cadlag: a jump time carries the post-jump state)
-    held = np.array((path.initial_state,) + path.post_jump_states)[
-        np.searchsorted(np.asarray(path.jump_times, dtype=float), ts, side="right")
-    ]
-    moves = np.flatnonzero(held[1:] != held[:-1])
-    if jump_offsets is not None:
-        for m in moves.tolist():
-            if held[m + 1] - held[m] not in jump_offsets:
-                raise ModelValidationError(
-                    f"path jumps {held[m]}->{held[m + 1]} at t={float(ts[m + 1])}, "
-                    f"outside the declared jump structure"
-                )
-    steps = np.arange(len(ts) - 1)
-    P, D = plan._positions_at(ts, steps, held[:-1])
-
-    now, nxt = P[steps, held[:-1]], P[steps + 1, held[1:]]
-    bonds_now = np.einsum("mk,mk->m", D, now[:, 1:])
-    bonds_next = np.einsum("mk,mk->m", D, nxt[:, 1:])
-    growth = np.exp(r.rates[held[:-1]] * np.diff(ts))
-    X, wealth = float(P[0, held[0], 0]), []
-    for v0, v1, g in zip(bonds_now.tolist(), bonds_next.tolist(), growth.tolist()):
-        X = v1 + (X - v0) * g
-        wealth.append(X)
-
-    return ReplicationReport(
-        terminal_error=abs(X - float(payoff.values[path.state_at(T)])),
-        max_tracking_error=float(np.abs(np.array(wealth) - nxt[:, 0]).max(initial=0.0)),
-        n_jumps=len(moves),
-        n_grid_points=len(ts),
-    )
+    """Run the discrete-rebalancing hedge along one realized path: the
+    one-path case of replicate_paths."""
+    return replicate_paths(G, r, [path], T, basis, payoff, dt, jump_offsets)[0]

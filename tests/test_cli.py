@@ -258,6 +258,32 @@ class TestReplicate:
             errs[dt] = np.mean([float(r[2]) for r in rows])
         assert errs["5e-4"] < 0.75 * errs["1e-3"]
 
+    def test_matches_per_path_replication(self, capsys, model_file):
+        # the paths are drawn first, from the one seeded generator, then
+        # replicated together; each row agrees with replicating its path alone
+        code, out, _ = run(
+            capsys, "replicate", model_file, "--T", "1.0", "--basis", "1.5",
+            "--payoff", "1,0", "--dt", "1e-3", "--N", "6", "--seed", "3",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["path", "n_jumps", "terminal_error", "max_tracking_error"]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("0", "1"), ("1", "0"), ("2", "1"), ("3", "2"), ("4", "1"), ("5", "0")
+        ]
+        spec = ctmc_rates.load_model(model_file)
+        G, r = spec.generator, spec.rates
+        rng = np.random.default_rng(3)
+        for row in rows:
+            path = ctmc_rates.simulate_path(G, 0, 1.5, rng, r=r)
+            rep = ctmc_rates.replicate_on_path(
+                G, r, path, 1.0, ctmc_rates.BondBasis((1.5,)),
+                ctmc_rates.ClaimPayoff(np.array([1.0, 0.0]), 1.0), 1e-3,
+            )
+            assert int(row[1]) == rep.n_jumps
+            assert float(row[2]) == pytest.approx(rep.terminal_error, rel=0, abs=1e-9)
+            assert float(row[3]) == pytest.approx(rep.max_tracking_error, rel=0, abs=1e-9)
+
     def test_singular_basis_exit_3(self, capsys, tmp_path):
         p = tmp_path / "zero.txt"
         p.write_text(ZERO_RATE)

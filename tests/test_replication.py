@@ -14,6 +14,7 @@ from ctmc_rates import (
     bond_prices,
     price_claim,
     replicate_on_path,
+    replicate_paths,
     simulate_path,
 )
 from ctmc_rates.replication import _hedge, reachable_states
@@ -356,3 +357,66 @@ class TestReducedBasis:
         with pytest.raises(ModelValidationError) as exc:
             replicate_on_path(G, r, path, 1.0, basis, payoff, 0.01, jump_offsets=(-1, 1))
         assert "outside the declared jump structure" in str(exc.value)
+
+
+class TestReplicatePaths:
+    @pytest.mark.parametrize(
+        "basis, jump_offsets", [((1.6, 2.1, 2.6), None), ((1.6, 2.1), (-1, 1))]
+    )
+    def test_matches_per_path_loop(self, basis, jump_offsets):
+        G, r = birth_death_model(n=4)
+        payoff = ClaimPayoff(np.array([1.0, 0.0, -0.5, 2.0]), 1.0)
+        rng = np.random.default_rng(9)
+        paths = [simulate_path(G, 1, 2.7, rng, r=r) for _ in range(12)]
+        args = (1.0, BondBasis(basis), payoff, 1e-3, jump_offsets)
+        batch = replicate_paths(G, r, paths, *args)
+        loop = [replicate_on_path(G, r, path, *args) for path in paths]
+        assert sum(rep.n_jumps for rep in loop) >= 8
+        for b, one in zip(batch, loop, strict=True):
+            assert (b.n_jumps, b.n_grid_points) == (one.n_jumps, one.n_grid_points)
+            assert b.terminal_error == pytest.approx(one.terminal_error, rel=0, abs=1e-9)
+            assert b.max_tracking_error == pytest.approx(
+                one.max_tracking_error, rel=0, abs=1e-9
+            )
+
+    # States 0 and 1 reach state 2 at the same rate, so the claim on state 2
+    # is worth the same in both: with one bond under zero rates, state 0
+    # (whose one declared exit is state 1) needs no bonds, while state 1 is
+    # unhedgeable, and so is state 2 when it may jump to 1.
+    LUMPED = GeneratorMatrix(np.array([[-1.5, 1.0, 0.5], [1.0, -1.5, 0.5], [0.7, 0.3, -1.0]]))
+
+    def first_loop_error(self, paths):
+        args = (1.0, BondBasis((1.5,)), ClaimPayoff(np.array([0.0, 0.0, 1.0]), 1.0), 0.01)
+        with pytest.raises(UnhedgeableBasisError) as loop:
+            for path in paths:
+                replicate_on_path(self.LUMPED, RateMap(np.zeros(3)), path, *args, (-1, 1))
+        with pytest.raises(UnhedgeableBasisError) as batch:
+            replicate_paths(self.LUMPED, RateMap(np.zeros(3)), paths, *args, (-1, 1))
+        assert str(batch.value) == str(loop.value)
+        return str(batch.value)
+
+    def test_unhedgeable_error_names_first_failing_path(self):
+        # path 1 fails at t=0, earlier than path 0's first failure at t=0.5
+        paths = [ChainPath(0, (0.5,), (1,), 2.0, 3), ChainPath(2, (), (), 2.0, 3)]
+        assert "(t=0.5, state=1)" in self.first_loop_error(paths)
+        assert "(t=0.0, state=2)" in self.first_loop_error(paths[::-1])
+
+    @pytest.mark.parametrize("jump_offsets, broken, error", [
+        # a jump the structure does not declare
+        ((-1, 1), ChainPath(0, (0.25,), (2,), 2.0, 3), "0->2 at t=0.25, outside"),
+        # a state the structure leaves without exits
+        ((1,), ChainPath(2, (), (), 2.0, 3), "leaves state 2 with no exits"),
+    ])
+    def test_earlier_unhedgeable_path_wins_over_jump_structure(
+        self, jump_offsets, broken, error
+    ):
+        unhedgeable = ChainPath(1, (), (), 2.0, 3)
+        args = (1.0, BondBasis((1.5,)), ClaimPayoff(np.array([0.0, 0.0, 1.0]), 1.0), 0.01)
+        with pytest.raises(UnhedgeableBasisError, match=r"\(t=0.0, state=1\)"):
+            replicate_paths(
+                self.LUMPED, RateMap(np.zeros(3)), [unhedgeable, broken], *args, jump_offsets
+            )
+        with pytest.raises(ModelValidationError, match=error):
+            replicate_paths(
+                self.LUMPED, RateMap(np.zeros(3)), [broken, unhedgeable], *args, jump_offsets
+            )
