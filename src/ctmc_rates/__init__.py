@@ -11,9 +11,7 @@ from .model import (
     ChainPath,
     GeneratorMatrix,
     RateMap,
-    StateSpace,
     ValidationReport,
-    integrate_rate,
     matrix_exponential,
     simulate_path,
     simulate_terminal,
@@ -25,7 +23,6 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 from .pricing import (
     ClaimPayoff,
     arrow_debreu,
-    bond_price,
     bond_prices,
     caplet,
     floorlet,
@@ -33,12 +30,10 @@ from .pricing import (
     mc_price_claim,
     price_claim,
     price_forward_rate_option,
-    zero_yield,
 )
 from .recovery import (
     PerronPair,
     perron_pair,
-    radon_nikodym_along_path,
     recover_generator,
     tipk_price,
 )
@@ -46,7 +41,6 @@ from .replication import (
     BondBasis,
     HedgePlan,
     ReplicationReport,
-    replicate_on_path,
     replicate_paths,
 )
 from .two_state import TwoStateModel

@@ -80,6 +80,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError:
         raise CtmcRatesError(f"grid must be start:stop:step, got {spec!r}")
+    if not np.all(np.isfinite([start, stop, step])):
+        raise CtmcRatesError(f"grid {spec!r} needs a finite start, stop and step")
     if step <= 0 or stop < start:
         raise CtmcRatesError(f"empty or invalid grid {spec!r}")
     grid = np.arange(start, stop + 0.5 * step, step)
@@ -94,10 +96,6 @@ def _parse_payoff(spec: str, n: int, T: float) -> ClaimPayoff:
     if values.shape[0] != n:
         raise CtmcRatesError(f"payoff has {values.shape[0]} entries for {n} states")
     return ClaimPayoff(values, T)
-
-
-def _state_names(spec) -> list[str]:
-    return [spec.states.label(i) for i in range(spec.states.n)]
 
 
 def cmd_price(args) -> int:
@@ -119,7 +117,7 @@ def cmd_price(args) -> int:
     else:
         pv = pricing.bond_prices(G, r, t, T)
         kind = "bond"
-    rows = [(name, v) for name, v in zip(_state_names(spec), pv)]
+    rows = list(zip(spec.labels, pv))
     _write_output(args, ["state", f"{kind}_price"], rows,
                   {"t": t, "T": T, "Tb": args.Tb})
     return 0
@@ -132,8 +130,7 @@ def cmd_yield_curve(args) -> int:
     grid = grid[grid > args.t]
     if grid.size == 0:
         raise CtmcRatesError("yield grid has no maturities after t")
-    names = _state_names(spec)
-    header = ["T"] + [f"yield_{nm}" for nm in names]
+    header = ["T"] + [f"yield_{nm}" for nm in spec.labels]
     asym = None
     if G.n == 2:
         rho, _ = recovery.dominant_eigenpair(G, r)
@@ -158,6 +155,8 @@ def cmd_hedge(args) -> int:
     plan = replication.HedgePlan(G, r, args.T, basis, payoff)
     grid = _parse_grid(args.t_grid)
     grid = grid[grid <= args.T]
+    if grid.size == 0:
+        raise CtmcRatesError("hedge grid has no times at or before T")
     header = (
         ["time", "state"]
         + [f"position_T{_fmt(Tm)}" for Tm in basis.maturities]
@@ -168,7 +167,7 @@ def cmd_hedge(args) -> int:
     for m, t in enumerate(grid):
         for i in range(G.n):
             rows.append(
-                [float(t), spec.states.label(i)]
+                [float(t), spec.labels[i]]
                 + [float(d) for d in D[m, i]]
                 + [float(residual[m, i])]
             )
@@ -195,7 +194,7 @@ def cmd_recover(args) -> int:
         "rho": json.dumps(pair.rho),
         "pi": _json_list(pair.pi, 1),
         "generator_p": _json_list([_json_list(row, 2) for row in rec.entries], 1),
-        "states": _json_list([json.dumps(name) for name in _state_names(spec)], 1),
+        "states": _json_list([json.dumps(name) for name in spec.labels], 1),
         "validation": json.dumps("ok"),
     }
     body = ",\n  ".join(f"{json.dumps(key)}: {text}" for key, text in report.items())
@@ -222,7 +221,7 @@ def cmd_simulate(args) -> int:
         ["measure", "", args.measure],
     ]
     for i in range(G.n):
-        rows.append(["occupancy_at_horizon", spec.states.label(i), counts[i] / args.N])
+        rows.append(["occupancy_at_horizon", spec.labels[i], counts[i] / args.N])
     for name, samples in (("integrated_rate", integ), ("discount_factor", np.exp(-integ))):
         mean, se = mean_and_se(samples)
         rows += [[f"mean_{name}", "", mean], [f"se_{name}", "", se]]

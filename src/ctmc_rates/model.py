@@ -20,28 +20,6 @@ from .policy import DEFAULT_POLICY
 RNG_ALGORITHM = "numpy-pcg64"
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite state space {0, 1, ..., n-1}, optionally with display labels."""
-
-    n: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ModelValidationError(f"state count must be >= 1, got {self.n}")
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ModelValidationError(
-                    f"{len(self.labels)} labels for {self.n} states"
-                )
-            if len(set(self.labels)) != self.n:
-                raise ModelValidationError("state labels must be distinct")
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -133,9 +111,7 @@ def is_irreducible(G: GeneratorMatrix) -> bool:
     return G.n > 0 and _reaches_all(support) and _reaches_all(support.T)
 
 
-def validate_model(
-    G: GeneratorMatrix, r: RateMap, S: StateSpace | None = None
-) -> ValidationReport:
+def validate_model(G: GeneratorMatrix, r: RateMap) -> ValidationReport:
     """Collect every violated model invariant; an empty report means admissible.
 
     Dimension mismatches are hard errors (there is no sensible partial report
@@ -143,11 +119,8 @@ def validate_model(
     G alone, so they run once per GeneratorMatrix instance; the rate check
     runs on every call.
     """
-    n = S.n if S is not None else G.n
-    if G.n != n:
-        raise ModelValidationError(f"generator is {G.n}x{G.n} but n={n}")
-    if r.n != n:
-        raise ModelValidationError(f"rate vector has length {r.n} but n={n}")
+    if r.n != G.n:
+        raise ModelValidationError(f"rate vector has length {r.n} but n={G.n}")
 
     bad: list[tuple[str, int | str]] = []  # (violation, part)
     if not G._passed:
@@ -362,16 +335,6 @@ def transition_matrix(G: GeneratorMatrix, t: float) -> np.ndarray:
     return matrix_exponential(t * G.entries)
 
 
-def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:
-    """Unique invariant distribution of an irreducible generator."""
-    n = G.n
-    A = np.vstack([G.entries.T, np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return pi
-
-
 @dataclass(frozen=True)
 class ChainPath:
     """A realized trajectory: initial state, jump times and post-jump states."""
@@ -410,20 +373,6 @@ class ChainPath:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         k = bisect.bisect_right(self.jump_times, t)
         return self.initial_state if k == 0 else self.post_jump_states[k - 1]
-
-    def segments(self, start: float, end: float):
-        """Constant-state pieces (t0, t1, state) covering [start, end]."""
-        if not (0 <= start <= end <= self.horizon):
-            raise ValueError(f"interval [{start}, {end}] outside [0, {self.horizon}]")
-        t0 = start
-        state = self.state_at(start)
-        k = bisect.bisect_right(self.jump_times, start)
-        while k < len(self.jump_times) and self.jump_times[k] < end:
-            yield (t0, self.jump_times[k], state)
-            t0 = self.jump_times[k]
-            state = self.post_jump_states[k]
-            k += 1
-        yield (t0, end, state)
 
 
 def _sample_chain(
@@ -517,20 +466,6 @@ def simulate_path(
         horizon=float(horizon),
         n_states=G.n,
     )
-
-
-def integrate_rate(
-    path: ChainPath, r: RateMap, start: float = 0.0, end: float | None = None
-) -> float:
-    """Exact piecewise-constant integral of r(J_s) over [start, end]."""
-    if end is None:
-        end = path.horizon
-    if r.n != path.n_states:
-        raise ModelValidationError("rate vector does not match path state space")
-    total = 0.0
-    for t0, t1, state in path.segments(start, end):
-        total += (t1 - t0) * r.rates[state]
-    return float(total)
 
 
 def simulate_terminal(

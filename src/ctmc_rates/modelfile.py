@@ -19,17 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelFileError
-from .model import (
-    GeneratorMatrix,
-    RateMap,
-    StateSpace,
-    validate_model,
-)
+from .model import GeneratorMatrix, RateMap, validate_model
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    states: StateSpace
+    """A parsed model file; the labels are str(i) when the file gives a count."""
+
+    labels: tuple[str, ...]
     generator: GeneratorMatrix
     rates: RateMap
 
@@ -119,16 +116,15 @@ def parse_model_text(text: str, path: str = "<model>") -> ModelSpec:
     if len(rates) != n:
         _fail(path, key_line["rates"], f"{len(rates)} rates for {n} states")
 
-    S = StateSpace(n=n, labels=labels)
     G = GeneratorMatrix(np.array(gen_rows))
     r = RateMap(np.array(rates))
-    report = validate_model(G, r, S)
+    report = validate_model(G, r)
     if not report.ok:
         raise ModelFileError("\n".join(
             f"{path}:{gen_row_lines[p] if isinstance(p, int) else key_line[p]}: {v}"
             for v, p in zip(report.violations, report.parts)
         ))
-    return ModelSpec(states=S, generator=G, rates=r)
+    return ModelSpec(labels=labels or tuple(map(str, range(n))), generator=G, rates=r)
 
 
 def load_model(path: str) -> ModelSpec:

@@ -54,10 +54,6 @@ def bond_prices(G: GeneratorMatrix, r: RateMap, t: float, T: float) -> np.ndarra
     return price_claim(G, r, ClaimPayoff(np.ones(G.n), T), t)
 
 
-def bond_price(G: GeneratorMatrix, r: RateMap, t: float, T: float, i: int) -> float:
-    return float(bond_prices(G, r, t, T)[i])
-
-
 def _log_bonds(G: GeneratorMatrix, r: RateMap, t: float, Ts: np.ndarray) -> np.ndarray:
     """log B(t, i; T) for every T >= t in Ts, shape (len(Ts), n)."""
     scaled, log_scale = propagate(G, r, Ts - t, np.ones((G.n, 1)))
@@ -70,11 +66,6 @@ def yield_curve(G: GeneratorMatrix, r: RateMap, t: float, Ts) -> np.ndarray:
     if np.any(Ts <= t):
         raise ValueError(f"yield needs t < T, got t={t} and maturities {Ts}")
     return -_log_bonds(G, r, t, Ts) / (Ts - t)[:, None]
-
-
-def zero_yield(G: GeneratorMatrix, r: RateMap, t: float, T: float, i: int) -> float:
-    """Continuously compounded yield -log B / (T - t); undefined at t = T."""
-    return float(yield_curve(G, r, t, [T])[0, i])
 
 
 def forward_rate(

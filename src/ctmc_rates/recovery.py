@@ -14,10 +14,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ModelValidationError, RecoveryHypothesisError
 from .model import (
-    ChainPath,
     GeneratorMatrix,
     RateMap,
-    integrate_rate,
     require_valid_model,
     simulate_terminal,
     validate_model,
@@ -199,20 +197,6 @@ def recover_generator(pair: PerronPair, G: GeneratorMatrix) -> GeneratorMatrix:
     if not report.ok:
         raise ModelValidationError(f"recovered generator inadmissible: {report}")
     return G_p
-
-
-def radon_nikodym_along_path(
-    pair: PerronPair, r: RateMap, path: ChainPath, T: float
-) -> float:
-    """Density Z_T of the recovered measure w.r.t. the pricing measure.
-
-    Z_T = exp(-int_0^T r(J_s) ds - rho T) * pi(J_T) / pi(J_0); its
-    expectation over pricing-measure paths is 1.
-    """
-    integ = integrate_rate(path, r, 0.0, T)
-    i0 = path.state_at(0.0)
-    iT = path.state_at(T)
-    return float(np.exp(-integ - pair.rho * T) * pair.pi[iT] / pair.pi[i0])
 
 
 def tipk_price(

@@ -342,18 +342,3 @@ def replicate_paths(
                 n_grid_points=len(grids[c][0]),
             ))
     return reports
-
-
-def replicate_on_path(
-    G: GeneratorMatrix,
-    r: RateMap,
-    path: ChainPath,
-    T: float,
-    basis: BondBasis,
-    payoff: ClaimPayoff,
-    dt: float,
-    jump_offsets: tuple[int, ...] | None = None,
-) -> ReplicationReport:
-    """Run the discrete-rebalancing hedge along one realized path: the
-    one-path case of replicate_paths."""
-    return replicate_paths(G, r, [path], T, basis, payoff, dt, jump_offsets)[0]

@@ -1,9 +1,9 @@
 """Closed forms for the symmetric two-state model.
 
 State 0 carries rate 0, state 1 carries rate r > 0, and both jump intensities
-equal lambda. Everything here is an explicit eigendecomposition formula,
-deliberately independent of the general matrix-exponential engine so it can
-serve as a test oracle.
+equal lambda. The yields behind the `demo` command are explicit formulas,
+independent of the general matrix-exponential engine; the test suite builds
+its closed-form oracles (tests/oracles.py) on the same model.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnhedgeableBasisError
 from .model import GeneratorMatrix, RateMap
 
 
@@ -21,8 +20,8 @@ class TwoStateModel:
     rate: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.rate <= 0:
-            raise ValueError("lambda and rate must be positive")
+        if not (0 < self.lam < np.inf and 0 < self.rate < np.inf):
+            raise ValueError(f"lambda and rate must be positive and finite, got {self.lam}, {self.rate}")
 
     @property
     def gamma(self) -> float:
@@ -34,33 +33,6 @@ class TwoStateModel:
 
     def rate_map(self) -> RateMap:
         return RateMap(np.array([0.0, self.rate]))
-
-
-def eigen_pairs(m: TwoStateModel):
-    """((rho_plus, pi_plus), (rho_minus, pi_minus)), eigenvectors unit-normalized."""
-    lam, r, gam = m.lam, m.rate, m.gamma
-    out = []
-    for sign in (+1.0, -1.0):
-        rho = (-2.0 * lam - r + sign * gam) / 2.0
-        v = np.array([r + sign * gam, 2.0 * lam])
-        out.append((rho, v / np.linalg.norm(v)))
-    return tuple(out)
-
-
-def closed_form_ad(m: TwoStateModel, t: float, T: float) -> np.ndarray:
-    """State-price (Arrow-Debreu) 2x2 matrix at time t for maturity T."""
-    if t > T:
-        raise ValueError(f"need t <= T, got t={t}, T={T}")
-    lam, r, gam = m.lam, m.rate, m.gamma
-    tau = T - t
-    e = np.exp(gam * tau)
-    pref = np.exp(-0.5 * tau * (gam + 2.0 * lam + r)) / (2.0 * gam)
-    return pref * np.array(
-        [
-            [(gam - r) + (gam + r) * e, 2.0 * lam * (e - 1.0)],
-            [2.0 * lam * (e - 1.0), (gam + r) + (gam - r) * e],
-        ]
-    )
 
 
 def closed_form_log_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
@@ -78,11 +50,6 @@ def closed_form_log_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
     return -limiting_yield(m) * tau + np.log1p(d * np.expm1(-gam * tau))
 
 
-def closed_form_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
-    """Zero-coupon bond prices (B(t,0;T), B(t,1;T))."""
-    return np.exp(closed_form_log_bonds(m, t, T))
-
-
 def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
     if t >= T:
         raise ValueError(f"yield needs t < T, got t={t}, T={T}")
@@ -92,27 +59,6 @@ def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
 def limiting_yield(m: TwoStateModel) -> float:
     """Long-maturity yield (r + 2 lambda - gamma)/2, i.e. minus the Perron eigenvalue."""
     return (m.rate + 2.0 * m.lam - m.gamma) / 2.0
-
-
-def closed_form_hedge(m: TwoStateModel, t: float, T: float, T1: float, k: int) -> float:
-    """Bonds to hold against the k-th Arrow-Debreu claim; state-independent here."""
-    A = closed_form_ad(m, t, T)
-    B = closed_form_bonds(m, t, T1)
-    num = A[1, k] - A[0, k]
-    den = B[1] - B[0]
-    if abs(den) < 1e-14 * max(1.0, abs(num)):
-        raise UnhedgeableBasisError(
-            f"two-state basis bond carries no state exposure at t={t} (T1={T1})"
-        )
-    return float(num / den)
-
-
-def closed_form_recovered_generator(m: TwoStateModel) -> np.ndarray:
-    """Real-world generator: off-diagonals 2 lambda^2/(gamma + r) and (gamma + r)/2."""
-    lam, r, gam = m.lam, m.rate, m.gamma
-    g01 = 2.0 * lam**2 / (gam + r)
-    g10 = (gam + r) / 2.0
-    return np.array([[-g01, g01], [g10, -g10]])
 
 
 def yield_curve_rows(m: TwoStateModel, t: float, grid: np.ndarray):

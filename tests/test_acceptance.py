@@ -19,22 +19,22 @@ from ctmc_rates import (
     perron_pair,
     price_claim,
     recover_generator,
-    replicate_on_path,
+    replicate_paths,
     simulate_path,
     simulate_terminal,
     tipk_price,
     validate_model,
 )
 from ctmc_rates.cli import main as cli_main
-from ctmc_rates.two_state import (
+from ctmc_rates.two_state import closed_form_yield
+
+from conftest import random_model
+from oracles import (
     closed_form_ad,
     closed_form_bonds,
     closed_form_hedge,
     closed_form_recovered_generator,
-    closed_form_yield,
 )
-
-from conftest import random_model
 
 GRID = [
     (lam, r, tau)
@@ -184,7 +184,7 @@ def test_criterion_4_replication_convergence():
     errs = {}
     for dt in (1e-3, 5e-4, 1e-4):
         errs[dt] = np.mean(
-            [replicate_on_path(G, r, p, T, basis, payoff, dt).terminal_error for p in paths]
+            [rep.terminal_error for rep in replicate_paths(G, r, paths, T, basis, payoff, dt)]
         )
     decay = errs[5e-4] < 0.6 * errs[1e-3]
     fine_ok = errs[1e-4] < 1e-3

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
@@ -89,7 +90,7 @@ class TestPrice:
         code, out, _ = run(capsys, "price", model_file, "--T", "1.0", "--payoff", "1,0")
         assert code == 0
         _, rows = parse_csv(out)
-        from ctmc_rates.two_state import closed_form_ad
+        from oracles import closed_form_ad
         from ctmc_rates import TwoStateModel
 
         expected = closed_form_ad(TwoStateModel(0.5, 0.1), 0.0, 1.0)[0, 0]
@@ -156,6 +157,11 @@ class TestYieldCurve:
         code, _, err = run(capsys, "yield-curve", model_file, "--T-grid", "5:1:1")
         assert code == 1
         assert "grid" in err
+
+    def test_non_finite_grid_exit_1(self, capsys, model_file):
+        code, out, err = run(capsys, "yield-curve", model_file, "--T-grid", "1:inf:1")
+        assert (code, out) == (1, "")
+        assert err == "error: grid '1:inf:1' needs a finite start, stop and step\n"
 
 
 class TestRecover:
@@ -276,10 +282,10 @@ class TestReplicate:
         rng = np.random.default_rng(3)
         for row in rows:
             path = ctmc_rates.simulate_path(G, 0, 1.5, rng, r=r)
-            rep = ctmc_rates.replicate_on_path(
-                G, r, path, 1.0, ctmc_rates.BondBasis((1.5,)),
+            rep = ctmc_rates.replicate_paths(
+                G, r, [path], 1.0, ctmc_rates.BondBasis((1.5,)),
                 ctmc_rates.ClaimPayoff(np.array([1.0, 0.0]), 1.0), 1e-3,
-            )
+            )[0]
             assert int(row[1]) == rep.n_jumps
             assert float(row[2]) == pytest.approx(rep.terminal_error, rel=0, abs=1e-9)
             assert float(row[3]) == pytest.approx(rep.max_tracking_error, rel=0, abs=1e-9)
@@ -329,6 +335,12 @@ class TestDemo:
         assert len(rows) == 4
         assert all(np.isfinite(float(x)) for row in rows for x in row)
 
+    @pytest.mark.parametrize("argv", [["--lam", "nan"], ["--lam", "inf"], ["--rate", "inf"]])
+    def test_non_finite_parameters_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, "demo", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: lambda and rate must be positive and finite")
+
 
 class TestHedge:
     def test_schedule_csv(self, capsys, model_file):
@@ -344,8 +356,34 @@ class TestHedge:
         # the two-state hedge ratio is state-independent
         assert float(rows[0][2]) == pytest.approx(float(rows[1][2]), rel=1e-10)
 
+    def test_grid_after_maturity_exit_1(self, capsys, model_file):
+        code, out, err = run(
+            capsys, "hedge", model_file, "--T", "1", "--basis", "1.5",
+            "--payoff", "1,0", "--t-grid", "2:3:1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: hedge grid has no times at or before T\n"
+
 
 class TestStartup:
+    def test_public_names_are_pinned(self):
+        names = sorted(
+            name for name, value in vars(ctmc_rates).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        )
+        assert names == [
+            "BondBasis", "ChainPath", "ClaimPayoff", "CtmcRatesError", "DEFAULT_POLICY",
+            "GeneratorMatrix", "HedgePlan", "ModelFileError", "ModelSpec",
+            "ModelValidationError", "NumericPolicy", "PerronPair", "RateMap",
+            "RecoveryHypothesisError", "ReplicationReport", "TwoStateModel",
+            "UnhedgeableBasisError", "ValidationReport", "arrow_debreu", "bond_prices",
+            "caplet", "floorlet", "forward_rate", "load_model", "matrix_exponential",
+            "mc_price_claim", "parse_model_text", "perron_pair", "price_claim",
+            "price_forward_rate_option", "recover_generator", "replicate_paths",
+            "simulate_path", "simulate_terminal", "tipk_price", "transition_matrix",
+            "validate_model",
+        ]
+
     def test_cli_import_leaves_scipy_and_manifest_modules_out(self):
         src = str(Path(ctmc_rates.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

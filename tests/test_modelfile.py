@@ -17,7 +17,7 @@ rates: 0.0 0.1
 
 def test_parses_valid_file():
     spec = parse_model_text(GOOD)
-    assert spec.states.n == 2
+    assert spec.labels == ("0", "1")
     assert np.allclose(spec.generator.entries, [[-0.5, 0.5], [0.5, -0.5]])
     assert np.allclose(spec.rates.rates, [0.0, 0.1])
 
@@ -25,8 +25,8 @@ def test_parses_valid_file():
 def test_labels_accepted():
     text = GOOD.replace("states: 2", "states: low high")
     spec = parse_model_text(text)
-    assert spec.states.labels == ("low", "high")
-    assert spec.states.label(1) == "high"
+    assert spec.labels == ("low", "high")
+    assert spec.labels[1] == "high"
 
 
 def test_row_sum_violation_is_line_anchored():

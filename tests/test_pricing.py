@@ -12,7 +12,6 @@ from ctmc_rates import (
     RateMap,
     TwoStateModel,
     arrow_debreu,
-    bond_price,
     bond_prices,
     caplet,
     floorlet,
@@ -20,11 +19,11 @@ from ctmc_rates import (
     mc_price_claim,
     price_claim,
     price_forward_rate_option,
-    zero_yield,
 )
-from ctmc_rates.two_state import closed_form_ad
+from ctmc_rates.pricing import yield_curve
 
 from conftest import models, random_model
+from oracles import closed_form_ad
 
 # frozen from the two-state closed form (lam=0.5, r=0.1, T=1)
 B0_REF = (0.9821813464961849, 0.9220275299423587)
@@ -99,7 +98,7 @@ class TestBonds:
     def test_scalar_model(self):
         G = GeneratorMatrix(np.zeros((1, 1)))
         r = RateMap(np.array([0.07]))
-        assert bond_price(G, r, 0.5, 2.0, 0) == pytest.approx(np.exp(-0.07 * 1.5), rel=1e-14)
+        assert bond_prices(G, r, 0.5, 2.0)[0] == pytest.approx(np.exp(-0.07 * 1.5), rel=1e-14)
 
     def test_in_unit_interval(self):
         for G, r in seeded_models(seed=7, count=5):
@@ -110,36 +109,36 @@ class TestBonds:
 class TestYield:
     def test_short_maturity_limit_is_short_rate(self, two_state_example):
         _, G, r = two_state_example
-        assert zero_yield(G, r, 0.0, 1e-7, 0) == pytest.approx(0.0, abs=1e-7)
-        assert zero_yield(G, r, 0.0, 1e-7, 1) == pytest.approx(0.1, abs=1e-7)
+        assert yield_curve(G, r, 0.0, [1e-7])[0, 0] == pytest.approx(0.0, abs=1e-7)
+        assert yield_curve(G, r, 0.0, [1e-7])[0, 1] == pytest.approx(0.1, abs=1e-7)
 
     def test_long_maturity_limit(self, two_state_example):
         # exact gaps at T=50 are 9.237e-4 (state 0) and 1.0729e-3 (state 1);
         # the state-1 gap only drops below 1e-3 past T ~ 53.6
         m, G, r = two_state_example
         asym = (m.rate + 2 * m.lam - m.gamma) / 2
-        assert zero_yield(G, r, 0.0, 50.0, 0) == pytest.approx(asym, abs=1e-3)
+        assert yield_curve(G, r, 0.0, [50.0])[0, 0] == pytest.approx(asym, abs=1e-3)
         # B_1(T) = c_1 e^{rho T} (1 + O(e^{-gamma T})), so T * gap_1 -> |log c_1|
         kappa_1 = abs(np.log((m.gamma + 2 * m.lam - m.rate) / (2 * m.gamma)))
-        assert abs(50.0 * abs(zero_yield(G, r, 0.0, 50.0, 1) - asym) - kappa_1) <= 1e-9
+        assert abs(50.0 * abs(yield_curve(G, r, 0.0, [50.0])[0, 1] - asym) - kappa_1) <= 1e-9
         for i in (0, 1):
-            assert zero_yield(G, r, 0.0, 60.0, i) == pytest.approx(asym, abs=1e-3)
+            assert yield_curve(G, r, 0.0, [60.0])[0, i] == pytest.approx(asym, abs=1e-3)
 
     def test_reference_one_year_yields(self, two_state_example):
         _, G, r = two_state_example
-        assert zero_yield(G, r, 0.0, 1.0, 0) == pytest.approx(Y0_REF[0], abs=1e-12)
-        assert zero_yield(G, r, 0.0, 1.0, 1) == pytest.approx(Y0_REF[1], abs=1e-12)
+        assert yield_curve(G, r, 0.0, [1.0])[0, 0] == pytest.approx(Y0_REF[0], abs=1e-12)
+        assert yield_curve(G, r, 0.0, [1.0])[0, 1] == pytest.approx(Y0_REF[1], abs=1e-12)
 
     def test_t_equals_T_rejected(self, two_state_example):
         _, G, r = two_state_example
         with pytest.raises(ValueError):
-            zero_yield(G, r, 1.0, 1.0, 0)
+            yield_curve(G, r, 1.0, [1.0])
 
     def test_bounded_by_rate_range(self):
         for G, r in seeded_models(seed=31, count=8):
             for T in (0.5, 2.0, 10.0):
                 for i in range(G.n):
-                    y = zero_yield(G, r, 0.0, T, i)
+                    y = yield_curve(G, r, 0.0, [T])[0, i]
                     assert r.rates.min() - 1e-12 <= y <= r.rates.max() + 1e-12
 
 
@@ -157,7 +156,7 @@ class TestForwardRate:
 
     def test_two_state_ratio_of_bonds(self, two_state_example):
         _, G, r = two_state_example
-        expected = (bond_price(G, r, 0, 1.0, 0) / bond_price(G, r, 0, 2.0, 0) - 1.0) / 1.0
+        expected = (bond_prices(G, r, 0, 1.0)[0] / bond_prices(G, r, 0, 2.0)[0] - 1.0) / 1.0
         assert forward_rate(G, r, 0.0, 0, 1.0, 2.0) == pytest.approx(expected, rel=1e-14)
 
     def test_bad_ordering_rejected(self, two_state_example):

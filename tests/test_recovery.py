@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 
 from ctmc_rates import (
-    ChainPath,
     ClaimPayoff,
     DEFAULT_POLICY,
     GeneratorMatrix,
@@ -15,22 +14,22 @@ from ctmc_rates import (
     PerronPair,
     RateMap,
     RecoveryHypothesisError,
-    bond_price,
+    bond_prices,
     perron_pair,
     price_claim,
-    radon_nikodym_along_path,
     recover_generator,
-    simulate_path,
     tipk_price,
     validate_model,
 )
 from ctmc_rates.cli import main as cli_main
-from ctmc_rates.model import integrate_rate, simulate_terminal
+from ctmc_rates.model import simulate_terminal
+from ctmc_rates.pricing import mean_and_se
 from ctmc_rates.recovery import dominant_eigenpair
-from ctmc_rates.two_state import TwoStateModel, closed_form_recovered_generator, eigen_pairs
+from ctmc_rates.two_state import TwoStateModel
 from scipy.linalg import eig
 
 from conftest import models, random_model
+from oracles import closed_form_recovered_generator, eigen_pairs
 
 
 def entrywise_residual_ok(G, r, rho, pi, tol=DEFAULT_POLICY.eigen_residual_tol):
@@ -253,13 +252,22 @@ class TestRecoverGenerator:
             assert np.array_equal(rec.entries != 0.0, G.entries != 0.0)
 
 
+def density(rho, pi, initial, T, states, integ):
+    """Z_T = exp(-int_0^T r(J_s) ds - rho T) pi(J_T) / pi(J_0) from simulate_terminal."""
+    return np.exp(-integ - rho * T) * pi[states] / pi[initial]
+
+
 class TestRadonNikodym:
     def test_constant_path(self, two_state_example):
+        # the paths that never leave state 1 before T = 1 accrue 0.1 exactly
         _, G, r = two_state_example
         pair = perron_pair(G, r)
-        path = ChainPath(1, (), (), 1.0, 2)
+        states, integ = simulate_terminal(G, r, 1, 1.0, 20, seed=3)
+        stayed = integ == 0.1 * 1.0
+        assert stayed.any() and np.all(states[stayed] == 1)
         expected = np.exp(-(0.1 + pair.rho) * 1.0)
-        assert radon_nikodym_along_path(pair, r, path, 1.0) == pytest.approx(expected, rel=1e-13)
+        Z = density(pair.rho, pair.pi, 1, 1.0, states[stayed], integ[stayed])
+        assert Z == pytest.approx(np.full(Z.size, expected), rel=1e-13)
 
     def test_martingale_property(self, two_state_example):
         _, G, r = two_state_example
@@ -283,10 +291,23 @@ class TestRadonNikodym:
     def test_positive_along_simulated_paths(self, two_state_example):
         _, G, r = two_state_example
         pair = perron_pair(G, r)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            path = simulate_path(G, 0, 1.0, rng)
-            assert radon_nikodym_along_path(pair, r, path, 1.0) > 0
+        states, integ = simulate_terminal(G, r, 0, 1.0, 20, seed=5)
+        assert np.all(density(pair.rho, pair.pi, 0, 1.0, states, integ) > 0)
+
+    # derandomized: with the fixed simulation seed the examples, and so the
+    # outcome, are the same on every run
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(models())
+    def test_unit_mean_on_admissible_models(self, model):
+        # E[Z_T] = 1 under the pricing measure, at intensities up to 1e6;
+        # the horizon allows about ten jumps from the fastest state
+        G, r = model
+        assume(np.any(r.rates > 0))
+        rho, pi = dominant_eigenpair(G, r)
+        T = 10.0 / max(10.0, float(-np.diag(G.entries).min()))
+        states, integ = simulate_terminal(G, r, 0, T, 4000, seed=29)
+        mean, se = mean_and_se(density(rho, pi, 0, T, states, integ))
+        assert abs(mean - 1.0) <= 4.0 * se
 
 
 class TestTipkPrice:
@@ -305,7 +326,7 @@ class TestTipkPrice:
         rec = recover_generator(pair, G)
         payoff = ClaimPayoff(np.ones(2), 1.0)
         est, se = tipk_price(pair, rec, payoff, 0.0, 1.0, 0, 200_000, seed=13)
-        assert abs(est - bond_price(G, r, 0.0, 1.0, 0)) <= 3.5 * se
+        assert abs(est - bond_prices(G, r, 0.0, 1.0)[0]) <= 3.5 * se
 
     def test_at_maturity_returns_payoff(self, two_state_example):
         _, G, r = two_state_example

@@ -13,14 +13,13 @@ from ctmc_rates import (
     arrow_debreu,
     bond_prices,
     price_claim,
-    replicate_on_path,
     replicate_paths,
     simulate_path,
 )
 from ctmc_rates.replication import _hedge, reachable_states
-from ctmc_rates.two_state import closed_form_hedge
 
 from conftest import random_model
+from oracles import closed_form_hedge
 
 
 def birth_death_model(n=4, up=0.8, down=0.6, rate_step=0.03):
@@ -210,9 +209,9 @@ class TestReplicateOnPath:
         G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         r0 = RateMap(np.zeros(2))
         path = simulate_path(G, 0, 2.0, 3)
-        rep = replicate_on_path(
-            G, r0, path, 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), 0.01
-        )
+        rep = replicate_paths(
+            G, r0, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), 0.01
+        )[0]
         assert rep.terminal_error <= 1e-12
         assert rep.max_tracking_error <= 1e-12
 
@@ -224,8 +223,8 @@ class TestReplicateOnPath:
         assert path.n_jumps == 0
         payoff = ClaimPayoff(np.ones(2), 1.0)
         basis = BondBasis((1.5,))
-        e3 = replicate_on_path(G, r, path, 1.0, basis, payoff, 1e-3).terminal_error
-        e4 = replicate_on_path(G, r, path, 1.0, basis, payoff, 1e-4).terminal_error
+        e3 = replicate_paths(G, r, [path], 1.0, basis, payoff, 1e-3)[0].terminal_error
+        e4 = replicate_paths(G, r, [path], 1.0, basis, payoff, 1e-4)[0].terminal_error
         assert e3 < 2e-5
         assert e4 < 0.2 * e3
 
@@ -237,8 +236,8 @@ class TestReplicateOnPath:
         path = None
         while path is None or sum(t < 1.0 for t in path.jump_times) < 2:
             path = simulate_path(G, 0, 1.5, rng, r=r)
-        e_coarse = replicate_on_path(G, r, path, 1.0, basis, payoff, 1e-3).terminal_error
-        e_fine = replicate_on_path(G, r, path, 1.0, basis, payoff, 5e-4).terminal_error
+        e_coarse = replicate_paths(G, r, [path], 1.0, basis, payoff, 1e-3)[0].terminal_error
+        e_fine = replicate_paths(G, r, [path], 1.0, basis, payoff, 5e-4)[0].terminal_error
         assert e_fine < 0.75 * e_coarse
 
     def test_tracking_error_vanishes_with_dt(self):
@@ -249,7 +248,7 @@ class TestReplicateOnPath:
         payoff = ClaimPayoff(rng.normal(size=n), 1.0)
         path = simulate_path(G, 0, 1.8, 99, r=r)
         errs = [
-            replicate_on_path(G, r, path, 1.0, basis, payoff, dt).max_tracking_error
+            replicate_paths(G, r, [path], 1.0, basis, payoff, dt)[0].max_tracking_error
             for dt in (4e-3, 1e-3, 2.5e-4)
         ]
         assert errs[2] < errs[1] < errs[0]
@@ -279,7 +278,7 @@ class TestReplicateOnPath:
             D = plan.positions(t0, s0)
             X = D @ bonds(t1, s1) + (X - D @ bonds(t0, s0)) * np.exp(r.rates[s0] * (t1 - t0))
             track = max(track, abs(X - price_claim(G, r, payoff, t1)[s1]))
-        rep = replicate_on_path(G, r, path, 1.0, basis, payoff, 0.1)
+        rep = replicate_paths(G, r, [path], 1.0, basis, payoff, 0.1)[0]
         assert rep.n_grid_points == len(ts) and rep.n_jumps == 2
         assert rep.terminal_error == pytest.approx(abs(X - payoff.values[1]), abs=1e-10)
         assert rep.max_tracking_error == pytest.approx(track, abs=1e-10)
@@ -289,8 +288,8 @@ class TestReplicateOnPath:
         r0 = RateMap(np.zeros(2))
         path = simulate_path(G, 0, 2.0, 3)
         with pytest.raises(UnhedgeableBasisError) as exc:
-            replicate_on_path(
-                G, r0, path, 1.0, BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
+            replicate_paths(
+                G, r0, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
             )
         assert "t=" in str(exc.value)
         assert "(t=0.0, state=0)" in str(exc.value)
@@ -302,8 +301,8 @@ class TestReplicateOnPath:
         r0 = RateMap(np.zeros(2))
         path = ChainPath(1, (0.5,), (0,), 2.0, 2)
         with pytest.raises(UnhedgeableBasisError) as exc:
-            replicate_on_path(
-                G, r0, path, 1.0, BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
+            replicate_paths(
+                G, r0, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
             )
         assert "(t=0.0, state=1)" in str(exc.value)
 
@@ -312,8 +311,8 @@ class TestReplicateOnPath:
         path = simulate_path(G, 0, 2.0, 3, r=r)
         for dt in (0.0, -1e-3, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="dt must be positive"):
-                replicate_on_path(
-                    G, r, path, 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), dt
+                replicate_paths(
+                    G, r, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), dt
                 )
 
 
@@ -341,9 +340,9 @@ class TestReducedBasis:
         rng = np.random.default_rng(4)
         for _ in range(3):
             path = simulate_path(G, 1, 2.2, rng, r=r)
-            rep = replicate_on_path(
-                G, r, path, 1.0, basis, payoff, 2.5e-4, jump_offsets=(-1, 1)
-            )
+            rep = replicate_paths(
+                G, r, [path], 1.0, basis, payoff, 2.5e-4, jump_offsets=(-1, 1)
+            )[0]
             assert rep.terminal_error < 3e-3
 
     def test_jump_outside_declared_structure_rejected(self):
@@ -355,7 +354,7 @@ class TestReducedBasis:
         payoff = ClaimPayoff(np.zeros(3), 1.0)
         path = ChainPath(0, (0.5,), (2,), 1.5, 3)
         with pytest.raises(ModelValidationError) as exc:
-            replicate_on_path(G, r, path, 1.0, basis, payoff, 0.01, jump_offsets=(-1, 1))
+            replicate_paths(G, r, [path], 1.0, basis, payoff, 0.01, jump_offsets=(-1, 1))
         assert "outside the declared jump structure" in str(exc.value)
 
 
@@ -370,7 +369,7 @@ class TestReplicatePaths:
         paths = [simulate_path(G, 1, 2.7, rng, r=r) for _ in range(12)]
         args = (1.0, BondBasis(basis), payoff, 1e-3, jump_offsets)
         batch = replicate_paths(G, r, paths, *args)
-        loop = [replicate_on_path(G, r, path, *args) for path in paths]
+        loop = [replicate_paths(G, r, [path], *args)[0] for path in paths]
         assert sum(rep.n_jumps for rep in loop) >= 8
         for b, one in zip(batch, loop, strict=True):
             assert (b.n_jumps, b.n_grid_points) == (one.n_jumps, one.n_grid_points)
@@ -389,7 +388,7 @@ class TestReplicatePaths:
         args = (1.0, BondBasis((1.5,)), ClaimPayoff(np.array([0.0, 0.0, 1.0]), 1.0), 0.01)
         with pytest.raises(UnhedgeableBasisError) as loop:
             for path in paths:
-                replicate_on_path(self.LUMPED, RateMap(np.zeros(3)), path, *args, (-1, 1))
+                replicate_paths(self.LUMPED, RateMap(np.zeros(3)), [path], *args, (-1, 1))
         with pytest.raises(UnhedgeableBasisError) as batch:
             replicate_paths(self.LUMPED, RateMap(np.zeros(3)), paths, *args, (-1, 1))
         assert str(batch.value) == str(loop.value)

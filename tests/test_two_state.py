@@ -11,18 +11,21 @@ from ctmc_rates import (
     bond_prices,
     perron_pair,
     recover_generator,
-    zero_yield,
 )
+from ctmc_rates.pricing import yield_curve
 from ctmc_rates.two_state import (
+    closed_form_log_bonds,
+    closed_form_yield,
+    limiting_yield,
+    yield_curve_rows,
+)
+
+from oracles import (
     closed_form_ad,
     closed_form_bonds,
     closed_form_hedge,
-    closed_form_log_bonds,
     closed_form_recovered_generator,
-    closed_form_yield,
     eigen_pairs,
-    limiting_yield,
-    yield_curve_rows,
 )
 
 GRID = [
@@ -217,6 +220,6 @@ class TestYieldCurveRows:
         G, rm = m.generator(), m.rate_map()
         rows = list(yield_curve_rows(m, 0.0, np.array([0.5, 1.0, 5.0])))
         for T, y0, y1, asym in rows:
-            assert y0 == pytest.approx(zero_yield(G, rm, 0.0, T, 0), rel=1e-12)
-            assert y1 == pytest.approx(zero_yield(G, rm, 0.0, T, 1), rel=1e-12)
+            assert y0 == pytest.approx(yield_curve(G, rm, 0.0, [T])[0, 0], rel=1e-12)
+            assert y1 == pytest.approx(yield_curve(G, rm, 0.0, [T])[0, 1], rel=1e-12)
             assert asym == pytest.approx(limiting_yield(m), rel=1e-15)
