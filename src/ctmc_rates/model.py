@@ -93,15 +93,16 @@ class ValidationReport:
 
 
 def _reaches_all(edges: np.ndarray) -> bool:
-    """Whether state 0 reaches every state along the boolean edges[i, j] = i->j."""
-    seen = np.zeros(len(edges), dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        new = np.flatnonzero(edges[stack.pop()] & ~seen)
-        seen[new] = True
-        stack.extend(new.tolist())
-    return bool(seen.all())
+    """Whether state 0 reaches every state along the boolean edges[i, j] = i->j,
+    breadth-first; a one-state frontier, as on a chain, reads its row as a view."""
+    unseen = np.ones(len(edges), dtype=bool)
+    unseen[0] = False
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reach = edges[frontier[0]] if frontier.size == 1 else edges[frontier].any(axis=0)
+        frontier = np.flatnonzero(reach & unseen)
+        unseen[frontier] = False
+    return not unseen.any()
 
 
 def is_irreducible(G: GeneratorMatrix) -> bool:
@@ -429,8 +430,12 @@ def _sample_chain(
                 states[jump_idx] = np.searchsorted(cum[cur[0]], u, side="right")
             else:  # one searchsorted per current state: memory stays linear in the paths
                 order = np.argsort(cur, kind="stable")
-                for group in np.split(order, np.flatnonzero(np.diff(cur[order])) + 1):
-                    states[jump_idx[group]] = np.searchsorted(cum[cur[group[0]]], u[group], side="right")
+                cur, u = cur[order], u[order]
+                cuts = [0, *(np.flatnonzero(np.diff(cur)) + 1).tolist(), cur.size]
+                nxt = np.empty_like(cur)
+                for a, b in zip(cuts[:-1], cuts[1:]):
+                    nxt[a:b] = np.searchsorted(cum[cur[a]], u[a:b], side="right")
+                states[jump_idx[order]] = nxt
             if record:
                 jumps.append((float(t_new[0]), int(states[0])))
         alive = jump_idx

@@ -46,13 +46,37 @@ def _parse_floats(path: str, lineno: int, text: str, what: str) -> list[float]:
     return values
 
 
+def _parse_generator(path: str, lineno: int, rows: list[tuple[int, str]], n: int) -> np.ndarray:
+    """The n x n generator from its (line number, text) rows. numpy's C reader
+    takes the whole block; it accepts a subset of float()'s syntax with equal
+    values, so on any failure the per-line parser reads it again to name the line."""
+    block = [t.replace(",", " ") for _, t in rows]
+    if len(rows) == n and all(map(str.strip, block)):  # loadtxt warns on a blank block
+        try:
+            G = np.loadtxt(block, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if G.shape == (n, n) and np.isfinite(G).all():
+                return G
+    values = []
+    for row_no, row_txt in rows:
+        row = _parse_floats(path, row_no, row_txt, "generator row")
+        if len(row) != n:
+            _fail(path, row_no, f"generator row has {len(row)} entries, expected {n}")
+        values.append(row)
+    if len(values) < n:
+        _fail(path, lineno, f"generator needs {n} rows, found {len(values)}")
+    return np.array(values)
+
+
 def parse_model_text(text: str, path: str = "<model>") -> ModelSpec:
     lines = text.splitlines()
     n = None
     labels = None
     key_line: dict[str, int] = {}
-    gen_rows: list[list[float]] = []
-    gen_row_lines: list[int] = []
+    gen = None
+    rows: list[tuple[int, str]] = []  # generator (line number, comment-stripped text)
     rates = None
 
     idx = 0
@@ -89,19 +113,12 @@ def parse_model_text(text: str, path: str = "<model>") -> ModelSpec:
                 _fail(path, lineno, "states must be declared before the generator")
             if value:
                 _fail(path, lineno, "generator rows belong on the following lines")
-            while len(gen_rows) < n and idx < len(lines):
-                row_no = idx + 1
+            while len(rows) < n and idx < len(lines):
                 row_txt = lines[idx].split("#", 1)[0].strip()
                 idx += 1
-                if not row_txt:
-                    continue
-                row = _parse_floats(path, row_no, row_txt, "generator row")
-                if len(row) != n:
-                    _fail(path, row_no, f"generator row has {len(row)} entries, expected {n}")
-                gen_rows.append(row)
-                gen_row_lines.append(row_no)
-            if len(gen_rows) < n:
-                _fail(path, lineno, f"generator needs {n} rows, found {len(gen_rows)}")
+                if row_txt:
+                    rows.append((idx, row_txt))
+            gen = _parse_generator(path, lineno, rows, n)
         elif key == "rates":
             rates = _parse_floats(path, lineno, value, "rates")
         else:
@@ -109,19 +126,19 @@ def parse_model_text(text: str, path: str = "<model>") -> ModelSpec:
 
     if n is None:
         _fail(path, 1, "missing 'states' entry")
-    if not gen_rows:
+    if gen is None:
         _fail(path, 1, "missing 'generator' entry")
     if rates is None:
         _fail(path, 1, "missing 'rates' entry")
     if len(rates) != n:
         _fail(path, key_line["rates"], f"{len(rates)} rates for {n} states")
 
-    G = GeneratorMatrix(np.array(gen_rows))
+    G = GeneratorMatrix(gen)
     r = RateMap(np.array(rates))
     report = validate_model(G, r)
     if not report.ok:
         raise ModelFileError("\n".join(
-            f"{path}:{gen_row_lines[p] if isinstance(p, int) else key_line[p]}: {v}"
+            f"{path}:{rows[p][0] if isinstance(p, int) else key_line[p]}: {v}"
             for v, p in zip(report.violations, report.parts)
         ))
     return ModelSpec(labels=labels or tuple(map(str, range(n))), generator=G, rates=r)

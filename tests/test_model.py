@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -154,6 +155,36 @@ class TestIrreducibility:
         np.fill_diagonal(edges, False)
         n_comp, _ = connected_components(csr_matrix(edges), directed=True, connection="strong")
         assert model_module.is_irreducible(GeneratorMatrix(Q)) == (n_comp == 1)
+
+    @pytest.mark.parametrize("kind", ["chain", "ring", "dense", "sparse"])
+    def test_large_patterns_match_strong_components(self, kind):
+        # up to 200 states, relabelled at random: long one-state frontiers
+        # (chains, one-way rings) and wide ones (dense and sparse patterns)
+        rng = np.random.default_rng(["chain", "ring", "dense", "sparse"].index(kind))
+        answers = set()
+        for _ in range(30):
+            n = int(rng.integers(2, 201))
+            if kind == "chain":
+                edges = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+                edges &= rng.random((n, n)) > 1.0 / n
+            elif kind == "ring":
+                edges = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+                edges[rng.integers(n), :] &= rng.random() < 0.5
+            elif kind == "dense":
+                edges = rng.random((n, n)) < 0.5
+                edges[:, rng.integers(n)] &= rng.random() < 0.5
+            else:
+                edges = rng.random((n, n)) < rng.uniform(0.5, 3.0) * np.log(n) / n
+            np.fill_diagonal(edges, False)
+            perm = rng.permutation(n)
+            edges = edges[np.ix_(perm, perm)]
+            Q = edges.astype(float)
+            np.fill_diagonal(Q, -Q.sum(axis=1))
+            n_comp, _ = connected_components(csr_matrix(edges), directed=True, connection="strong")
+            answer = model_module.is_irreducible(GeneratorMatrix(Q))
+            assert answer == (n_comp == 1), (kind, n)
+            answers.add(answer)
+        assert answers == {True, False}
 
     def test_cli_import_leaves_scipy_sparse_out(self):
         src = str(Path(ctmc_rates.__file__).resolve().parents[1])
@@ -345,6 +376,22 @@ class TestSimulation:
         assert np.bincount(states, minlength=n).min() > 0
         assert np.array_equal(states, ref_states)
         assert np.array_equal(integ, ref_integ)
+
+    def test_dense_chain_draw_is_pinned(self):
+        # most of the 60 states hold jumping paths in each round; the bytes
+        # were drawn by a loop that indexed each state's paths on their own
+        rng = np.random.default_rng(60)
+        n = 60
+        Q = rng.uniform(0.1, 1.0, (n, n))
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        rates = rng.uniform(0.0, 0.1, n)
+        states, integ = simulate_terminal(GeneratorMatrix(Q), RateMap(rates), 0, 3.0, 5_000, seed=2024)
+        assert np.bincount(states, minlength=n).min() > 0
+        assert hashlib.sha256(states.astype("<i8").tobytes()).hexdigest() == (
+            "33f48c83183621ed798095f9162f2a32bc3d8b7965cc4c4d221168fe7c503ff1")
+        assert hashlib.sha256(integ.astype("<f8").tobytes()).hexdigest() == (
+            "eec1e668c230cb5bf3d7cd06ad9ec4ab05fbf28eff81315af73106de4d49c99f")
 
     def test_initial_state_outside_space_rejected(self, two_state_example):
         _, G, r = two_state_example

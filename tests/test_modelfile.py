@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,3 +117,114 @@ def test_load_model_round_trip(tmp_path):
     p.write_text(GOOD)
     spec = load_model(str(p))
     assert spec.generator.n == 2
+
+
+def _block_model(n, rows=None):
+    """Model text on n states: a two-way ring with 0.25 on each edge, rows
+    replaced by `rows` (generator row index -> text), and a comment line and
+    a blank line before the block's sixth row."""
+    lines = ["states: %d" % n, "generator:"]
+    for i in range(n):
+        if i == 5:
+            lines.append("# the block may hold comments and blank lines")
+            lines.append("")
+        row = ["0"] * n
+        row[(i - 1) % n] = row[(i + 1) % n] = "0.25"
+        row[i] = "-0.5"
+        lines.append((rows or {}).get(i, " ".join(row)))
+    lines.append("rates: " + " ".join(["0.01"] * n))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_generator(text, n):
+    """The generator block read token by token with float(), or the error
+    message the per-line reader gives for its first bad row."""
+    lines = text.splitlines()
+    lineno = lines.index("generator:") + 1
+    rows = []
+    while len(rows) < n:
+        lineno += 1
+        row_txt = lines[lineno - 1].split("#", 1)[0].strip()
+        if not row_txt:
+            continue
+        try:
+            row = [float(tok) for tok in row_txt.replace(",", " ").split()]
+        except ValueError:
+            return f"m.txt:{lineno}: could not parse generator row: {row_txt!r}"
+        if not all(map(math.isfinite, row)):
+            return f"m.txt:{lineno}: generator row must be finite: {row_txt!r}"
+        if len(row) != n:
+            return f"m.txt:{lineno}: generator row has {len(row)} entries, expected {n}"
+        rows.append(row)
+    return np.array(rows)
+
+
+# tokens where a C number reader and float() may part ways
+EDGE_TOKENS = ["1_000", "١٢", "１", "Infinity", "nan", "1e400", "1e-400", "-0.0",
+               "4.9e-324", "0x10", "1d5", "1.2.3"]
+
+
+@pytest.mark.parametrize("sep", [",", "\t", "\xa0", "\x0b"])
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_block_reader_matches_per_token_float(token, sep):
+    n, k = 64, 17
+    try:
+        value = float(token)
+    except ValueError:
+        value = 0.0
+    rows = {}
+    for i in range(n):
+        row = ["0"] * n
+        row[(i - 1) % n] = row[(i + 1) % n] = "0.25"
+        if i == k:
+            row[i + 2] = token
+        row[i] = repr(-(0.5 + value)) if i == k else "-0.5"
+        rows[i] = sep.join(row) + (" # trailing note" if i % 7 == 0 else "")
+    text = _block_model(n, rows)
+    expected = _reference_generator(text, n)
+    if isinstance(expected, str):
+        with pytest.raises(ModelFileError) as exc:
+            parse_model_text(text, path="m.txt")
+        assert str(exc.value) == expected
+    else:
+        got = parse_model_text(text, path="m.txt").generator.entries
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_generator_error_comes_before_a_later_bad_key():
+    def with_bad_key(text):
+        lines = text.splitlines()
+        lines.insert(104, "bogus: 1")
+        return "\n".join(lines) + "\n"
+
+    text = with_bad_key(_block_model(100, {35: "0.25 -0.5 1.2.3" + " 0" * 97}))
+    assert text.splitlines()[39].startswith("0.25 -0.5 1.2.3")
+    assert text.splitlines()[104] == "bogus: 1"
+    with pytest.raises(ModelFileError, match=r"^m.txt:40: could not parse generator row: '0.25 -0.5 1.2.3"):
+        parse_model_text(text, path="m.txt")
+    with pytest.raises(ModelFileError, match=r"^m.txt:105: unknown key 'bogus'$"):
+        parse_model_text(with_bad_key(_block_model(100)), path="m.txt")
+
+
+@pytest.mark.parametrize("row, text, match", [
+    (72, "0 0.25 -0.5", r"^m.txt:77: generator row has 3 entries, expected 100$"),
+    (53, "inf" + " 0" * 99, r"^m.txt:58: generator row must be finite: 'inf 0 0"),
+    (0, "-0.5 0.25" + " 0" * 97 + " 0.25 0", r"^m.txt:3: generator row has 101 entries, expected 100$"),
+])
+def test_bad_row_in_a_large_block_names_its_line(row, text, match):
+    with pytest.raises(ModelFileError, match=match):
+        parse_model_text(_block_model(100, {row: text}), path="m.txt")
+
+
+def test_short_block_names_the_generator_line():
+    text = "\n".join(_block_model(100).splitlines()[:-2])  # no last row, no rates
+    with pytest.raises(ModelFileError, match=r"^m.txt:2: generator needs 100 rows, found 99$"):
+        parse_model_text(text, path="m.txt")
+
+
+def test_block_of_separators_only_is_a_model_file_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's reader warns on a block with no data
+        with pytest.raises(ModelFileError, match=r"^m.txt:3: generator row has 0 entries, expected 1$"):
+            parse_model_text("states: 1\ngenerator:\n, ,\nrates: 0\n", path="m.txt")
