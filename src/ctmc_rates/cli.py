@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -18,10 +19,6 @@ from .errors import CtmcRatesError
 from .model import RNG_ALGORITHM, simulate_path, simulate_terminal
 from .modelfile import load_model
 from .pricing import ClaimPayoff, mean_and_se
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,11 +30,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_output(args, header: list[str], rows, params: dict, seed=None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write_output(args, header: list[str], columns, params: dict, seed=None) -> None:
+    # equal-length columns, numeric ones as %.17g; one row template formats all cells in C
+    arrays = [np.asarray(c) for c in columns]
+    row = ",".join("%.17g" if a.dtype.kind in "biuf" else "%s" for a in arrays) + "\n"
+    cells = zip(*(a.tolist() if a.dtype.kind in "biuf" else c for a, c in zip(arrays, columns)))
+    text = ",".join(header) + "\n" + (row * len(arrays[0])) % tuple(chain.from_iterable(cells))
     out = getattr(args, "output", None)
     if out:
         # imported here: only a manifest needs them, and every command would
@@ -85,7 +83,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if step <= 0 or stop < start:
         raise CtmcRatesError(f"empty or invalid grid {spec!r}")
     grid = np.arange(start, stop + 0.5 * step, step)
-    grid = grid[grid <= stop + 1e-12]
+    # arange's point k, start + k*((start + step) - start), carries k roundings of start
+    grid = grid[grid <= stop + 3 * np.finfo(float).eps * (grid.size * abs(start) + abs(stop))]
     if grid.size == 0:
         raise CtmcRatesError(f"grid {spec!r} contains no points")
     return grid
@@ -117,8 +116,7 @@ def cmd_price(args) -> int:
     else:
         pv = pricing.bond_prices(G, r, t, T)
         kind = "bond"
-    rows = list(zip(spec.labels, pv))
-    _write_output(args, ["state", f"{kind}_price"], rows,
+    _write_output(args, ["state", f"{kind}_price"], [spec.labels, pv],
                   {"t": t, "T": T, "Tb": args.Tb})
     return 0
 
@@ -137,13 +135,8 @@ def cmd_yield_curve(args) -> int:
         asym = -rho if rho else 0.0  # 0, not -0, at zero rates
         header.append("asymptote")
     Y = pricing.yield_curve(G, r, args.t, grid)
-    rows = []
-    for T, y in zip(grid, Y):
-        row = [float(T)] + [float(v) for v in y]
-        if asym is not None:
-            row.append(asym)
-        rows.append(row)
-    _write_output(args, header, rows, {"t": args.t, "T_grid": args.T_grid})
+    columns = [grid, *Y.T] + ([np.full(grid.size, asym)] if asym is not None else [])
+    _write_output(args, header, columns, {"t": args.t, "T_grid": args.T_grid})
     return 0
 
 
@@ -159,19 +152,13 @@ def cmd_hedge(args) -> int:
         raise CtmcRatesError("hedge grid has no times at or before T")
     header = (
         ["time", "state"]
-        + [f"position_T{_fmt(Tm)}" for Tm in basis.maturities]
+        + ["position_T%.17g" % Tm for Tm in basis.maturities]
         + ["money_market_residual"]
     )
     D, residual = plan.schedule(grid)
-    rows = []
-    for m, t in enumerate(grid):
-        for i in range(G.n):
-            rows.append(
-                [float(t), spec.labels[i]]
-                + [float(d) for d in D[m, i]]
-                + [float(residual[m, i])]
-            )
-    _write_output(args, header, rows,
+    columns = [np.repeat(grid, G.n), spec.labels * grid.size,
+               *D.reshape(-1, D.shape[2]).T, residual.ravel()]
+    _write_output(args, header, columns,
                   {"T": args.T, "basis": args.basis, "payoff": args.payoff,
                    "t_grid": args.t_grid})
     return 0
@@ -216,17 +203,18 @@ def cmd_simulate(args) -> int:
         G_sim, r, args.initial, args.horizon, args.N, args.seed
     )
     counts = np.bincount(states, minlength=G.n)
+    # the value column mixes a count, a word and floats, so it is text
     rows = [
-        ["n_paths", "", args.N],
+        ["n_paths", "", "%.17g" % args.N],
         ["measure", "", args.measure],
     ]
     for i in range(G.n):
-        rows.append(["occupancy_at_horizon", spec.labels[i], counts[i] / args.N])
+        rows.append(["occupancy_at_horizon", spec.labels[i], "%.17g" % (counts[i] / args.N)])
     for name, samples in (("integrated_rate", integ), ("discount_factor", np.exp(-integ))):
         mean, se = mean_and_se(samples)
-        rows += [[f"mean_{name}", "", mean], [f"se_{name}", "", se]]
+        rows += [[f"mean_{name}", "", "%.17g" % mean], [f"se_{name}", "", "%.17g" % se]]
     _write_output(
-        args, ["statistic", "state", "value"], rows,
+        args, ["statistic", "state", "value"], list(zip(*rows)),
         {"measure": args.measure, "N": args.N, "horizon": args.horizon,
          "initial": args.initial},
         seed=args.seed,
@@ -248,8 +236,8 @@ def cmd_replicate(args) -> int:
     _write_output(
         args,
         ["path", "n_jumps", "terminal_error", "max_tracking_error"],
-        [[p, rep.n_jumps, rep.terminal_error, rep.max_tracking_error]
-         for p, rep in enumerate(reports)],
+        list(zip(*[[p, rep.n_jumps, rep.terminal_error, rep.max_tracking_error]
+                   for p, rep in enumerate(reports)])),
         {"T": args.T, "basis": args.basis, "payoff": args.payoff, "dt": args.dt,
          "N": args.N, "initial": args.initial},
         seed=args.seed,
@@ -263,7 +251,7 @@ def cmd_demo(args) -> int:
     grid = grid[grid > 0]
     rows = list(two_state.yield_curve_rows(m, 0.0, grid))
     _write_output(
-        args, ["T", "yield_state0", "yield_state1", "asymptote"], rows,
+        args, ["T", "yield_state0", "yield_state1", "asymptote"], np.reshape(rows, (-1, 4)).T,
         {"lam": args.lam, "rate": args.rate, "T_grid": args.T_grid},
     )
     return 0

@@ -284,8 +284,11 @@ def propagate(
     (len(taus), m): column j of e^{taus[k] M} V is
     scaled[k, :, j] * exp(log_scale[k, j]). The taus may be unsorted and
     repeated; they are visited in increasing order, each reached from the
-    previous one by the propagator of the step between them, so the cost is
-    one matrix_exponential per distinct step length. When e^{-tau max r}
+    time reached before it. A cached e^{h M} is reused when it lands within
+    eps * tau of tau, the rounding tau already carries (the time actually
+    reached is kept, so the error never accumulates); other steps get a fresh
+    matrix_exponential. So the cost is one per step length, not one per ulp
+    of the gaps np.arange leaves. When e^{-tau max r}
     could underflow, steps longer than the headroom are split and each column
     is rescaled by a power of two after every step, which keeps log B finite
     at any maturity; otherwise log_scale is 0 and scaled is the plain product.
@@ -306,24 +309,33 @@ def propagate(
     longest = _LOG_HEADROOM / rate_max if rescale else np.inf
 
     steps: dict[float, np.ndarray] = {}
+    lengths: list[float] = []  # the keys of steps, sorted
+    eps = float(np.finfo(float).eps)
     scaled = np.empty((taus.size, G.n, V.shape[1]))
     exponent = np.zeros((taus.size, V.shape[1]), dtype=np.int64)
     cur, cur_exp, prev = V, np.zeros(V.shape[1], dtype=np.int64), 0.0
     order = np.argsort(taus, kind="stable")
     for k, tau in zip(order.tolist(), taus[order].tolist()):
+        tol = eps * tau
         gap = tau - prev
-        if gap > 0:
-            pieces = max(1, int(np.ceil(gap / longest)))
+        if gap > tol:
+            pieces = max(1, math.ceil(gap / longest))
             h = gap / pieces
             if h not in steps:
-                steps[h] = matrix_exponential(h * M)
+                i = bisect.bisect_left(lengths, h)
+                near = min(lengths[max(i - 1, 0):i + 1], key=lambda s: abs(s - h), default=math.inf)
+                if abs(prev + pieces * near - tau) > tol:
+                    near = h
+                    steps[h] = matrix_exponential(h * M)
+                    lengths.insert(i, h)
+                h = near
             for _ in range(pieces):
                 cur = steps[h] @ cur
                 if rescale:
                     _, e = np.frexp(np.abs(cur).max(axis=0))
                     cur = np.ldexp(cur, -e)
                     cur_exp = cur_exp + e
-            prev = tau
+            prev += pieces * h
         scaled[k] = cur
         exponent[k] = cur_exp
     return scaled, exponent * np.log(2.0)

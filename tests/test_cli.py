@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ctmc_rates
-from ctmc_rates.cli import main
+from ctmc_rates.cli import _parse_grid, _write_output, main
 
 TWO_STATE = """\
 states: 2
@@ -164,6 +164,67 @@ class TestYieldCurve:
         assert err == "error: grid '1:inf:1' needs a finite start, stop and step\n"
 
 
+def per_cell_csv(header, rows):
+    """The per-cell rule the writer replaced: ints and floats %.17g, else str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            format(float(v), ".17g") if isinstance(v, (int, float, np.floating)) else str(v)
+            for v in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriter:
+    ROWS = [
+        ['lo"w', np.inf, 0, 1.0, np.int64(7)],
+        ["h\u00e9", -np.inf, 12, np.float64(0.1), -3],
+        ["a,b", np.nan, np.int32(-5), -0.0, 0],
+        ["\u72b6\u614b", 5e-324, 2**53 + 1, np.float64(1e16), np.int64(10**16)],
+        ["", 1e-5, True, np.float32(0.1), 1],
+    ]
+
+    def write(self, capsys, header, columns):
+        _write_output(types.SimpleNamespace(output=None), header, columns, {})
+        return capsys.readouterr().out
+
+    def test_matches_the_per_cell_rule(self, capsys):
+        header = ["label", "x", "int", "mixed", "npint"]
+        columns = list(zip(*self.ROWS))
+        assert self.write(capsys, header, columns) == per_cell_csv(header, self.ROWS)
+        arrays = [np.array(c, dtype=object if j == 0 else None) for j, c in enumerate(columns)]
+        assert self.write(capsys, header, arrays) == per_cell_csv(header, self.ROWS)
+
+    def test_numeric_arrays_and_empty_table(self, capsys):
+        x = np.array([np.pi, -1e300, 2.5e-310, 123456789.123456789])
+        out = self.write(capsys, ["a", "b"], [x, np.arange(4)])
+        assert out == per_cell_csv(["a", "b"], zip(x.tolist(), range(4)))
+        assert self.write(capsys, ["a", "b"], [np.zeros(0), ()]) == "a,b\n"
+
+
+class TestGrid:
+    def test_long_grid_keeps_its_endpoint(self):
+        # arange overshoots 100000 by one ulp (1.5e-11)
+        grid = _parse_grid("0.1:100000:0.1")
+        assert grid.size == 10**6 and grid[-1] >= 100000.0
+
+    def test_endpoint_carried_past_eps_stop_is_kept(self):
+        # arange lands 3 ulps of 0.175 past 0.175 (more than eps * 0.175), and
+        # 3.6e-11 past 998.854: its step carries a rounding error of 782.56
+        assert _parse_grid("0.1:0.175:0.005").size == 16
+        assert _parse_grid("782.56:998.854:0.3055").size == 709
+
+    def test_point_past_stop_is_dropped(self):
+        assert np.array_equal(_parse_grid("0:1.19:0.4"), [0.0, 0.4, 0.8])
+        assert _parse_grid("0:0.99999999:0.1").size == 10
+
+    @pytest.mark.parametrize("spec", ["0.1:10:0.1", "0:1:0.005", "0.1:50:0.1", "1:3:1", "2500:2700:100"])
+    def test_usual_grids_are_unchanged(self, spec):
+        start, stop, step = (float(p) for p in spec.split(":"))
+        grid = np.arange(start, stop + 0.5 * step, step)
+        assert np.array_equal(_parse_grid(spec), grid[grid <= stop + 1e-12])
+
+
 class TestRecover:
     def test_report(self, capsys, model_file):
         code, out, _ = run(capsys, "recover", model_file)
@@ -211,8 +272,8 @@ class TestSimulate:
                 "--seed", "42", "--output", out_file,
             )
             assert code == 0
-        assert open(a).read() == open(b).read()
-        manifest = json.loads(open(a + ".manifest.json").read())
+        assert Path(a).read_text() == Path(b).read_text()
+        manifest = json.loads(Path(a + ".manifest.json").read_text())
         assert manifest["seed"] == 42
         assert manifest["rng"] == "numpy-pcg64"
         assert manifest["model_sha256"]
@@ -398,8 +459,8 @@ class TestStartup:
         out_file = str(tmp_path / "curve.csv")
         code, _, _ = run(capsys, "yield-curve", model_file, "--T-grid", "1:3:1", "--output", out_file)
         assert code == 0
-        text = open(out_file, encoding="utf-8").read()
-        manifest = json.loads(open(out_file + ".manifest.json", encoding="utf-8").read())
+        text = Path(out_file).read_text(encoding="utf-8")
+        manifest = json.loads(Path(out_file + ".manifest.json").read_text(encoding="utf-8"))
         assert list(manifest) == [
             "model", "model_sha256", "command", "parameters", "seed", "rng",
             "tool_version", "created_at", "output", "output_sha256",
@@ -410,7 +471,7 @@ class TestStartup:
             tool_version = "0.1.0+src"
         assert manifest["tool_version"] == tool_version
         assert manifest["model"] == model_file
-        assert manifest["model_sha256"] == hashlib.sha256(open(model_file, "rb").read()).hexdigest()
+        assert manifest["model_sha256"] == hashlib.sha256(Path(model_file).read_bytes()).hexdigest()
         assert manifest["command"] == "yield-curve"
         assert manifest["seed"] is None and manifest["rng"] is None
         assert manifest["output"] == out_file

@@ -125,6 +125,29 @@ def test_one_matrix_exponential_per_distinct_step(monkeypatch):
     assert not np.any(log_scale)
 
 
+def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch):
+    # a 50-state birth-death chain on the 100-point maturity grid np.arange
+    # makes: its gaps are 0.1 only up to a few ulps of tau
+    rng = np.random.default_rng(11)
+    up, down = rng.uniform(0.5, 2.0, 49), rng.uniform(0.5, 2.0, 49)
+    entries = np.diag(up, 1) + np.diag(down, -1)
+    G = GeneratorMatrix(entries - np.diag(entries.sum(axis=1)))
+    r = RateMap(np.linspace(0.0, 0.2, 50))
+    taus = np.arange(0.1, 10.05, 0.1)
+    assert taus.size == 100 and len(set(np.diff(taus).tolist())) > 3
+    calls = []
+    monkeypatch.setattr(
+        model_module, "matrix_exponential", lambda M: calls.append(M) or matrix_exponential(M)
+    )
+    V = np.ones((50, 2))
+    V[0, 1] = 5.0
+    out = values(*propagate(G, r, taus, V))
+    assert len(calls) <= 3
+    M = G.entries - r.diagonal
+    for k, tau in enumerate(taus):
+        assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
+
+
 def test_rejects_bad_input():
     G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     r = RateMap(np.array([0.0, 0.1]))
