@@ -46,25 +46,25 @@ def main(argv=None):
     print("model,n,rho,mean_Z,se_Z,tipk_err_in_se")
     for k in range(args.n_models):
         G, r = random_model(rng)
-        pair = perron_pair(G, r)
-        G_p = recover_generator(pair, G)
+        rho, pi = perron_pair(G, r)
+        G_p = recover_generator(G, pi)
 
         states, integ = simulate_terminal(
             G, r, 0, args.T, args.n_paths, seed=rng.integers(2**31)
         )
         mean_Z, se_Z = mean_and_se(
-            np.exp(-integ - pair.rho * args.T) * pair.pi[states] / pair.pi[0]
+            np.exp(-integ - rho * args.T) * pi[states] / pi[0]
         )
 
         phi = rng.uniform(0.0, 2.0, size=G.n)
         payoff = ClaimPayoff(phi, args.T)
         analytic = price_claim(G, r, payoff, 0.0)[0]
         est, se_p = tipk_price(
-            pair, G_p, payoff, 0.0, args.T, 0, args.n_paths,
+            rho, pi, G_p, payoff, 0.0, args.T, 0, args.n_paths,
             seed=rng.integers(2**31),
         )
         print(
-            f"{k},{G.n},{pair.rho:.6f},{mean_Z:.6f},{se_Z:.2e},"
+            f"{k},{G.n},{rho:.6f},{mean_Z:.6f},{se_Z:.2e},"
             f"{abs(est - analytic) / se_p:.2f}"
         )
 

@@ -11,7 +11,6 @@ from .model import (
     ChainPath,
     GeneratorMatrix,
     RateMap,
-    ValidationReport,
     matrix_exponential,
     simulate_path,
     simulate_terminal,
@@ -19,7 +18,6 @@ from .model import (
     validate_model,
 )
 from .modelfile import ModelSpec, load_model, parse_model_text
-from .policy import DEFAULT_POLICY, NumericPolicy
 from .pricing import (
     ClaimPayoff,
     arrow_debreu,
@@ -31,12 +29,7 @@ from .pricing import (
     price_claim,
     price_forward_rate_option,
 )
-from .recovery import (
-    PerronPair,
-    perron_pair,
-    recover_generator,
-    tipk_price,
-)
+from .recovery import perron_pair, recover_generator, tipk_price
 from .replication import (
     BondBasis,
     HedgePlan,

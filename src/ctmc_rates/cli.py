@@ -175,11 +175,11 @@ def _json_list(items, depth: int) -> str:
 def cmd_recover(args) -> int:
     spec = load_model(args.model)
     G, r = spec.generator, spec.rates
-    pair = recovery.perron_pair(G, r)
-    rec = recovery.recover_generator(pair, G)
+    rho, pi = recovery.perron_pair(G, r)
+    rec = recovery.recover_generator(G, pi)
     report = {
-        "rho": json.dumps(pair.rho),
-        "pi": _json_list(pair.pi, 1),
+        "rho": json.dumps(rho),
+        "pi": _json_list(pi, 1),
         "generator_p": _json_list([_json_list(row, 2) for row in rec.entries], 1),
         "states": _json_list([json.dumps(name) for name in spec.labels], 1),
         "validation": json.dumps("ok"),
@@ -195,8 +195,7 @@ def cmd_simulate(args) -> int:
     if args.N < 1:
         raise CtmcRatesError(f"need at least one path, got N={args.N}")
     if args.measure == "p":
-        pair = recovery.perron_pair(G, r)
-        G_sim = recovery.recover_generator(pair, G)
+        G_sim = recovery.recover_generator(G, recovery.perron_pair(G, r)[1])
     else:
         G_sim = G
     states, integ = simulate_terminal(

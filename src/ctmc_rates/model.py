@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelValidationError
-from .policy import DEFAULT_POLICY
 
 # identifier recorded in run manifests; all randomness flows through
 # numpy.random.default_rng (PCG64)
 RNG_ALGORITHM = "numpy-pcg64"
+# generator row sums: |sum| <= ROW_SUM_TOL * max(1, max|entry|)
+ROW_SUM_TOL = 1e-12
+# an off-diagonal entry counts as an edge of the transition graph iff > SUPPORT_EPS
+SUPPORT_EPS = 1e-14
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -76,22 +79,6 @@ class RateMap:
         return np.diag(self.rates)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Violated invariants and, for each, the part of the model it concerns:
-    a generator row index, "generator" for the matrix as a whole or "rates"."""
-
-    violations: tuple[str, ...] = ()
-    parts: tuple[int | str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "valid model" if self.ok else "; ".join(self.violations)
-
-
 def _reaches_all(edges: np.ndarray) -> bool:
     """Whether state 0 reaches every state along the boolean edges[i, j] = i->j,
     breadth-first; a one-state frontier, as on a chain, reads its row as a view."""
@@ -106,14 +93,16 @@ def _reaches_all(edges: np.ndarray) -> bool:
 
 
 def is_irreducible(G: GeneratorMatrix) -> bool:
-    """Strong connectivity of the graph with an edge i->j iff g_ij > support_eps:
+    """Strong connectivity of the graph with an edge i->j iff g_ij > SUPPORT_EPS:
     state 0 reaches every state along the edges and against them."""
-    support = G.entries > DEFAULT_POLICY.support_eps
+    support = G.entries > SUPPORT_EPS
     return G.n > 0 and _reaches_all(support) and _reaches_all(support.T)
 
 
-def validate_model(G: GeneratorMatrix, r: RateMap) -> ValidationReport:
-    """Collect every violated model invariant; an empty report means admissible.
+def validate_model(G: GeneratorMatrix, r: RateMap) -> tuple[tuple[str, int | str], ...]:
+    """Every violated model invariant as a (violation, part) pair, where the
+    part is a generator row index, "generator" for the matrix as a whole or
+    "rates"; no pairs means admissible.
 
     Dimension mismatches are hard errors (there is no sensible partial report
     for them); everything else is accumulated. The generator checks depend on
@@ -128,7 +117,7 @@ def validate_model(G: GeneratorMatrix, r: RateMap) -> ValidationReport:
         Q = G.entries
         scale = max(1.0, float(np.max(np.abs(Q)))) if Q.size else 1.0
         row_sums = Q.sum(axis=1)
-        for i in np.flatnonzero(np.abs(row_sums) > DEFAULT_POLICY.row_sum_tol * scale):
+        for i in np.flatnonzero(np.abs(row_sums) > ROW_SUM_TOL * scale):
             bad.append((f"generator row {i} sums to {row_sums[i]:.3e}, not 0", int(i)))
         off = Q - np.diag(np.diag(Q))
         for i, j in zip(*np.nonzero(off < 0)):
@@ -141,13 +130,13 @@ def validate_model(G: GeneratorMatrix, r: RateMap) -> ValidationReport:
             object.__setattr__(G, "_passed", True)
     for i in np.flatnonzero(r.rates < 0):
         bad.append((f"rate for state {i} is negative: {r.rates[i]:.3e}", "rates"))
-    return ValidationReport(tuple(v for v, _ in bad), tuple(p for _, p in bad))
+    return tuple(bad)
 
 
 def require_valid_model(G: GeneratorMatrix, r: RateMap) -> None:
-    report = validate_model(G, r)
-    if not report.ok:
-        raise ModelValidationError(str(report))
+    bad = validate_model(G, r)
+    if bad:
+        raise ModelValidationError("; ".join(v for v, _ in bad))
 
 
 # Scaling and squaring with Pade degrees m = 3, 5, 7, 9, 13 (Al-Mohy & Higham,
@@ -348,6 +337,12 @@ def transition_matrix(G: GeneratorMatrix, t: float) -> np.ndarray:
     return matrix_exponential(t * G.entries)
 
 
+def _check_horizon(horizon: float) -> None:
+    # an infinite horizon would never end the event loop; nan would end it at once
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive" if horizon <= 0 else f"horizon must be finite, got {horizon}")
+
+
 @dataclass(frozen=True)
 class ChainPath:
     """A realized trajectory: initial state, jump times and post-jump states."""
@@ -361,8 +356,7 @@ class ChainPath:
     def __post_init__(self):
         if len(self.jump_times) != len(self.post_jump_states):
             raise ValueError("jump_times and post_jump_states must have equal length")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _check_horizon(self.horizon)
         prev_t = 0.0
         prev_s = self.initial_state
         for t, s in zip(self.jump_times, self.post_jump_states):
@@ -407,8 +401,7 @@ def _sample_chain(
     exact integrals of `rates` along the paths and, with `record` and one
     path, its (jump time, new state) pairs.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     if not (0 <= initial < G.n):
         raise ValueError(f"initial state {initial} outside state space")
     states = np.full(n_paths, initial, dtype=np.int64)

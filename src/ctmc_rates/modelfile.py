@@ -135,11 +135,10 @@ def parse_model_text(text: str, path: str = "<model>") -> ModelSpec:
 
     G = GeneratorMatrix(gen)
     r = RateMap(np.array(rates))
-    report = validate_model(G, r)
-    if not report.ok:
+    bad = validate_model(G, r)
+    if bad:
         raise ModelFileError("\n".join(
-            f"{path}:{rows[p][0] if isinstance(p, int) else key_line[p]}: {v}"
-            for v, p in zip(report.violations, report.parts)
+            f"{path}:{rows[p][0] if isinstance(p, int) else key_line[p]}: {v}" for v, p in bad
         ))
     return ModelSpec(labels=labels or tuple(map(str, range(n))), generator=G, rates=r)
 

@@ -74,6 +74,8 @@ def forward_rate(
     """Simple forward rate locked at t for the accrual period [T, Tb]."""
     if Tb <= T:
         raise ValueError(f"need T < Tb, got T={T}, Tb={Tb}")
+    if not 0 <= i < G.n:
+        raise ValueError(f"state {i} outside state space")
     log_B = _log_bonds(G, r, t, np.array([T, Tb], dtype=float))[:, i]
     return float(np.expm1(log_B[0] - log_B[1]) / (Tb - T))
 

@@ -7,8 +7,6 @@ chain's generator under the real-world measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -20,19 +18,12 @@ from .model import (
     simulate_terminal,
     validate_model,
 )
-from .policy import DEFAULT_POLICY
 from .pricing import ClaimPayoff, mean_and_se
 
 # panel width of _gth_lu; unshifted and total steps of _perron; a closed bracket's width
 _PANEL, _CHEAP_STEPS, _MAX_STEPS, _CLOSED = 64, 64, 96, 4 * float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class PerronPair:
-    """Maximal-real-part eigenvalue of G - R and its positive unit eigenvector."""
-
-    rho: float
-    pi: np.ndarray
+# |(G-R)pi - rho pi| for the Perron pair
+EIGEN_RESIDUAL_TOL = 1e-10
 
 
 def _gth_lu(N: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -169,38 +160,39 @@ def dominant_eigenpair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarra
         return 0.0, np.full(G.n, 1.0 / np.sqrt(G.n))
     # underflow from tiny valid data (a 1e-311 rate) is no error; _perron checks pi
     with np.errstate(all="raise", under="ignore"):
-        return _perron(G.entries, r.rates, DEFAULT_POLICY.eigen_residual_tol)
+        return _perron(G.entries, r.rates, EIGEN_RESIDUAL_TOL)
 
 
-def perron_pair(G: GeneratorMatrix, r: RateMap) -> PerronPair:
-    """Perron eigenpair, gated on the recovery hypothesis rho < 0, i.e. r not identically 0."""
+def perron_pair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
+    """Perron eigenpair (rho, pi) with pi read-only, gated on the recovery
+    hypothesis rho < 0, i.e. r not identically 0."""
     rho, pi = dominant_eigenpair(G, r)
     if rho == 0.0:
         raise RecoveryHypothesisError("recovery hypothesis violated: rho = 0 (the short rate is identically 0)")
     resid = np.linalg.norm((G.entries - r.diagonal) @ pi - rho * pi)
-    if resid > DEFAULT_POLICY.eigen_residual_tol:
+    if resid > EIGEN_RESIDUAL_TOL:
         raise ModelValidationError(f"Perron eigen-residual too large: {resid:.3e}")
     pi.setflags(write=False)
-    return PerronPair(rho=rho, pi=pi)
+    return rho, pi
 
 
-def recover_generator(pair: PerronPair, G: GeneratorMatrix) -> GeneratorMatrix:
+def recover_generator(G: GeneratorMatrix, pi: np.ndarray) -> GeneratorMatrix:
     """Real-world generator G^pi: off-diagonals pi(j)/pi(i) g_ij, diagonals rebalanced."""
-    pi = pair.pi
     if pi.shape[0] != G.n:
         raise ModelValidationError("eigenvector length does not match state count")
     Gp = (pi[None, :] / pi[:, None]) * G.entries
     np.fill_diagonal(Gp, 0.0)
     np.fill_diagonal(Gp, -Gp.sum(axis=1))
     G_p = GeneratorMatrix(Gp)
-    report = validate_model(G_p, RateMap(np.zeros(G.n)))
-    if not report.ok:
-        raise ModelValidationError(f"recovered generator inadmissible: {report}")
+    bad = validate_model(G_p, RateMap(np.zeros(G.n)))
+    if bad:
+        raise ModelValidationError(f"recovered generator inadmissible: {'; '.join(v for v, _ in bad)}")
     return G_p
 
 
 def tipk_price(
-    pair: PerronPair,
+    rho: float,
+    pi: np.ndarray,
     G_p: GeneratorMatrix,
     payoff: ClaimPayoff,
     t: float,
@@ -218,10 +210,10 @@ def tipk_price(
         raise ValueError("n_paths must be >= 1")
     if t > T:
         raise ValueError(f"valuation time {t} after maturity {T}")
+    if not 0 <= i < G_p.n:
+        raise ValueError(f"initial state {i} outside state space")
     if t == T:
         return float(payoff.values[i]), 0.0
     zero_rates = RateMap(np.zeros(G_p.n))
     states, _ = simulate_terminal(G_p, zero_rates, i, T - t, n_paths, seed)
-    return mean_and_se(
-        pair.pi[i] * np.exp(pair.rho * (T - t)) * payoff.values[states] / pair.pi[states]
-    )
+    return mean_and_se(pi[i] * np.exp(rho * (T - t)) * payoff.values[states] / pi[states])

@@ -14,8 +14,14 @@ import numpy as np
 
 from .errors import ModelValidationError, UnhedgeableBasisError
 from .model import ChainPath, GeneratorMatrix, RateMap, propagate
-from .policy import DEFAULT_POLICY
 from .pricing import ClaimPayoff
+
+# hedge solve residual: <= HEDGE_RESIDUAL_TOL * (1 + |rhs|)
+HEDGE_RESIDUAL_TOL = 1e-10
+# a claim needs no bonds iff its jump exposure is <= EXPOSURE_CUTOFF * max|claim|
+EXPOSURE_CUTOFF = 1e-13
+# condition-number bound beyond which a bond basis is declared unhedgeable
+CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,8 @@ class BondBasis:
 
     def __post_init__(self):
         ms = tuple(float(m) for m in self.maturities)
+        if not np.all(np.isfinite(ms)):
+            raise ModelValidationError(f"basis maturities must be finite: {ms}")
         if len(set(ms)) != len(ms):
             raise ModelValidationError(f"basis maturities must be distinct: {ms}")
         object.__setattr__(self, "maturities", ms)
@@ -118,7 +126,7 @@ def _hedge(
         # move" is judged against the claim's own size, so scaling the payoff
         # scales the positions
         scale = np.abs(P[rows, :, 0]).max(axis=1)
-        live = np.linalg.norm(jumps[..., 0], axis=1) > DEFAULT_POLICY.exposure_cutoff * scale
+        live = np.linalg.norm(jumps[..., 0], axis=1) > EXPOSURE_CUTOFF * scale
         pick, jumps = pick[live], jumps[live]
         E, dU = jumps[..., 1:], jumps[..., 0]
         if len(others) == K:
@@ -127,7 +135,7 @@ def _hedge(
             # singular value is below the noise floor of O(1) bond prices
             sv = np.linalg.svd(E, compute_uv=False)
             smax, smin = sv.max(axis=1), sv.min(axis=1)
-            ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / DEFAULT_POLICY.condition_limit)
+            ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / CONDITION_LIMIT)
             if not ok.all():
                 i = int(np.argmin(ok))
                 cond = np.inf if smin[i] == 0.0 else smax[i] / smin[i]
@@ -142,7 +150,7 @@ def _hedge(
             rcond = np.finfo(float).eps * max(E.shape[1:])
             D[pick] = (np.linalg.pinv(E, rcond=rcond) @ dU[..., None])[..., 0]
         resid = np.linalg.norm((E @ D[pick][..., None])[..., 0] - dU, axis=1)
-        bad = resid > DEFAULT_POLICY.hedge_residual_tol * (1.0 + np.linalg.norm(dU, axis=1))
+        bad = resid > HEDGE_RESIDUAL_TOL * (1.0 + np.linalg.norm(dU, axis=1))
         if bad.any():
             i = int(np.argmax(bad))
             failures.append(

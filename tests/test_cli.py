@@ -57,6 +57,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(ctmc_rates.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def parse_csv(text):
     lines = [ln for ln in text.strip().splitlines() if ln]
     header = lines[0].split(",")
@@ -312,6 +318,21 @@ class TestSimulate:
         assert np.isfinite(float(stats["mean_discount_factor"]))
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["simulate", "--N", "3", "--horizon", "inf", "--seed", "1"], "horizon must be finite, got inf"),
+    (["simulate", "--N", "3", "--horizon", "nan", "--seed", "1"], "horizon must be finite, got nan"),
+    (["replicate", "--T", "1", "--basis", "2,inf", "--payoff", "1,0", "--dt", "0.1", "--N", "1",
+      "--seed", "1"], "basis maturities must be finite: (2.0, inf)"),
+])
+def test_non_finite_horizon_exit_1(model_file, argv, err):
+    # in a child with a timeout, so a hang fails this test instead of stalling the suite
+    out = subprocess.run(
+        [sys.executable, "-m", "ctmc_rates.cli", argv[0], model_file, *argv[1:]],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", f"error: {err}\n")
+
+
 class TestReplicate:
     def test_error_halves_with_dt(self, capsys, model_file):
         errs = {}
@@ -426,6 +447,55 @@ class TestHedge:
         assert err == "error: hedge grid has no times at or before T\n"
 
 
+class TestGoldenBytes:
+    """sha256 of stdout and the exit code of each command on the fixture models.
+
+    The pins were recorded before a refactor that must not change a byte, so
+    they hold any later cleanup to the same output. The float digits come
+    from numpy and its BLAS: on another numpy/OpenBLAS build (these pins are
+    from numpy 2.4 with OpenBLAS on x86-64) a pin may move by the last digit.
+    """
+
+    MODELS = {"two": TWO_STATE, "high": HIGH_RATE, "zero": ZERO_RATE, "scalar": SCALAR}
+    CASES = [
+        ("two", ["price", "--T", "1", "--bond"], 0,
+         "263549e331851177804d6a6b7e0ce81a282cc571f1a9f2b149382e7bf23a3a11"),
+        ("two", ["price", "--t", "0.25", "--T", "1", "--Tb", "1.5", "--caplet", "0.05"], 0,
+         "f8bc5b0a70de1337b5e46f310be09e9f7d45a22114b5e6e7d13f91b62d9b504e"),
+        ("two", ["price", "--T", "2", "--payoff", "1,3"], 0,
+         "f5137d782a7f302faadc94fb9d5c9878f66cf5d524f834ec4d4c108e3c7a2f8c"),
+        ("two", ["yield-curve", "--T-grid", "0.5:20:0.5"], 0,
+         "864fa63ba00e3102e8a63c711361c599a68338240cda9b2fd3dc82c962681b3e"),
+        ("scalar", ["yield-curve", "--T-grid", "1:5:1"], 0,
+         "b57b53e3264764f516cc3994d35e7e94763001772ac59cad6896caaab2eab4b1"),
+        ("two", ["hedge", "--T", "1", "--basis", "2", "--payoff", "1,0", "--t-grid", "0:1:0.125"], 0,
+         "a8475c244e4a5b9fb099a3e157a1fd0e6f169fdfa2901c2f2699221b3bba452a"),
+        ("two", ["recover"], 0,
+         "72345ea68d7d7aa103763256f7bbfabf75f94b9cd6ee222984e34fa1b3a9b34d"),
+        ("high", ["recover"], 0,
+         "d23c2e2b35f2461975394c8074dfb81b1e7ceb0898652ac9279a443205104bc2"),
+        ("zero", ["recover"], 2,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("two", ["simulate", "--measure", "p", "--N", "2000", "--horizon", "2", "--seed", "7"], 0,
+         "9b54039ca9955c1dfef14ce4a08113e517661c4e5cb7c56aed2a18db5372cb28"),
+        ("two", ["replicate", "--T", "1", "--basis", "2", "--payoff", "1,0", "--dt", "0.01",
+                 "--N", "4", "--seed", "3"], 0,
+         "779c2ee2796c6f016860a5948c230512bc43b7f4729ddb5898f140fbf49770d3"),
+        (None, ["demo", "--T-grid", "0.5:20:0.5"], 0,
+         "6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c"),
+    ]
+
+    @pytest.mark.parametrize("model, argv, code, digest", CASES,
+                             ids=[f"{argv[0]}-{model}-{k}" for k, (model, argv, *_) in enumerate(CASES)])
+    def test_stdout_is_byte_identical(self, capsys, tmp_path, model, argv, code, digest):
+        if model is not None:
+            path = tmp_path / f"{model}.txt"
+            path.write_text(self.MODELS[model])
+            argv = [argv[0], str(path), *argv[1:]]
+        got, out, _ = run(capsys, *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 class TestStartup:
     def test_public_names_are_pinned(self):
         names = sorted(
@@ -433,11 +503,11 @@ class TestStartup:
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         )
         assert names == [
-            "BondBasis", "ChainPath", "ClaimPayoff", "CtmcRatesError", "DEFAULT_POLICY",
+            "BondBasis", "ChainPath", "ClaimPayoff", "CtmcRatesError",
             "GeneratorMatrix", "HedgePlan", "ModelFileError", "ModelSpec",
-            "ModelValidationError", "NumericPolicy", "PerronPair", "RateMap",
+            "ModelValidationError", "RateMap",
             "RecoveryHypothesisError", "ReplicationReport", "TwoStateModel",
-            "UnhedgeableBasisError", "ValidationReport", "arrow_debreu", "bond_prices",
+            "UnhedgeableBasisError", "arrow_debreu", "bond_prices",
             "caplet", "floorlet", "forward_rate", "load_model", "matrix_exponential",
             "mc_price_claim", "parse_model_text", "perron_pair", "price_claim",
             "price_forward_rate_option", "recover_generator", "replicate_paths",
@@ -446,13 +516,11 @@ class TestStartup:
         ]
 
     def test_cli_import_leaves_scipy_and_manifest_modules_out(self):
-        src = str(Path(ctmc_rates.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
             "import sys, ctmc_rates.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             " or m in ('importlib.metadata', 'hashlib')))"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
 
     def test_output_manifest_keys_and_tool_version(self, capsys, model_file, tmp_path):

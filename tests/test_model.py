@@ -14,7 +14,6 @@ from scipy.sparse.csgraph import connected_components
 
 from ctmc_rates import (
     ChainPath,
-    DEFAULT_POLICY,
     GeneratorMatrix,
     ModelValidationError,
     RateMap,
@@ -26,10 +25,26 @@ from ctmc_rates import (
 )
 import ctmc_rates
 import ctmc_rates.model as model_module
+from ctmc_rates import recovery, replication
 from ctmc_rates.cli import main as cli_main
 
 from conftest import random_model
 from oracles import closed_form_ad, integrate_rate, stationary_distribution
+
+# e^{tG} rows must sum to 1 within this
+STOCHASTIC_TOL = 1e-10
+# e^{tG} entries must be >= -ENTRY_FLOOR
+ENTRY_FLOOR = 1e-12
+# Chapman-Kolmogorov / semigroup composition
+SEMIGROUP_TOL = 1e-9
+
+
+def test_tolerances_keep_their_values():
+    assert (model_module.ROW_SUM_TOL, model_module.SUPPORT_EPS) == (1e-12, 1e-14)
+    assert recovery.EIGEN_RESIDUAL_TOL == 1e-10
+    assert (replication.HEDGE_RESIDUAL_TOL, replication.EXPOSURE_CUTOFF,
+            replication.CONDITION_LIMIT) == (1e-10, 1e-13, 1e12)
+    assert (STOCHASTIC_TOL, ENTRY_FLOOR, SEMIGROUP_TOL) == (1e-10, 1e-12, 1e-9)
 
 
 @st.composite
@@ -55,22 +70,22 @@ def generators(draw, n_max=6):
 class TestValidation:
     def test_two_state_example_is_valid(self, two_state_example):
         _, G, r = two_state_example
-        assert validate_model(G, r).ok
+        assert validate_model(G, r) == ()
 
     def test_zero_generator_not_irreducible(self):
-        report = validate_model(GeneratorMatrix(np.zeros((2, 2))), RateMap(np.zeros(2)))
-        assert not report.ok
-        assert any("irreducible" in v for v in report.violations)
+        bad = validate_model(GeneratorMatrix(np.zeros((2, 2))), RateMap(np.zeros(2)))
+        assert bad
+        assert any("irreducible" in v for v, _ in bad)
 
     def test_row_sum_violation_reported(self):
         G = GeneratorMatrix(np.array([[-1.0, 0.5], [1.0, -1.0]]))
-        report = validate_model(G, RateMap(np.zeros(2)))
-        assert any("sums to" in v for v in report.violations)
+        bad = validate_model(G, RateMap(np.zeros(2)))
+        assert any("sums to" in v for v, _ in bad)
 
     def test_negative_rate_and_sign_pattern(self):
         G = GeneratorMatrix(np.array([[1.0, -1.0], [1.0, -1.0]]))
-        report = validate_model(G, RateMap(np.array([-0.1, 0.0])))
-        msgs = " ".join(report.violations)
+        bad = validate_model(G, RateMap(np.array([-0.1, 0.0])))
+        msgs = " ".join(v for v, _ in bad)
         assert "negative off-diagonal" in msgs
         assert "positive" in msgs
         assert "rate for state 0" in msgs
@@ -81,7 +96,7 @@ class TestValidation:
             validate_model(G, RateMap(np.zeros(3)))
 
     def test_n1_zero_generator_is_valid(self):
-        assert validate_model(GeneratorMatrix(np.zeros((1, 1))), RateMap(np.array([0.05]))).ok
+        assert validate_model(GeneratorMatrix(np.zeros((1, 1))), RateMap(np.array([0.05]))) == ()
 
     def test_generator_checks_run_once_per_instance(self, monkeypatch, two_state_example):
         calls = []
@@ -90,20 +105,22 @@ class TestValidation:
             model_module, "is_irreducible", lambda G: calls.append(G) or real(G)
         )
         _, G, r = two_state_example
-        assert validate_model(G, r).ok
-        assert validate_model(G, r).ok
+        assert validate_model(G, r) == ()
+        assert validate_model(G, r) == ()
         # the rate check still runs on every call
-        assert "rate for state 1" in str(validate_model(G, RateMap(np.array([0.0, -0.1]))))
+        assert validate_model(G, RateMap(np.array([0.0, -0.1]))) == (
+            ("rate for state 1 is negative: -1.000e-01", "rates"),
+        )
         assert len(calls) == 1
         # an equal generator in a new instance is checked again
-        assert validate_model(GeneratorMatrix(G.entries), r).ok
+        assert validate_model(GeneratorMatrix(G.entries), r) == ()
         assert len(calls) == 2
 
     def test_invalid_generator_is_reported_on_every_call(self):
         G = GeneratorMatrix(np.array([[-1.0, 0.5], [1.0, -1.0]]))
         r = RateMap(np.zeros(2))
         first = validate_model(G, r)
-        assert not first.ok
+        assert first
         assert validate_model(G, r) == first
         with pytest.raises(ModelValidationError, match="sums to"):
             simulate_terminal(G, r, 0, 1.0, 10, 0)
@@ -137,9 +154,9 @@ class TestValidation:
 @st.composite
 def support_patterns(draw, n_max=8):
     """Generators on 1..n_max states whose off-diagonal entries are edges
-    (> support_eps), zeros or nonzero entries at or below support_eps."""
+    (> SUPPORT_EPS), zeros or nonzero entries at or below SUPPORT_EPS."""
     n = draw(st.integers(1, n_max))
-    eps = DEFAULT_POLICY.support_eps
+    eps = model_module.SUPPORT_EPS
     kinds = st.sampled_from([0.0, eps, 0.5 * eps, 2 * eps, 1.0, 1e6])
     Q = np.zeros((n, n))
     Q[~np.eye(n, dtype=bool)] = draw(st.lists(kinds, min_size=n * (n - 1), max_size=n * (n - 1)))
@@ -151,7 +168,7 @@ class TestIrreducibility:
     @settings(max_examples=500, deadline=None)
     @given(support_patterns())
     def test_matches_strong_components(self, Q):
-        edges = Q > DEFAULT_POLICY.support_eps
+        edges = Q > model_module.SUPPORT_EPS
         np.fill_diagonal(edges, False)
         n_comp, _ = connected_components(csr_matrix(edges), directed=True, connection="strong")
         assert model_module.is_irreducible(GeneratorMatrix(Q)) == (n_comp == 1)
@@ -241,15 +258,15 @@ class TestTransitionMatrix:
     @given(G=generators(), t=st.floats(0.0, 5.0))
     def test_stochastic_within_policy(self, G, t):
         P = transition_matrix(G, t)
-        assert np.all(P >= -DEFAULT_POLICY.entry_floor)
-        assert np.allclose(P.sum(axis=1), 1.0, atol=DEFAULT_POLICY.stochastic_tol)
+        assert np.all(P >= -ENTRY_FLOOR)
+        assert np.allclose(P.sum(axis=1), 1.0, atol=STOCHASTIC_TOL)
 
     @settings(max_examples=25, deadline=None)
     @given(G=generators(), s=st.floats(0.0, 5.0), t=st.floats(0.0, 5.0))
     def test_semigroup(self, G, s, t):
         lhs = transition_matrix(G, s + t)
         rhs = transition_matrix(G, s) @ transition_matrix(G, t)
-        assert np.allclose(lhs, rhs, atol=DEFAULT_POLICY.semigroup_tol)
+        assert np.allclose(lhs, rhs, atol=SEMIGROUP_TOL)
 
 
 class TestSimulation:
@@ -445,6 +462,16 @@ class TestChainPath:
     def test_non_changing_jump_rejected(self):
         with pytest.raises(ValueError):
             ChainPath(0, (0.5,), (0,), 1.0, 2)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, two_state_example, horizon):
+        _, G, r = two_state_example
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            ChainPath(0, (), (), horizon, 2)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            simulate_terminal(G, r, 0, horizon, 3, seed=1)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            simulate_path(G, 0, horizon, seed=1, r=r)
 
     def test_state_at_is_cadlag(self):
         path = ChainPath(0, (0.5,), (1,), 1.0, 2)

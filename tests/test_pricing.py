@@ -17,8 +17,11 @@ from ctmc_rates import (
     floorlet,
     forward_rate,
     mc_price_claim,
+    perron_pair,
     price_claim,
     price_forward_rate_option,
+    recover_generator,
+    tipk_price,
 )
 from ctmc_rates.pricing import yield_curve
 
@@ -163,6 +166,16 @@ class TestForwardRate:
         _, G, r = two_state_example
         with pytest.raises(ValueError):
             forward_rate(G, r, 0.0, 0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("i", [-1, 2])  # just below and at n = 2
+    def test_state_outside_range_rejected(self, two_state_example, i):
+        _, G, r = two_state_example
+        with pytest.raises(ValueError, match=f"state {i} outside state space"):
+            forward_rate(G, r, 0.0, i, 1.0, 2.0)
+        # tipk_price at t = T returns the payoff without simulating
+        rho, pi = perron_pair(G, r)
+        with pytest.raises(ValueError, match=f"state {i} outside state space"):
+            tipk_price(rho, pi, recover_generator(G, pi), ClaimPayoff(np.ones(2), 1.0), 1.0, 1.0, i, 1, seed=0)
 
     def test_long_maturity_is_finite(self):
         # rates (0, 1): both bonds underflow to 0 as plain doubles; from log

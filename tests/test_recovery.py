@@ -8,10 +8,8 @@ from hypothesis import assume, given, settings
 
 from ctmc_rates import (
     ClaimPayoff,
-    DEFAULT_POLICY,
     GeneratorMatrix,
     ModelValidationError,
-    PerronPair,
     RateMap,
     RecoveryHypothesisError,
     bond_prices,
@@ -24,7 +22,7 @@ from ctmc_rates import (
 from ctmc_rates.cli import main as cli_main
 from ctmc_rates.model import simulate_terminal
 from ctmc_rates.pricing import mean_and_se
-from ctmc_rates.recovery import dominant_eigenpair
+from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL, dominant_eigenpair
 from ctmc_rates.two_state import TwoStateModel
 from scipy.linalg import eig
 
@@ -32,7 +30,7 @@ from conftest import models, random_model
 from oracles import closed_form_recovered_generator, eigen_pairs
 
 
-def entrywise_residual_ok(G, r, rho, pi, tol=DEFAULT_POLICY.eigen_residual_tol):
+def entrywise_residual_ok(G, r, rho, pi, tol=EIGEN_RESIDUAL_TOL):
     M = G.entries - r.diagonal
     return bool(np.all(np.abs(M @ pi - rho * pi) <= tol * (np.abs(M) @ pi)))
 
@@ -92,11 +90,12 @@ def two_blocks(eps):
 class TestPerronPair:
     def test_two_state_closed_form(self, two_state_example):
         m, G, r = two_state_example
-        pair = perron_pair(G, r)
+        rho, pi = perron_pair(G, r)
         (rho_p, pi_p), _ = eigen_pairs(m)
-        assert pair.rho == pytest.approx(rho_p, abs=1e-13)
-        assert np.allclose(pair.pi, pi_p, atol=1e-12)
-        assert pair.pi[0] / pair.pi[1] == pytest.approx((m.rate + m.gamma) / (2 * m.lam), rel=1e-12)
+        assert rho == pytest.approx(rho_p, abs=1e-13)
+        assert np.allclose(pi, pi_p, atol=1e-12)
+        assert pi[0] / pi[1] == pytest.approx((m.rate + m.gamma) / (2 * m.lam), rel=1e-12)
+        assert not pi.flags.writeable
 
     def test_zero_rates_rejected(self):
         G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
@@ -105,31 +104,31 @@ class TestPerronPair:
         assert "rho" in str(exc.value)
 
     def test_scalar_model(self):
-        pair = perron_pair(GeneratorMatrix(np.zeros((1, 1))), RateMap(np.array([0.3])))
-        assert pair.rho == pytest.approx(-0.3, abs=1e-14)
-        assert pair.pi[0] == pytest.approx(1.0, abs=1e-14)
+        rho, pi = perron_pair(GeneratorMatrix(np.zeros((1, 1))), RateMap(np.array([0.3])))
+        assert rho == pytest.approx(-0.3, abs=1e-14)
+        assert pi[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_eigen_residual_on_random_models(self):
         rng = np.random.default_rng(55)
         for _ in range(10):
             G, r = random_model(rng, n_max=10)
-            pair = perron_pair(G, r)
-            resid = np.linalg.norm((G.entries - r.diagonal) @ pair.pi - pair.rho * pair.pi)
-            assert resid <= DEFAULT_POLICY.eigen_residual_tol
-            assert np.all(pair.pi > 0)
-            assert np.linalg.norm(pair.pi) == pytest.approx(1.0, abs=1e-12)
+            rho, pi = perron_pair(G, r)
+            resid = np.linalg.norm((G.entries - r.diagonal) @ pi - rho * pi)
+            assert resid <= EIGEN_RESIDUAL_TOL
+            assert np.all(pi > 0)
+            assert np.linalg.norm(pi) == pytest.approx(1.0, abs=1e-12)
 
     def test_power_iteration_agrees_with_dense_solver(self):
         # perron_pair is inverse iteration; the dense oracle is scipy's eig
         rng = np.random.default_rng(56)
         for _ in range(5):
             G, r = random_model(rng)
-            pair = perron_pair(G, r)
+            rho, pi = perron_pair(G, r)
             vals, vecs = eig(G.entries - r.diagonal)
             k = int(np.argmax(vals.real))
             pi_eig = np.abs(vecs[:, k].real) / np.linalg.norm(vecs[:, k].real)
-            assert float(vals[k].real) == pytest.approx(pair.rho, abs=1e-9)
-            assert np.allclose(pi_eig, pair.pi, atol=1e-8)
+            assert float(vals[k].real) == pytest.approx(rho, abs=1e-9)
+            assert np.allclose(pi_eig, pi, atol=1e-8)
 
 
     def test_zero_rates_give_exact_pair(self):
@@ -142,11 +141,11 @@ class TestPerronPair:
     @pytest.mark.parametrize("lam, rate", [(0.5, 0.1), (2.0, 0.01), (0.05, 1.0), (1.0, 1.0)])
     def test_two_state_closed_forms_to_1e12(self, lam, rate):
         m = TwoStateModel(lam=lam, rate=rate)
-        pair = perron_pair(m.generator(), m.rate_map())
+        rho, pi = perron_pair(m.generator(), m.rate_map())
         (rho_p, pi_p), _ = eigen_pairs(m)
-        assert pair.rho == pytest.approx(rho_p, rel=1e-12)
-        assert np.allclose(pair.pi, pi_p, rtol=1e-12, atol=0)
-        rec = recover_generator(pair, m.generator())
+        assert rho == pytest.approx(rho_p, rel=1e-12)
+        assert np.allclose(pi, pi_p, rtol=1e-12, atol=0)
+        rec = recover_generator(m.generator(), pi)
         assert np.allclose(rec.entries, closed_form_recovered_generator(m),
                            rtol=1e-12, atol=0)
 
@@ -175,9 +174,9 @@ class TestPerronPair:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-9])
     def test_weakly_coupled_blocks_converge(self, eps):
         G, r = two_blocks(eps)
-        pair = perron_pair(G, r)
-        assert entrywise_residual_ok(G, r, pair.rho, pair.pi)
-        assert np.max(np.abs(pair.pi[::-1] / pair.pi - 1.0)) <= 1e-12
+        rho, pi = perron_pair(G, r)
+        assert entrywise_residual_ok(G, r, rho, pi)
+        assert np.max(np.abs(pi[::-1] / pi - 1.0)) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(models())
@@ -187,14 +186,14 @@ class TestPerronPair:
         rho, pi = dominant_eigenpair(G, r)
         assert rho < 0 and np.all(pi > 0)
         assert entrywise_residual_ok(G, r, rho, pi)
-        rec = recover_generator(PerronPair(rho=rho, pi=pi), G)
-        assert validate_model(rec, RateMap(np.zeros(G.n))).ok
+        rec = recover_generator(G, pi)
+        assert validate_model(rec, RateMap(np.zeros(G.n))) == ()
         # perron_pair's absolute gate |M pi - rho pi| <= 1e-10 also holds
         # wherever rounding pi to doubles leaves room for it: that alone puts
         # about eps |M| pi into M pi, ~1e-10 at intensity 1e6
         M = G.entries - r.diagonal
-        if np.finfo(float).eps * np.linalg.norm(np.abs(M) @ pi) <= DEFAULT_POLICY.eigen_residual_tol / 16:
-            assert perron_pair(G, r).rho == rho
+        if np.finfo(float).eps * np.linalg.norm(np.abs(M) @ pi) <= EIGEN_RESIDUAL_TOL / 16:
+            assert perron_pair(G, r)[0] == rho
 
     @pytest.mark.parametrize("rate", [1e-303, 1.1125369292536007e-308, 1e-311, 5e-324])
     @pytest.mark.parametrize("intensity", [1.0, 1e6])
@@ -202,9 +201,9 @@ class TestPerronPair:
         # 1 / rate overflows: the solve's right-hand side is scaled down, and
         # -rate / 2 below the smallest double still gives rho < 0
         G = GeneratorMatrix(intensity * np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        pair = perron_pair(G, RateMap(np.array([0.0, rate])))
-        assert -rate <= pair.rho < 0
-        assert np.allclose(pair.pi, np.sqrt(0.5), rtol=1e-15)
+        rho, pi = perron_pair(G, RateMap(np.array([0.0, rate])))
+        assert -rate <= rho < 0
+        assert np.allclose(pi, np.sqrt(0.5), rtol=1e-15)
 
     def test_pi_beyond_double_range_is_a_typed_error(self):
         # pi falls by ~1e-5 per state, below the smallest double by state 70
@@ -222,24 +221,22 @@ class TestPerronPair:
 class TestRecoverGenerator:
     def test_two_state_closed_form(self, two_state_example):
         m, G, r = two_state_example
-        rec = recover_generator(perron_pair(G, r), G)
+        rec = recover_generator(G, perron_pair(G, r)[1])
         assert np.allclose(rec.entries, closed_form_recovered_generator(m), rtol=1e-12)
         assert rec.entries[0, 1] == pytest.approx(0.4524937810560445, abs=1e-12)
         assert rec.entries[1, 0] == pytest.approx(0.5524937810560445, abs=1e-12)
 
     def test_uniform_eigenvector_recovers_original(self):
         G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        pair = PerronPair(rho=-0.1, pi=np.ones(2) / np.sqrt(2))
-        rec = recover_generator(pair, G)
+        rec = recover_generator(G, np.ones(2) / np.sqrt(2))
         assert np.allclose(rec.entries, G.entries, atol=1e-14)
 
     def test_scaling_invariance(self, two_state_example):
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
-        scaled = PerronPair(rho=pair.rho, pi=3.7 * pair.pi)
+        _, pi = perron_pair(G, r)
         assert np.allclose(
-            recover_generator(pair, G).entries,
-            recover_generator(scaled, G).entries,
+            recover_generator(G, pi).entries,
+            recover_generator(G, 3.7 * pi).entries,
             rtol=1e-13,
         )
 
@@ -247,8 +244,8 @@ class TestRecoverGenerator:
         rng = np.random.default_rng(57)
         for _ in range(10):
             G, r = random_model(rng, n_max=8)
-            rec = recover_generator(perron_pair(G, r), G)
-            assert validate_model(rec, RateMap(np.zeros(G.n))).ok
+            rec = recover_generator(G, perron_pair(G, r)[1])
+            assert validate_model(rec, RateMap(np.zeros(G.n))) == ()
             assert np.array_equal(rec.entries != 0.0, G.entries != 0.0)
 
 
@@ -261,38 +258,38 @@ class TestRadonNikodym:
     def test_constant_path(self, two_state_example):
         # the paths that never leave state 1 before T = 1 accrue 0.1 exactly
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
+        rho, pi = perron_pair(G, r)
         states, integ = simulate_terminal(G, r, 1, 1.0, 20, seed=3)
         stayed = integ == 0.1 * 1.0
         assert stayed.any() and np.all(states[stayed] == 1)
-        expected = np.exp(-(0.1 + pair.rho) * 1.0)
-        Z = density(pair.rho, pair.pi, 1, 1.0, states[stayed], integ[stayed])
+        expected = np.exp(-(0.1 + rho) * 1.0)
+        Z = density(rho, pi, 1, 1.0, states[stayed], integ[stayed])
         assert Z == pytest.approx(np.full(Z.size, expected), rel=1e-13)
 
     def test_martingale_property(self, two_state_example):
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
+        rho, pi = perron_pair(G, r)
         T, n_paths = 1.0, 200_000
         states, integ = simulate_terminal(G, r, 0, T, n_paths, seed=71)
-        Z = np.exp(-integ - pair.rho * T) * pair.pi[states] / pair.pi[0]
+        Z = np.exp(-integ - rho * T) * pi[states] / pi[0]
         se = Z.std(ddof=1) / np.sqrt(n_paths)
         assert abs(Z.mean() - 1.0) <= 3.5 * se
 
     def test_wrong_rho_breaks_martingale(self, two_state_example):
         # negative control: dropping the rho term biases the expectation
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
+        rho, pi = perron_pair(G, r)
         T, n_paths = 1.0, 200_000
         states, integ = simulate_terminal(G, r, 0, T, n_paths, seed=71)
-        Z_bad = np.exp(-integ) * pair.pi[states] / pair.pi[0]
+        Z_bad = np.exp(-integ) * pi[states] / pi[0]
         se = Z_bad.std(ddof=1) / np.sqrt(n_paths)
         assert abs(Z_bad.mean() - 1.0) > 3.5 * se
 
     def test_positive_along_simulated_paths(self, two_state_example):
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
+        rho, pi = perron_pair(G, r)
         states, integ = simulate_terminal(G, r, 0, 1.0, 20, seed=5)
-        assert np.all(density(pair.rho, pair.pi, 0, 1.0, states, integ) > 0)
+        assert np.all(density(rho, pi, 0, 1.0, states, integ) > 0)
 
     # derandomized: with the fixed simulation seed the examples, and so the
     # outcome, are the same on every run
@@ -313,35 +310,35 @@ class TestRadonNikodym:
 class TestTipkPrice:
     def test_eigen_payoff_has_zero_variance(self, two_state_example):
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
-        rec = recover_generator(pair, G)
-        payoff = ClaimPayoff(pair.pi, 1.0)
-        est, se = tipk_price(pair, rec, payoff, 0.0, 1.0, 0, 2000, seed=1)
+        rho, pi = perron_pair(G, r)
+        rec = recover_generator(G, pi)
+        payoff = ClaimPayoff(pi, 1.0)
+        est, se = tipk_price(rho, pi, rec, payoff, 0.0, 1.0, 0, 2000, seed=1)
         assert se == pytest.approx(0.0, abs=1e-16)
-        assert est == pytest.approx(pair.pi[0] * np.exp(pair.rho), rel=1e-13)
+        assert est == pytest.approx(pi[0] * np.exp(rho), rel=1e-13)
 
     def test_bond_price_cross_check(self, two_state_example):
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
-        rec = recover_generator(pair, G)
+        rho, pi = perron_pair(G, r)
+        rec = recover_generator(G, pi)
         payoff = ClaimPayoff(np.ones(2), 1.0)
-        est, se = tipk_price(pair, rec, payoff, 0.0, 1.0, 0, 200_000, seed=13)
+        est, se = tipk_price(rho, pi, rec, payoff, 0.0, 1.0, 0, 200_000, seed=13)
         assert abs(est - bond_prices(G, r, 0.0, 1.0)[0]) <= 3.5 * se
 
     def test_at_maturity_returns_payoff(self, two_state_example):
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
-        rec = recover_generator(pair, G)
+        rho, pi = perron_pair(G, r)
+        rec = recover_generator(G, pi)
         payoff = ClaimPayoff(np.array([0.2, 0.9]), 1.0)
-        est, se = tipk_price(pair, rec, payoff, 1.0, 1.0, 1, 10, seed=0)
+        est, se = tipk_price(rho, pi, rec, payoff, 1.0, 1.0, 1, 10, seed=0)
         assert est == 0.9 and se == 0.0
 
     def test_zero_paths_rejected(self, two_state_example):
         _, G, r = two_state_example
-        pair = perron_pair(G, r)
-        rec = recover_generator(pair, G)
+        rho, pi = perron_pair(G, r)
+        rec = recover_generator(G, pi)
         with pytest.raises(ValueError):
-            tipk_price(pair, rec, ClaimPayoff(np.ones(2), 1.0), 0.0, 1.0, 0, 0, seed=0)
+            tipk_price(rho, pi, rec, ClaimPayoff(np.ones(2), 1.0), 0.0, 1.0, 0, 0, seed=0)
 
 
 class TestEigenClaim:
@@ -350,6 +347,6 @@ class TestEigenClaim:
         rng = np.random.default_rng(58)
         for _ in range(8):
             G, r = random_model(rng, n_max=6)
-            pair = perron_pair(G, r)
-            pv = price_claim(G, r, ClaimPayoff(pair.pi, 2.0), 0.5)
-            assert np.allclose(pv, np.exp(pair.rho * 1.5) * pair.pi, atol=1e-10)
+            rho, pi = perron_pair(G, r)
+            pv = price_claim(G, r, ClaimPayoff(pi, 2.0), 0.5)
+            assert np.allclose(pv, np.exp(rho * 1.5) * pi, atol=1e-10)

@@ -165,6 +165,11 @@ class TestHedgeForPayoff:
         with pytest.raises(ModelValidationError):
             HedgePlan(G, r, 1.0, BondBasis((0.5,)), ClaimPayoff(np.ones(2), 1.0))
 
+    @pytest.mark.parametrize("m", [np.inf, np.nan])
+    def test_non_finite_maturity_rejected(self, m):
+        with pytest.raises(ModelValidationError, match="basis maturities must be finite"):
+            BondBasis((2.0, m))
+
 
 class TestJumpCoverage:
     def test_hedged_jump_matches_claim_jump(self):

@@ -208,7 +208,7 @@ class TestRecoveredGenerator:
         for lam, r, _ in GRID:
             m = TwoStateModel(lam, r)
             G, rm = m.generator(), m.rate_map()
-            rec = recover_generator(perron_pair(G, rm), G)
+            rec = recover_generator(G, perron_pair(G, rm)[1])
             assert np.allclose(
                 rec.entries, closed_form_recovered_generator(m), rtol=1e-12
             )
