@@ -176,10 +176,16 @@ def perron_pair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
     return rho, pi
 
 
+def _check_pi(pi: np.ndarray, n: int) -> None:
+    """The recovery divides by pi: it must be a finite, strictly positive (n,) array."""
+    ok = isinstance(pi, np.ndarray) and pi.dtype.kind in "iuf" and pi.shape == (n,)
+    if not (ok and np.all((pi > 0) & (pi < np.inf))):
+        raise ModelValidationError(f"eigenvector must be a finite, strictly positive array of length {n}")
+
+
 def recover_generator(G: GeneratorMatrix, pi: np.ndarray) -> GeneratorMatrix:
     """Real-world generator G^pi: off-diagonals pi(j)/pi(i) g_ij, diagonals rebalanced."""
-    if pi.shape[0] != G.n:
-        raise ModelValidationError("eigenvector length does not match state count")
+    _check_pi(pi, G.n)
     Gp = (pi[None, :] / pi[:, None]) * G.entries
     np.fill_diagonal(Gp, 0.0)
     np.fill_diagonal(Gp, -Gp.sum(axis=1))
@@ -206,6 +212,7 @@ def tipk_price(
     Estimates pi(i) e^{rho (T-t)} E^pi[ phi(J_T)/pi(J_T) | J_t = i ]; returns
     (estimate, standard error). Cross-checks the analytic price.
     """
+    _check_pi(pi, G_p.n)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if t > T:

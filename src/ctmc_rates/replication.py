@@ -1,9 +1,10 @@
 """Self-financing replication of European claims with bonds and cash.
 
 At each (time, state) the bond positions solve a linear system matching the
-portfolio's jump exposure to the claim's jump exposure; the money market
-account absorbs the rest. A discrete-rebalancing simulator verifies the hedge
-pathwise.
+portfolio's jump exposure to the claim's on every jump the basis hedges: to
+every other state with the full basis of n - 1 bonds, and along the
+generator's support with a smaller one. The money market account absorbs the
+rest. A discrete-rebalancing simulator verifies the hedge pathwise.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelValidationError, UnhedgeableBasisError
-from .model import ChainPath, GeneratorMatrix, RateMap, propagate
+from .model import SUPPORT_EPS, ChainPath, GeneratorMatrix, RateMap, propagate
 from .pricing import ClaimPayoff
 
 # hedge solve residual: <= HEDGE_RESIDUAL_TOL * (1 + |rhs|)
@@ -26,7 +27,7 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class BondBasis:
-    """Maturities of the traded zero-coupon bonds (n-1 of them in full mode)."""
+    """Maturities of the traded zero-coupon bonds (n - 1 of them for a full basis)."""
 
     maturities: tuple[float, ...]
 
@@ -38,18 +39,6 @@ class BondBasis:
             raise ModelValidationError(f"basis maturities must be distinct: {ms}")
         object.__setattr__(self, "maturities", ms)
 
-    def check_against(self, T: float, n: int, reduced: bool = False) -> None:
-        if any(m <= T for m in self.maturities):
-            raise ModelValidationError(
-                f"every basis maturity must exceed the claim maturity {T}: "
-                f"{self.maturities}"
-            )
-        if not reduced and len(self.maturities) != n - 1:
-            raise ModelValidationError(
-                f"full replication of an {n}-state model needs {n - 1} bonds, "
-                f"got {len(self.maturities)}"
-            )
-
 
 @dataclass(frozen=True)
 class ReplicationReport:
@@ -57,16 +46,6 @@ class ReplicationReport:
     max_tracking_error: float
     n_jumps: int
     n_grid_points: int
-
-
-def reachable_states(n: int, current: int, jump_offsets: tuple[int, ...]) -> tuple[int, ...]:
-    """States reachable from `current` under a declared jump structure."""
-    out = sorted({current + o for o in jump_offsets if 0 <= current + o < n} - {current})
-    if not out:
-        raise ModelValidationError(
-            f"declared jump structure leaves state {current} with no exits"
-        )
-    return tuple(out)
 
 
 def _claim_and_bonds(
@@ -96,29 +75,27 @@ def _hedge(
     ts: np.ndarray,
     steps: np.ndarray,
     states: np.ndarray,
-    jump_offsets: tuple[int, ...] | None,
+    hedged: np.ndarray,
 ) -> np.ndarray:
     """Bond positions at every (ts[steps[i]], states[i]), shape (len(states), K).
 
-    P comes from _claim_and_bonds. Each position vector D solves E @ D = dU,
-    one equation per state j reachable from the current state s:
+    P comes from _claim_and_bonds and hedged from HedgePlan. Each position
+    vector D solves E @ D = dU, one equation per state j with hedged[s, j]
+    for the current state s:
     E[j, k] = B(t, j; T_k) - B(t, s; T_k) and dU[j] = U(t, j) - U(t, s), so
     the portfolio's jump exposure matches the claim's. The systems of one
     current state share a shape and are handled as one stack: an SVD gate on
     square ones, one batched solve (minimum-norm when not square) and a
     residual gate. Raises UnhedgeableBasisError for the first failing pair.
     """
-    n, K = P.shape[1], P.shape[2] - 1
+    K = P.shape[2] - 1
     D = np.zeros((len(states), K))
     failures: list[tuple[int, str, str]] = []  # (pair, what failed, detail)
     for s in sorted(set(states.tolist())):
-        pick = np.flatnonzero(states == s)
-        if jump_offsets is None:
-            others = [j for j in range(n) if j != s]
-        else:
-            others = list(reachable_states(n, s, jump_offsets))
-        if K == 0:
+        others = np.flatnonzero(hedged[s])
+        if not others.size:
             continue
+        pick = np.flatnonzero(states == s)
         rows = steps[pick]
         jumps = P[rows[:, None], others]
         jumps -= P[rows, s][:, None]
@@ -129,7 +106,7 @@ def _hedge(
         live = np.linalg.norm(jumps[..., 0], axis=1) > EXPOSURE_CUTOFF * scale
         pick, jumps = pick[live], jumps[live]
         E, dU = jumps[..., 1:], jumps[..., 0]
-        if len(others) == K:
+        if others.size == K:
             # condition number alone misses a uniformly tiny system (e.g. all
             # bonds constant under zero rates), so also reject when every
             # singular value is below the noise floor of O(1) bond prices
@@ -165,31 +142,48 @@ def _hedge(
 
 
 class HedgePlan:
-    """Replicating positions for a claim as a function of time and state."""
+    """Replicating positions for a claim as a function of time and state.
+
+    hedged[s, j] marks the jumps s -> j the bonds hedge: every j != s with the
+    full basis of n - 1 bonds, and with a smaller basis of K bonds the jumps
+    the generator allows (g_sj > SUPPORT_EPS), of which no state may have
+    more than K.
+    """
 
     def __init__(
-        self,
-        G: GeneratorMatrix,
-        r: RateMap,
-        T: float,
-        basis: BondBasis,
-        payoff: ClaimPayoff,
-        jump_offsets: tuple[int, ...] | None = None,
+        self, G: GeneratorMatrix, r: RateMap, T: float, basis: BondBasis, payoff: ClaimPayoff
     ):
-        basis.check_against(T, G.n, reduced=jump_offsets is not None)
+        n, K = G.n, len(basis.maturities)
+        if any(m <= T for m in basis.maturities):
+            raise ModelValidationError(
+                f"every basis maturity must exceed the claim maturity {T}: "
+                f"{basis.maturities}"
+            )
+        hedged = ~np.eye(n, dtype=bool)
+        if K < n - 1:
+            hedged &= G.entries > SUPPORT_EPS
+        exits = hedged.sum(axis=1)
+        if K > n - 1 or exits.max() > K:
+            s = int(np.argmax(exits))
+            raise ModelValidationError(
+                f"full replication of an {n}-state model needs {n - 1} bonds, got {K}"
+                + (f"; state {s} has {exits[s]} exits" if K < n - 1 else "")
+            )
         if payoff.maturity != T:
             raise ModelValidationError("payoff maturity must equal the claim maturity")
+        if payoff.values.shape[0] != n:
+            raise ModelValidationError("payoff length does not match state count")
         self.G, self.r, self.T = G, r, T
         self.basis = basis
         self.payoff = payoff
-        self.jump_offsets = jump_offsets
+        self.hedged = hedged
 
     def _positions_at(self, ts, steps, states) -> tuple[np.ndarray, np.ndarray]:
         """Claim and bond values on ts and the positions at every
         (ts[steps[i]], states[i])."""
         ts = np.asarray(ts, dtype=float)
         P = _claim_and_bonds(self.G, self.r, self.T, ts, self.payoff.values, self.basis)
-        return P, _hedge(P, ts, steps, states, self.jump_offsets)
+        return P, _hedge(P, ts, steps, states, self.hedged)
 
     def positions(self, t: float, state: int) -> np.ndarray:
         return self._positions_at([t], np.zeros(1, dtype=int), np.array([state]))[1][0]
@@ -245,7 +239,6 @@ def replicate_paths(
     basis: BondBasis,
     payoff: ClaimPayoff,
     dt: float,
-    jump_offsets: tuple[int, ...] | None = None,
 ) -> list[ReplicationReport]:
     """Run the discrete-rebalancing hedge along each realized path.
 
@@ -255,18 +248,30 @@ def replicate_paths(
     state's short rate, which is the exact solution of the self-financing
     dynamics on a jump-free interval.
 
-    The paths share the work. The claim and bonds are propagated once over
-    the union of their grids, and each distinct (time, state) is hedged once,
-    in one kernel call, numbered by first occurrence path by path, so a
-    failure names the first failing path's earliest failing step. A path that
-    leaves the declared jump structure raises only after every earlier
-    path's hedge has passed. The wealth recursion is one loop over steps,
-    vectorized across paths.
+    Every path is checked before any propagation: it must reach T, have the
+    model's states and make only jumps the basis hedges up to T. The paths
+    then share the work. The claim and bonds are propagated once over the
+    union of their grids, and each distinct (time, state) is hedged once, in
+    one kernel call, numbered by first occurrence path by path, so a failure
+    names the first failing path's earliest failing step. The wealth
+    recursion is one loop over steps, vectorized across paths.
     """
     if not 0 < dt < np.inf:
         raise ValueError("rebalance step dt must be positive and finite")
-    plan = HedgePlan(G, r, T, basis, payoff, jump_offsets)
+    plan = HedgePlan(G, r, T, basis, payoff)
     n, K = G.n, len(basis.maturities)
+    for path in paths:
+        if path.horizon < T:
+            raise ValueError(f"path horizon {path.horizon} shorter than maturity {T}")
+        if path.n_states != n:
+            raise ModelValidationError(f"path has {path.n_states} states, the model {n}")
+        held = (path.initial_state,) + path.post_jump_states
+        for tau, i, j in zip(path.jump_times, held, held[1:]):
+            if tau <= T and not plan.hedged[i, j]:
+                raise ModelValidationError(
+                    f"path jumps {i}->{j} at t={tau}, which the generator does not "
+                    f"allow and the {K}-bond basis does not hedge"
+                )
 
     n_steps = int(np.ceil(T / dt))
     mesh = np.minimum(np.arange(n_steps + 1) * dt, T)
@@ -278,38 +283,17 @@ def replicate_paths(
     # cell[row * n + state] numbers the distinct step starts by first
     # occurrence, path by path; -1 marks a cell no path starts a step in
     cell = np.full(len(ts) * n, -1)
-    firsts, n_jumps, n_cells, stop = [], [], 0, None
+    firsts, n_jumps, n_cells = [], [], 0
     for path in paths:
-        if path.horizon < T:
-            stop = ValueError(f"path horizon {path.horizon} shorter than maturity {T}")
-            break
         rows, held = _path_grid(path, ts, on_mesh, T)
-        moves = np.flatnonzero(held[1:] != held[:-1])
-        if jump_offsets is not None:
-            off = [m for m in moves.tolist() if held[m + 1] - held[m] not in jump_offsets]
-            if off:
-                m = off[0]
-                stop = ModelValidationError(
-                    f"path jumps {held[m]}->{held[m + 1]} at t={float(ts[rows[m + 1]])}, "
-                    f"outside the declared jump structure"
-                )
-                break
-            try:  # the kernel's own check, made here so that it keeps path order
-                for s in sorted(set(held[:-1].tolist())):
-                    reachable_states(n, s, jump_offsets)
-            except ModelValidationError as exc:
-                stop = exc
-                break
         keys = rows[:-1] * n + held[:-1]
         new = keys[cell[keys] < 0]
         cell[new] = np.arange(n_cells, n_cells + len(new))
         firsts.append(new)
         n_cells += len(new)
-        n_jumps.append(len(moves))
+        n_jumps.append(int(np.count_nonzero(held[1:] != held[:-1])))
     cell_rows, cell_states = np.divmod(np.concatenate([np.zeros(0, dtype=int)] + firsts), n)
     P, D = plan._positions_at(ts, cell_rows, cell_states)
-    if stop is not None:
-        raise stop
 
     # a trailing zero row, reached by cell index -1, serves the steps that pad
     # short paths: with v0 = v1 = 0 and growth 1 they leave the wealth as it is

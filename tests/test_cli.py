@@ -43,6 +43,18 @@ generator:
 rates: 0.05
 """
 
+# birth-death: the generator allows only i -> i +- 1
+BIRTH_DEATH = """\
+states: 5
+generator:
+-0.2   0.2   0     0     0
+ 0.1  -0.3   0.2   0     0
+ 0     0.15 -0.4   0.25  0
+ 0     0     0.3  -0.5   0.2
+ 0     0     0     0.1  -0.1
+rates: 0 0.25 0.5 0.75 1
+"""
+
 
 @pytest.fixture
 def model_file(tmp_path):
@@ -447,6 +459,66 @@ class TestHedge:
         assert err == "error: hedge grid has no times at or before T\n"
 
 
+class TestSmallBasis:
+    """A basis of K < n - 1 bonds hedges the jumps the generator allows."""
+
+    DENSE = """\
+states: 3
+generator:
+-1.5  1.0  0.5
+ 1.0 -1.5  0.5
+ 0.7  0.3 -1.0
+rates: 0 0.5 1
+"""
+    OPTIONS = {
+        "hedge": ["--t-grid", "0:1:0.25"],
+        "replicate": ["--dt", "0.01", "--N", "4", "--seed", "3"],
+    }
+
+    @pytest.mark.parametrize("command", ["hedge", "replicate"])
+    def test_dense_chain_exit_1(self, capsys, tmp_path, command):
+        p = tmp_path / "dense.txt"
+        p.write_text(self.DENSE)
+        code, out, err = run(capsys, command, str(p), "--T", "1", "--basis", "2",
+                             "--payoff", "1,0,0", *self.OPTIONS[command])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: full replication of an 3-state model needs 2 bonds, got 1; "
+            "state 0 has 2 exits\n"
+        )
+
+    def run_birth_death(self, capsys, tmp_path, command):
+        p = tmp_path / "bd5.txt"
+        p.write_text(BIRTH_DEATH)
+        code, out, _ = run(capsys, command, str(p), "--T", "1", "--basis", "2,3",
+                           "--payoff", "1,0,0,0,0", *self.OPTIONS[command])
+        assert code == 0
+        return str(p), *parse_csv(out)
+
+    def test_birth_death_hedge_with_two_bonds(self, capsys, tmp_path):
+        path, header, rows = self.run_birth_death(capsys, tmp_path, "hedge")
+        assert header == ["time", "state", "position_T2", "position_T3", "money_market_residual"]
+        assert len(rows) == 5 * 5
+        # each position vector matches the claim across the one or two
+        # neighbours the chain can jump to
+        spec = ctmc_rates.load_model(path)
+        G, r = spec.generator, spec.rates
+        payoff = ctmc_rates.ClaimPayoff(np.eye(5)[0], 1.0)
+        for row in rows:
+            t, s = float(row[0]), int(row[1])
+            D = np.array(row[2:4], dtype=float)
+            U = ctmc_rates.price_claim(G, r, payoff, t)
+            B = np.array([ctmc_rates.bond_prices(G, r, t, Tm) for Tm in (2.0, 3.0)]).T
+            for j in (s - 1, s + 1):
+                if 0 <= j < 5:
+                    assert D @ (B[j] - B[s]) == pytest.approx(U[j] - U[s], abs=1e-9)
+
+    def test_birth_death_replicate_with_two_bonds(self, capsys, tmp_path):
+        _, _, rows = self.run_birth_death(capsys, tmp_path, "replicate")
+        assert len(rows) == 4
+        assert all(float(row[2]) < 1e-2 for row in rows)
+
+
 class TestGoldenBytes:
     """sha256 of stdout and the exit code of each command on the fixture models.
 
@@ -456,7 +528,8 @@ class TestGoldenBytes:
     from numpy 2.4 with OpenBLAS on x86-64) a pin may move by the last digit.
     """
 
-    MODELS = {"two": TWO_STATE, "high": HIGH_RATE, "zero": ZERO_RATE, "scalar": SCALAR}
+    MODELS = {"two": TWO_STATE, "high": HIGH_RATE, "zero": ZERO_RATE, "scalar": SCALAR,
+              "bd5": BIRTH_DEATH}
     CASES = [
         ("two", ["price", "--T", "1", "--bond"], 0,
          "263549e331851177804d6a6b7e0ce81a282cc571f1a9f2b149382e7bf23a3a11"),
@@ -483,6 +556,13 @@ class TestGoldenBytes:
          "779c2ee2796c6f016860a5948c230512bc43b7f4729ddb5898f140fbf49770d3"),
         (None, ["demo", "--T-grid", "0.5:20:0.5"], 0,
          "6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c"),
+        # the full basis hedges every j != s, not only the generator's support
+        ("bd5", ["hedge", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
+                 "--t-grid", "0:1:0.25"], 0,
+         "f52b2fa37f78e45ddc9b8c517100d1c9f3f9987ca3e189e78d55375decdab158"),
+        ("bd5", ["replicate", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
+                 "--dt", "0.01", "--N", "4", "--seed", "3"], 0,
+         "e58a3b01128796da02edac99cf694d19c99c35508284b7ee8603a724a927a980"),
     ]
 
     @pytest.mark.parametrize("model, argv, code, digest", CASES,

@@ -249,6 +249,30 @@ class TestRecoverGenerator:
             assert np.array_equal(rec.entries != 0.0, G.entries != 0.0)
 
 
+# each would otherwise divide by zero, report a non-positive pi as generator
+# violations, or fail on a list's missing .shape
+BAD_PI = pytest.mark.parametrize(
+    "pi", [np.array([1.0, 0.0]), np.array([1.0, -1.0]), [1.0, 1.0]], ids=["zero", "negative", "list"]
+)
+BAD_PI_ERROR = r"^eigenvector must be a finite, strictly positive array of length 2$"
+
+
+class TestBadEigenvector:
+    @BAD_PI
+    def test_recover_generator_rejects(self, two_state_example, pi):
+        _, G, _ = two_state_example
+        with pytest.raises(ModelValidationError, match=BAD_PI_ERROR):
+            recover_generator(G, pi)
+
+    @BAD_PI
+    def test_tipk_price_rejects(self, two_state_example, pi):
+        _, G, r = two_state_example
+        rho, good = perron_pair(G, r)
+        rec = recover_generator(G, good)
+        with pytest.raises(ModelValidationError, match=BAD_PI_ERROR):
+            tipk_price(rho, pi, rec, ClaimPayoff(np.ones(2), 1.0), 0.0, 1.0, 0, 10, seed=0)
+
+
 def density(rho, pi, initial, T, states, integ):
     """Z_T = exp(-int_0^T r(J_s) ds - rho T) pi(J_T) / pi(J_0) from simulate_terminal."""
     return np.exp(-integ - rho * T) * pi[states] / pi[initial]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctmc_rates import (
     BondBasis,
@@ -16,9 +18,10 @@ from ctmc_rates import (
     replicate_paths,
     simulate_path,
 )
-from ctmc_rates.replication import _hedge, reachable_states
+from ctmc_rates.model import SUPPORT_EPS
+from ctmc_rates.replication import _hedge
 
-from conftest import random_model
+from conftest import models, random_model
 from oracles import closed_form_hedge
 
 
@@ -33,6 +36,19 @@ def birth_death_model(n=4, up=0.8, down=0.6, rate_step=0.03):
     return GeneratorMatrix(Q), RateMap(rate_step * np.arange(n))
 
 
+@st.composite
+def birth_death_models(draw, n_max=6):
+    """Birth-death chains on 3..n_max states with random intensities and rates."""
+    n = draw(st.integers(3, n_max))
+    up, down = (
+        draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1)) for _ in range(2)
+    )
+    Q = np.diag(up, 1) + np.diag(down, -1)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    rates = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return GeneratorMatrix(Q), RateMap(np.array(rates))
+
+
 def arrow_debreu_plan(G, r, T, basis, k):
     """Hedge plan for the Arrow-Debreu claim paying 1 in state k at T."""
     return HedgePlan(G, r, T, basis, ClaimPayoff(np.eye(G.n)[k], T))
@@ -40,7 +56,7 @@ def arrow_debreu_plan(G, r, T, basis, k):
 
 def bond_jumps(G, r, t, basis, current):
     """E[j, k] = B(t, j; T_k) - B(t, current; T_k) over every state j."""
-    B = np.array([bond_prices(G, r, t, Tm) for Tm in basis.maturities]).T
+    B = np.reshape([bond_prices(G, r, t, Tm) for Tm in basis.maturities], (-1, G.n)).T
     return B - B[current]
 
 
@@ -108,7 +124,8 @@ class TestSolveHedge:
         P = np.zeros((1, 3, 3))
         P[0, 1:, 0] = dA
         P[0, 1:, 1:] = np.eye(2)
-        D = _hedge(P, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int), None)[0]
+        hedged = ~np.eye(3, dtype=bool)
+        D = _hedge(P, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int), hedged)[0]
         assert np.allclose(D, dA, atol=1e-15)
 
 
@@ -170,6 +187,12 @@ class TestHedgeForPayoff:
         with pytest.raises(ModelValidationError, match="basis maturities must be finite"):
             BondBasis((2.0, m))
 
+    def test_payoff_of_another_length_rejected(self, two_state_example):
+        # the error price_claim raises, not numpy's from stacking the columns
+        _, G, r = two_state_example
+        with pytest.raises(ModelValidationError, match="^payoff length does not match state count$"):
+            HedgePlan(G, r, 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(3), 1.0))
+
 
 class TestJumpCoverage:
     def test_hedged_jump_matches_claim_jump(self):
@@ -187,16 +210,50 @@ class TestJumpCoverage:
             assert np.allclose(E @ D, target - target[i], atol=1e-8)
 
 
+def assert_hedges_allowed_jumps(G, r, bonds, values, t=0.4):
+    """Each state's positions match the claim on every jump g_sj > SUPPORT_EPS
+    allows, or the basis is reported unhedgeable there."""
+    basis = BondBasis(tuple(1.5 + 0.5 * k for k in range(bonds)))
+    payoff = ClaimPayoff(values, 1.0)
+    plan = HedgePlan(G, r, 1.0, basis, payoff)
+    U = price_claim(G, r, payoff, t)
+    for s in range(G.n):
+        try:
+            D = plan.positions(t, s)
+        except UnhedgeableBasisError:
+            continue
+        allowed = np.flatnonzero(G.entries[s] > SUPPORT_EPS)
+        E = bond_jumps(G, r, t, basis, s)[allowed]
+        atol = 1e-9 * (1.0 + np.abs(D).sum())
+        assert np.allclose(E @ D, U[allowed] - U[s], rtol=0, atol=atol)
+
+
+class TestAllowedJumps:
+    @settings(max_examples=60, deadline=None)
+    @given(models(), st.data())
+    def test_full_basis_on_admissible_models(self, model, data):
+        G, r = model
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=G.n, max_size=G.n))
+        assert_hedges_allowed_jumps(G, r, G.n - 1, np.array(values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(birth_death_models(), st.booleans(), st.data())
+    def test_birth_death_with_two_or_all_bonds(self, model, full, data):
+        G, r = model
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=G.n, max_size=G.n))
+        assert_hedges_allowed_jumps(G, r, G.n - 1 if full else 2, np.array(values))
+
+
 class TestSchedule:
-    @pytest.mark.parametrize("jump_offsets", [None, (-1, 1)])
-    def test_schedule_matches_each_cell(self, jump_offsets):
+    @pytest.mark.parametrize("bonds", [(1.6, 2.1, 2.7), (1.6, 2.1)], ids=["full", "support"])
+    def test_schedule_matches_each_cell(self, bonds):
         # the whole-grid call and the one-cell calls go through the same kernel;
         # they differ only by the rounding of the claim and bond values, which
         # the 3-bond basis (sum |D| ~ 1e4) amplifies to ~1e-12 of sum |D|
         G, r = birth_death_model(n=4)
-        basis = BondBasis((1.6, 2.1) if jump_offsets else (1.6, 2.1, 2.7))
+        basis = BondBasis(bonds)
         payoff = ClaimPayoff(np.random.default_rng(5).normal(size=4), 1.0)
-        plan = HedgePlan(G, r, 1.0, basis, payoff, jump_offsets=jump_offsets)
+        plan = HedgePlan(G, r, 1.0, basis, payoff)
         ts = np.linspace(0.0, 1.0, 6)
         D, residual = plan.schedule(ts)
         assert D.shape == (6, 4, len(basis.maturities))
@@ -323,8 +380,12 @@ class TestReplicateOnPath:
 
 class TestReducedBasis:
     def test_reachable_states_birth_death(self):
-        assert reachable_states(4, 0, (-1, 1)) == (1,)
-        assert reachable_states(4, 2, (-1, 1)) == (1, 3)
+        # a basis smaller than n - 1 bonds hedges the jumps the generator allows
+        G, r = birth_death_model(n=4)
+        plan = HedgePlan(G, r, 1.0, BondBasis((1.6, 2.1)), ClaimPayoff(np.ones(4), 1.0))
+        assert [np.flatnonzero(row).tolist() for row in plan.hedged] == [[1], [0, 2], [1, 3], [2]]
+        full = HedgePlan(G, r, 1.0, BondBasis((1.6, 2.1, 2.7)), ClaimPayoff(np.ones(4), 1.0))
+        assert (full.hedged == ~np.eye(4, dtype=bool)).all()
 
     def test_two_bond_hedge_covers_birth_death_jumps(self):
         G, r = birth_death_model(n=4)
@@ -333,10 +394,23 @@ class TestReducedBasis:
         payoff = ClaimPayoff(rng.normal(size=4), 1.0)
         target = price_claim(G, r, payoff, 0.5)
         for i in range(4):
-            reach = reachable_states(4, i, (-1, 1))
-            D = HedgePlan(G, r, 1.0, basis, payoff, jump_offsets=(-1, 1)).positions(0.5, i)
-            E = bond_jumps(G, r, 0.5, basis, i)[list(reach)]
-            assert np.allclose(E @ D, target[list(reach)] - target[i], atol=1e-9)
+            reach = [j for j in (i - 1, i + 1) if 0 <= j < 4]
+            D = HedgePlan(G, r, 1.0, basis, payoff).positions(0.5, i)
+            E = bond_jumps(G, r, 0.5, basis, i)[reach]
+            assert np.allclose(E @ D, target[reach] - target[i], atol=1e-9)
+
+    @pytest.mark.parametrize("dense, bonds, exits", [
+        (False, (1.6,), "state 1 has 2 exits"),
+        (True, (1.6, 2.1), "state 0 has 3 exits"),
+    ], ids=["birth-death", "dense"])
+    def test_basis_smaller_than_the_exits_rejected(self, dense, bonds, exits):
+        G, r = birth_death_model(n=4)
+        if dense:
+            G = GeneratorMatrix(np.full((4, 4), 0.5) - 2.0 * np.eye(4))
+        with pytest.raises(ModelValidationError, match=(
+            f"^full replication of an 4-state model needs 3 bonds, got {len(bonds)}; {exits}$"
+        )):
+            HedgePlan(G, r, 1.0, BondBasis(bonds), ClaimPayoff(np.ones(4), 1.0))
 
     def test_replication_with_two_bonds_on_birth_death_paths(self):
         G, r = birth_death_model(n=4)
@@ -345,34 +419,33 @@ class TestReducedBasis:
         rng = np.random.default_rng(4)
         for _ in range(3):
             path = simulate_path(G, 1, 2.2, rng, r=r)
-            rep = replicate_paths(
-                G, r, [path], 1.0, basis, payoff, 2.5e-4, jump_offsets=(-1, 1)
-            )[0]
+            rep = replicate_paths(G, r, [path], 1.0, basis, payoff, 2.5e-4)[0]
             assert rep.terminal_error < 3e-3
 
     def test_jump_outside_declared_structure_rejected(self):
-        rng = np.random.default_rng(2)
-        G, r = random_model(rng, n_max=3)
-        while G.n != 3:
-            G, r = random_model(rng, n_max=3)
-        basis = BondBasis((1.6, 2.1))
-        payoff = ClaimPayoff(np.zeros(3), 1.0)
-        path = ChainPath(0, (0.5,), (2,), 1.5, 3)
-        with pytest.raises(ModelValidationError) as exc:
-            replicate_paths(G, r, [path], 1.0, basis, payoff, 0.01, jump_offsets=(-1, 1))
-        assert "outside the declared jump structure" in str(exc.value)
+        # the generator declares the structure: a birth-death chain cannot
+        # jump 0 -> 2, so a two-bond basis does not hedge that jump
+        G, r = birth_death_model(n=4)
+        payoff = ClaimPayoff(np.zeros(4), 1.0)
+        path = ChainPath(0, (0.5,), (2,), 1.5, 4)
+        with pytest.raises(ModelValidationError, match=(
+            r"^path jumps 0->2 at t=0.5, which the generator does not allow "
+            r"and the 2-bond basis does not hedge$"
+        )):
+            replicate_paths(G, r, [path], 1.0, BondBasis((1.6, 2.1)), payoff, 0.01)
+        # the full basis hedges every jump, allowed or not
+        rep = replicate_paths(G, r, [path], 1.0, BondBasis((1.6, 2.1, 2.7)), payoff, 0.01)[0]
+        assert rep.n_jumps == 1
 
 
 class TestReplicatePaths:
-    @pytest.mark.parametrize(
-        "basis, jump_offsets", [((1.6, 2.1, 2.6), None), ((1.6, 2.1), (-1, 1))]
-    )
-    def test_matches_per_path_loop(self, basis, jump_offsets):
+    @pytest.mark.parametrize("basis", [(1.6, 2.1, 2.6), (1.6, 2.1)], ids=["full", "support"])
+    def test_matches_per_path_loop(self, basis):
         G, r = birth_death_model(n=4)
         payoff = ClaimPayoff(np.array([1.0, 0.0, -0.5, 2.0]), 1.0)
         rng = np.random.default_rng(9)
         paths = [simulate_path(G, 1, 2.7, rng, r=r) for _ in range(12)]
-        args = (1.0, BondBasis(basis), payoff, 1e-3, jump_offsets)
+        args = (1.0, BondBasis(basis), payoff, 1e-3)
         batch = replicate_paths(G, r, paths, *args)
         loop = [replicate_paths(G, r, [path], *args)[0] for path in paths]
         assert sum(rep.n_jumps for rep in loop) >= 8
@@ -383,44 +456,42 @@ class TestReplicatePaths:
                 one.max_tracking_error, rel=0, abs=1e-9
             )
 
-    # States 0 and 1 reach state 2 at the same rate, so the claim on state 2
-    # is worth the same in both: with one bond under zero rates, state 0
-    # (whose one declared exit is state 1) needs no bonds, while state 1 is
-    # unhedgeable, and so is state 2 when it may jump to 1.
-    LUMPED = GeneratorMatrix(np.array([[-1.5, 1.0, 0.5], [1.0, -1.5, 0.5], [0.7, 0.3, -1.0]]))
+    # State 0 may jump to 1 or 2, which are alike: the same rate, and both
+    # jump only to 3 at the same intensity. So their bonds are equal, the
+    # two-bond system of state 0 is singular and state 0 is unhedgeable at
+    # every t, while states 1, 2 and 3, with one exit each, are hedged.
+    FORK = GeneratorMatrix(np.array([
+        [-1.0, 0.5, 0.5, 0.0],
+        [0.0, -0.8, 0.0, 0.8],
+        [0.0, 0.0, -0.8, 0.8],
+        [0.6, 0.0, 0.0, -0.6],
+    ]))
+    FORK_RATES = RateMap(np.array([0.1, 0.3, 0.3, 0.6]))
+    FORK_ARGS = (1.0, BondBasis((1.5, 2.0)), ClaimPayoff(np.array([0.0, 0.0, 0.0, 1.0]), 1.0), 0.01)
 
     def first_loop_error(self, paths):
-        args = (1.0, BondBasis((1.5,)), ClaimPayoff(np.array([0.0, 0.0, 1.0]), 1.0), 0.01)
         with pytest.raises(UnhedgeableBasisError) as loop:
             for path in paths:
-                replicate_paths(self.LUMPED, RateMap(np.zeros(3)), [path], *args, (-1, 1))
+                replicate_paths(self.FORK, self.FORK_RATES, [path], *self.FORK_ARGS)
         with pytest.raises(UnhedgeableBasisError) as batch:
-            replicate_paths(self.LUMPED, RateMap(np.zeros(3)), paths, *args, (-1, 1))
+            replicate_paths(self.FORK, self.FORK_RATES, paths, *self.FORK_ARGS)
         assert str(batch.value) == str(loop.value)
         return str(batch.value)
 
     def test_unhedgeable_error_names_first_failing_path(self):
         # path 1 fails at t=0, earlier than path 0's first failure at t=0.5
-        paths = [ChainPath(0, (0.5,), (1,), 2.0, 3), ChainPath(2, (), (), 2.0, 3)]
-        assert "(t=0.5, state=1)" in self.first_loop_error(paths)
-        assert "(t=0.0, state=2)" in self.first_loop_error(paths[::-1])
+        paths = [ChainPath(3, (0.5,), (0,), 2.0, 4), ChainPath(0, (), (), 2.0, 4)]
+        assert "singular" in self.first_loop_error(paths)
+        assert "(t=0.5, state=0)" in self.first_loop_error(paths)
+        assert "(t=0.0, state=0)" in self.first_loop_error(paths[::-1])
 
-    @pytest.mark.parametrize("jump_offsets, broken, error", [
-        # a jump the structure does not declare
-        ((-1, 1), ChainPath(0, (0.25,), (2,), 2.0, 3), "0->2 at t=0.25, outside"),
-        # a state the structure leaves without exits
-        ((1,), ChainPath(2, (), (), 2.0, 3), "leaves state 2 with no exits"),
-    ])
-    def test_earlier_unhedgeable_path_wins_over_jump_structure(
-        self, jump_offsets, broken, error
-    ):
-        unhedgeable = ChainPath(1, (), (), 2.0, 3)
-        args = (1.0, BondBasis((1.5,)), ClaimPayoff(np.array([0.0, 0.0, 1.0]), 1.0), 0.01)
-        with pytest.raises(UnhedgeableBasisError, match=r"\(t=0.0, state=1\)"):
-            replicate_paths(
-                self.LUMPED, RateMap(np.zeros(3)), [unhedgeable, broken], *args, jump_offsets
-            )
-        with pytest.raises(ModelValidationError, match=error):
-            replicate_paths(
-                self.LUMPED, RateMap(np.zeros(3)), [broken, unhedgeable], *args, jump_offsets
-            )
+    @pytest.mark.parametrize("broken, error, match", [
+        (ChainPath(1, (0.25,), (2,), 2.0, 4), ModelValidationError, r"path jumps 1->2 at t=0\.25"),
+        (ChainPath(1, (), (), 2.0, 3), ModelValidationError, "path has 3 states, the model 4"),
+        (ChainPath(1, (), (), 0.5, 4), ValueError, "path horizon 0.5 shorter than maturity 1.0"),
+    ], ids=["unhedged-jump", "n-states", "horizon"])
+    def test_every_path_is_checked_before_the_hedge(self, broken, error, match):
+        # an earlier path that is unhedgeable does not hide a later bad path
+        unhedgeable = ChainPath(0, (), (), 2.0, 4)
+        with pytest.raises(error, match=match):
+            replicate_paths(self.FORK, self.FORK_RATES, [unhedgeable, broken], *self.FORK_ARGS)
