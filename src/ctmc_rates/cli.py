@@ -256,69 +256,94 @@ def cmd_demo(args) -> int:
     return 0
 
 
+class _Subcommand:
+    """A subcommand's parser, built only when argparse dispatches to it.
+
+    argparse registers each subcommand through add_subparsers' parser_class
+    hook but reads nothing from the parser except in parse_known_args, so
+    the other commands' arguments are never added.
+    """
+
+    def __init__(self, *, fn, arguments, **kwargs):
+        self.fn, self.arguments, self.kwargs = fn, arguments, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        parser.set_defaults(fn=self.fn)
+        self.arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ctmc-rates", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
-        return sp
+    def command(name, fn, help):
+        def register(arguments):
+            sub.add_parser(name, help=help, fn=fn, arguments=arguments)
+        return register
 
-    sp = add("price", cmd_price, help="price a claim per state")
-    sp.add_argument("model")
-    sp.add_argument("--t", type=float, default=0.0)
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--Tb", type=float, default=None)
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--bond", action="store_true")
-    g.add_argument("--payoff", type=str, default=None)
-    g.add_argument("--caplet", type=float, default=None, metavar="K")
-    g.add_argument("--floorlet", type=float, default=None, metavar="K")
-    sp.add_argument("--output", default=None)
+    @command("price", cmd_price, "price a claim per state")
+    def _(sp):
+        sp.add_argument("model")
+        sp.add_argument("--t", type=float, default=0.0)
+        sp.add_argument("--T", type=float, required=True)
+        sp.add_argument("--Tb", type=float, default=None)
+        g = sp.add_mutually_exclusive_group()
+        g.add_argument("--bond", action="store_true")
+        g.add_argument("--payoff", type=str, default=None)
+        g.add_argument("--caplet", type=float, default=None, metavar="K")
+        g.add_argument("--floorlet", type=float, default=None, metavar="K")
+        sp.add_argument("--output", default=None)
 
-    sp = add("yield-curve", cmd_yield_curve, help="yield curve CSV over a maturity grid")
-    sp.add_argument("model")
-    sp.add_argument("--t", type=float, default=0.0)
-    sp.add_argument("--T-grid", dest="T_grid", required=True, metavar="START:STOP:STEP")
-    sp.add_argument("--output", default=None)
+    @command("yield-curve", cmd_yield_curve, "yield curve CSV over a maturity grid")
+    def _(sp):
+        sp.add_argument("model")
+        sp.add_argument("--t", type=float, default=0.0)
+        sp.add_argument("--T-grid", dest="T_grid", required=True, metavar="START:STOP:STEP")
+        sp.add_argument("--output", default=None)
 
-    sp = add("hedge", cmd_hedge, help="hedge schedule CSV")
-    sp.add_argument("model")
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--basis", required=True, metavar="T1,T2,...")
-    sp.add_argument("--payoff", required=True, metavar="v0,v1,...")
-    sp.add_argument("--t-grid", dest="t_grid", required=True, metavar="START:STOP:STEP")
-    sp.add_argument("--output", default=None)
+    @command("hedge", cmd_hedge, "hedge schedule CSV")
+    def _(sp):
+        sp.add_argument("model")
+        sp.add_argument("--T", type=float, required=True)
+        sp.add_argument("--basis", required=True, metavar="T1,T2,...")
+        sp.add_argument("--payoff", required=True, metavar="v0,v1,...")
+        sp.add_argument("--t-grid", dest="t_grid", required=True, metavar="START:STOP:STEP")
+        sp.add_argument("--output", default=None)
 
-    sp = add("recover", cmd_recover, help="real-world generator report")
-    sp.add_argument("model")
+    @command("recover", cmd_recover, "real-world generator report")
+    def _(sp):
+        sp.add_argument("model")
 
-    sp = add("simulate", cmd_simulate, help="path statistics under Q or the recovered P")
-    sp.add_argument("model")
-    sp.add_argument("--measure", choices=["q", "p"], default="q")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--horizon", type=float, required=True)
-    sp.add_argument("--initial", type=int, default=0)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--output", default=None)
+    @command("simulate", cmd_simulate, "path statistics under Q or the recovered P")
+    def _(sp):
+        sp.add_argument("model")
+        sp.add_argument("--measure", choices=["q", "p"], default="q")
+        sp.add_argument("--N", type=int, required=True)
+        sp.add_argument("--horizon", type=float, required=True)
+        sp.add_argument("--initial", type=int, default=0)
+        sp.add_argument("--seed", type=int, required=True)
+        sp.add_argument("--output", default=None)
 
-    sp = add("replicate", cmd_replicate, help="pathwise replication error CSV")
-    sp.add_argument("model")
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--basis", required=True)
-    sp.add_argument("--payoff", required=True)
-    sp.add_argument("--dt", type=float, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--initial", type=int, default=0)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--output", default=None)
+    @command("replicate", cmd_replicate, "pathwise replication error CSV")
+    def _(sp):
+        sp.add_argument("model")
+        sp.add_argument("--T", type=float, required=True)
+        sp.add_argument("--basis", required=True)
+        sp.add_argument("--payoff", required=True)
+        sp.add_argument("--dt", type=float, required=True)
+        sp.add_argument("--N", type=int, required=True)
+        sp.add_argument("--initial", type=int, default=0)
+        sp.add_argument("--seed", type=int, required=True)
+        sp.add_argument("--output", default=None)
 
-    sp = add("demo", cmd_demo, help="two-state yield-curve dataset (closed form)")
-    sp.add_argument("--lam", type=float, default=0.5)
-    sp.add_argument("--rate", type=float, default=0.1)
-    sp.add_argument("--T-grid", dest="T_grid", default="0.1:50:0.1")
-    sp.add_argument("--output", default=None)
+    @command("demo", cmd_demo, "two-state yield-curve dataset (closed form)")
+    def _(sp):
+        sp.add_argument("--lam", type=float, default=0.5)
+        sp.add_argument("--rate", type=float, default=0.1)
+        sp.add_argument("--T-grid", dest="T_grid", default="0.1:50:0.1")
+        sp.add_argument("--output", default=None)
 
     return p
 
@@ -333,6 +358,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # e.g. a grid or path count too large to allocate
+        sys.stderr.write(f"error: {exc or 'out of memory'}\n")
         return 1
 
 

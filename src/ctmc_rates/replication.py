@@ -84,9 +84,12 @@ def _hedge(
     for the current state s:
     E[j, k] = B(t, j; T_k) - B(t, s; T_k) and dU[j] = U(t, j) - U(t, s), so
     the portfolio's jump exposure matches the claim's. The systems of one
-    current state share a shape and are handled as one stack: an SVD gate on
-    square ones, one batched solve (minimum-norm when not square) and a
-    residual gate. Raises UnhedgeableBasisError for the first failing pair.
+    current state share a shape and are handled as one stack: a condition
+    gate on square ones, one batched solve (minimum-norm when not square)
+    and a residual gate. The condition gate clears a system by a bound from
+    its inverse and sends only the rest to an SVD, so it accepts and rejects
+    what an SVD of every system would, with the same message. Raises
+    UnhedgeableBasisError for the first failing pair.
     """
     K = P.shape[2] - 1
     D = np.zeros((len(states), K))
@@ -107,18 +110,34 @@ def _hedge(
         pick, jumps = pick[live], jumps[live]
         E, dU = jumps[..., 1:], jumps[..., 0]
         if others.size == K:
-            # condition number alone misses a uniformly tiny system (e.g. all
-            # bonds constant under zero rates), so also reject when every
-            # singular value is below the noise floor of O(1) bond prices
-            sv = np.linalg.svd(E, compute_uv=False)
-            smax, smin = sv.max(axis=1), sv.min(axis=1)
-            ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / CONDITION_LIMIT)
+            # sigma_max <= K max|E| and 1/sigma_min <= K max|E^-1|, so a system
+            # whose bound sits 1e4 inside the limit passes without an SVD: below
+            # a condition number of 1e8 the computed inverse is good to about
+            # kappa*eps, which the margin absorbs. The bound is compared as a
+            # quotient, so no product can overflow.
+            try:
+                inv = np.linalg.inv(E)
+            except np.linalg.LinAlgError:  # an exactly singular system
+                ok = np.zeros(len(E), dtype=bool)
+            else:
+                ok = np.abs(inv).max(axis=(1, 2)) < 1e-4 * CONDITION_LIMIT / K**2 / np.maximum(
+                    np.abs(E).max(axis=(1, 2)), 1.0 / K)
+            # the SVD decides the rest exactly. Condition number alone misses a
+            # uniformly tiny system (e.g. all bonds constant under zero rates),
+            # so also reject when every singular value is below the noise
+            # floor of O(1) bond prices
+            check = np.flatnonzero(~ok)
+            if check.size:
+                sv = np.linalg.svd(E[check], compute_uv=False)
+                smax, smin = sv.max(axis=1), sv.min(axis=1)
+                ok[check] = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / CONDITION_LIMIT)
             if not ok.all():
                 i = int(np.argmin(ok))
-                cond = np.inf if smin[i] == 0.0 else smax[i] / smin[i]
+                c = np.searchsorted(check, i)  # i's row in the SVD
+                cond = np.inf if smin[c] == 0.0 else smax[c] / smin[c]
                 failures.append((int(pick[i]), "unhedgeable basis", (
                     f"bond-difference matrix is numerically singular (condition "
-                    f"estimate {cond:.3e}, largest singular value {smax[i]:.3e})"
+                    f"estimate {cond:.3e}, largest singular value {smax[c]:.3e})"
                 )))
                 # only the steps before this one can still fail earlier
                 pick, E, dU = pick[:i], E[:i], dU[:i]
@@ -276,7 +295,9 @@ def replicate_paths(
     n_steps = int(np.ceil(T / dt))
     mesh = np.minimum(np.arange(n_steps + 1) * dt, T)
     jumps = [tau for path in paths for tau in path.jump_times if tau < T]
-    ts = np.unique(np.concatenate([mesh, np.array(jumps)]))
+    # sorted and deduplicated as np.unique would, without its numpy.ma import
+    ts = np.sort(np.concatenate([mesh, np.array(jumps)]))
+    ts = ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
     on_mesh = np.zeros(len(ts), dtype=bool)
     on_mesh[np.searchsorted(ts, mesh)] = True
 

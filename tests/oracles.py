@@ -3,13 +3,15 @@
 Each one is independent of the engine it checks. The two-state formulas are
 explicit eigendecompositions, not matrix exponentials; the stationary law is
 a least-squares solve; the rate integral walks a path's constant pieces, not
-the event loop behind simulate_terminal.
+the event loop behind simulate_terminal; the hedge gate is an SVD of every
+square system.
 """
 import bisect
 
 import numpy as np
 
 from ctmc_rates import ChainPath, GeneratorMatrix, ModelValidationError, RateMap, UnhedgeableBasisError
+from ctmc_rates.replication import CONDITION_LIMIT, EXPOSURE_CUTOFF, HEDGE_RESIDUAL_TOL
 from ctmc_rates.two_state import TwoStateModel, closed_form_log_bonds
 
 
@@ -56,6 +58,54 @@ def closed_form_hedge(m: TwoStateModel, t: float, T: float, T1: float, k: int) -
             f"two-state basis bond carries no state exposure at t={t} (T1={T1})"
         )
     return float(num / den)
+
+
+def hedge_svd_gate(P, ts, steps, states, hedged) -> np.ndarray:
+    """replication._hedge for full bases, with every square system gated by its SVD.
+
+    The same stacks, solve and residual gate as the kernel; only the
+    condition gate differs, so positions and error texts must agree bit for
+    bit wherever the kernel's cheap bound is sound.
+    """
+    K = P.shape[2] - 1
+    D = np.zeros((len(states), K))
+    failures = []
+    for s in sorted(set(states.tolist())):
+        others = np.flatnonzero(hedged[s])
+        assert others.size == K, "the oracle covers square systems only"
+        pick = np.flatnonzero(states == s)
+        rows = steps[pick]
+        jumps = P[rows[:, None], others]
+        jumps -= P[rows, s][:, None]
+        scale = np.abs(P[rows, :, 0]).max(axis=1)
+        live = np.linalg.norm(jumps[..., 0], axis=1) > EXPOSURE_CUTOFF * scale
+        pick, jumps = pick[live], jumps[live]
+        E, dU = jumps[..., 1:], jumps[..., 0]
+        sv = np.linalg.svd(E, compute_uv=False)
+        smax, smin = sv.max(axis=1), sv.min(axis=1)
+        ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / CONDITION_LIMIT)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            cond = np.inf if smin[i] == 0.0 else smax[i] / smin[i]
+            failures.append((int(pick[i]), "unhedgeable basis", (
+                f"bond-difference matrix is numerically singular (condition "
+                f"estimate {cond:.3e}, largest singular value {smax[i]:.3e})"
+            )))
+            pick, E, dU = pick[:i], E[:i], dU[:i]
+        D[pick] = np.linalg.solve(E, dU[..., None])[..., 0]
+        resid = np.linalg.norm((E @ D[pick][..., None])[..., 0] - dU, axis=1)
+        bad = resid > HEDGE_RESIDUAL_TOL * (1.0 + np.linalg.norm(dU, axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            failures.append(
+                (int(pick[i]), "basis cannot match jump exposures", f"residual {resid[i]:.3e}")
+            )
+    if failures:
+        i, what, detail = min(failures)
+        raise UnhedgeableBasisError(
+            f"{what} at (t={float(ts[steps[i]])}, state={int(states[i])}): {detail}"
+        )
+    return D
 
 
 def closed_form_recovered_generator(m: TwoStateModel) -> np.ndarray:

@@ -459,6 +459,21 @@ class TestHedge:
         assert err == "error: hedge grid has no times at or before T\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["hedge", "--T", "1", "--basis", "2", "--payoff", "1,0", "--t-grid", "0:1:1e-15"],
+    ["replicate", "--T", "1", "--basis", "2", "--payoff", "1,0", "--dt", "1e-15", "--N", "1",
+     "--seed", "1"],
+    ["yield-curve", "--T-grid", "1:2:1e-15"],
+    ["simulate", "--N", "1000000000000000", "--horizon", "1", "--seed", "1"],
+])
+def test_oversized_input_is_an_error_line(capsys, model_file, argv):
+    # 1e15 points need 8 PB, beyond any 64-bit user address space, so the
+    # allocation fails at once whatever the machine's overcommit setting
+    code, out, err = run(capsys, argv[0], model_file, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
 class TestSmallBasis:
     """A basis of K < n - 1 bonds hedges the jumps the generator allows."""
 
@@ -576,6 +591,69 @@ class TestGoldenBytes:
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+class TestParserPins:
+    """Exit code and sha256 of stdout and stderr for help and usage errors.
+
+    Recorded before the subcommand parsers were built lazily, with COLUMNS=80
+    because argparse wraps help to the terminal width. The model path is
+    never opened: argparse stops before any command runs.
+    """
+
+    EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    CASES = [
+        (["--help"], 0, "e7e8ff8eaf4d3cce453c4c9a0f56e4237d49853682aa1d9d766dc6f391a9a466", EMPTY),
+        (["price", "--help"], 0, "ef6a24182931191b05b32f65f9b70c6610c7eca450fdda0007a06821445f9ca3", EMPTY),
+        (["yield-curve", "--help"], 0,
+         "eab3eab0bbc87958c01dae27ce0ec5a2bb4903679d066aa03987c22942ec1e61", EMPTY),
+        (["hedge", "--help"], 0, "1b3eb5f67e094b80c0c333b6dce2514a9ee7981599d967bfeb561cc39c860017", EMPTY),
+        (["recover", "--help"], 0, "5727769fba5a2781ce97dadad8d63d9bbaeee75059e7943e9a3db2ad96405bf7", EMPTY),
+        (["simulate", "--help"], 0, "3324c4ad1745be57b115577dfe3e2efa6c2df8850b164c9b3ab2eb6e458ba0b1", EMPTY),
+        (["replicate", "--help"], 0, "0bfafd4e2b6f039e97b235497a4bf98b587087038ea1d88b9b244c48a5240045", EMPTY),
+        (["demo", "--help"], 0, "698fd888778a2695f49634e49a674684a0c37cebf226f21099f4941df3e393df", EMPTY),
+        ([], 1, EMPTY, "170c1a0ad6e47211056b54b5b6a37e4ed8bbe46408b4a3a99c3d1cf3c1aae308"),
+        (["bogus"], 1, EMPTY, "fe8d46f7dd4c23cd29ccd5bd322614b2ff38be3e591dbdbaab6cf73fae90d8e6"),
+        (["--bogus"], 1, EMPTY, "170c1a0ad6e47211056b54b5b6a37e4ed8bbe46408b4a3a99c3d1cf3c1aae308"),
+        (["price", "m.txt"], 1, EMPTY, "86102d346c0a654a81cf430ea511b111bc04ab3d174ad1490efc9dd0bd68fc07"),
+        (["recover"], 1, EMPTY, "aea5a1e9bafa3d9ad4f81232a20597a61260a86e03024feaca1510114659740d"),
+        (["simulate", "m.txt", "--measure", "z", "--N", "1", "--horizon", "1", "--seed", "1"], 1, EMPTY,
+         "927f3d2ee4b9c831fa7139e85aadc0eb79ba1afae45788f3b086d66cb4685a38"),
+        (["hedge", "m.txt", "--T", "x", "--basis", "2", "--payoff", "1,0", "--t-grid", "0:1:1"], 1, EMPTY,
+         "325c6b6689c0aac49e63f703d250a01cbe265545fbce8d95acc8e3bc4c8d70c8"),
+        (["recover", "m.txt", "extra"], 1, EMPTY,
+         "c3b25e2d2f59eec72dcb3a01b7dd022fb88047ad4a320ec86adf0a368780eb4e"),
+        (["price", "m.txt", "--T", "1", "--bond", "--caplet", "1"], 1, EMPTY,
+         "fbc38a1204684fe451945a63156747cdfab2ed70750f1d888f8ea0e8cf901313"),
+        (["demo", "--lam"], 1, EMPTY, "4bc5128d26d96ee43a8df6b0bbc75a4c20262becf43b060ef2acebad48e98c25"),
+    ]
+    # runs every case through main in one child and prints [code, sha(out), sha(err)] per case
+    CHILD = """\
+import contextlib, hashlib, io, json, sys
+from ctmc_rates.cli import main
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code] + [hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (out, err)])
+print(json.dumps(results))
+"""
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        out = subprocess.run(
+            [sys.executable, "-c", self.CHILD], input=json.dumps([argv for argv, *_ in self.CASES]),
+            env=dict(child_env(), COLUMNS="80"), capture_output=True, text=True, check=True,
+        )
+        return json.loads(out.stdout)
+
+    @pytest.mark.parametrize("k", range(len(CASES)), ids=[" ".join(c[0]) or "no-args" for c in CASES])
+    def test_help_and_usage_errors_are_byte_identical(self, outcomes, k):
+        assert outcomes[k] == list(self.CASES[k][1:])
+
+
 class TestStartup:
     def test_public_names_are_pinned(self):
         names = sorted(
@@ -602,6 +680,19 @@ class TestStartup:
         )
         out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
+
+    def test_replicate_leaves_numpy_ma_out(self, model_file):
+        # np.unique imports numpy.ma on its first call, ~18 ms of a cold process
+        code = (
+            "import contextlib, io, sys\n"
+            "from ctmc_rates.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['replicate', {model_file!r}, '--T', '1', '--basis', '2', '--payoff', '1,0',"
+            " '--dt', '0.01', '--N', '4', '--seed', '3'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
 
     def test_output_manifest_keys_and_tool_version(self, capsys, model_file, tmp_path):
         out_file = str(tmp_path / "curve.csv")

@@ -22,7 +22,7 @@ from ctmc_rates.model import SUPPORT_EPS
 from ctmc_rates.replication import _hedge
 
 from conftest import models, random_model
-from oracles import closed_form_hedge
+from oracles import closed_form_hedge, hedge_svd_gate
 
 
 def birth_death_model(n=4, up=0.8, down=0.6, rate_step=0.03):
@@ -127,6 +127,115 @@ class TestSolveHedge:
         hedged = ~np.eye(3, dtype=bool)
         D = _hedge(P, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=int), hedged)[0]
         assert np.allclose(D, dA, atol=1e-15)
+
+
+def conditioned_systems(rng, K, log_conds, log_scales):
+    """Square K x K systems with entries in [-1, 1] and condition numbers 10**log_conds.
+
+    Each is U diag(sv) V^T with Haar-random U, V and singular values spread
+    geometrically from 1 to 10**-log_cond, then scaled to max|E| = 10**log_scale.
+    """
+    m = len(log_conds)
+    U, V = (np.linalg.qr(rng.standard_normal((m, K, K)))[0] for _ in range(2))
+    sv = 10.0 ** -(np.asarray(log_conds)[:, None] * np.linspace(0.0, 1.0, K))
+    E = (U * sv[:, None, :]) @ V.transpose(0, 2, 1)
+    return E * (10.0 ** np.asarray(log_scales) / np.abs(E).max(axis=(1, 2)))[:, None, None]
+
+
+def hedge_both_ways(E, dU):
+    """Outcome of _hedge and of the SVD-gated oracle on the stack E @ D = dU in state 0.
+
+    The current state's row of P is zero, so the kernel's jump system is E
+    itself; each outcome is the positions' bytes or the error text.
+    """
+    m, K = dU.shape
+    P = np.zeros((m, K + 1, K + 1))
+    P[:, 1:, 0], P[:, 1:, 1:] = dU, E
+    args = (P, 0.01 * np.arange(m), np.arange(m), np.zeros(m, dtype=int), ~np.eye(K + 1, dtype=bool))
+    outcomes = []
+    for hedge in (_hedge, hedge_svd_gate):
+        try:
+            outcomes.append(hedge(*args).tobytes())
+        except UnhedgeableBasisError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestConditionGate:
+    """_hedge clears well-conditioned square systems by a bound; the SVD decides the rest."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_well_posed_stacks_solve_alike(self, seed):
+        # condition numbers up to 1e11 at scales the gate accepts, on both
+        # sides of the cheap bound, with exposures the bonds can match: the
+        # same positions, bit for bit
+        rng = np.random.default_rng(seed)
+        K = 1 + seed % 5
+        log_conds = rng.uniform(0.0, 11.0, 64)
+        E = conditioned_systems(rng, K, log_conds, rng.uniform(log_conds - 11.0, 0.0))
+        dU = (E @ rng.uniform(-1.0, 1.0, (64, K, 1)))[..., 0]
+        kernel, oracle = hedge_both_ways(E, dU)
+        assert isinstance(oracle, bytes) and kernel == oracle
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_any_system_is_decided_alike(self, seed):
+        # condition numbers 1 to 1e17 at scales 1e-16 to 1, one system at a
+        # time so every decision counts: the same positions or error text
+        rng = np.random.default_rng(100 + seed)
+        K = 1 + seed % 5
+        E = conditioned_systems(rng, K, rng.uniform(0.0, 17.0, 16), rng.uniform(-16.0, 0.0, 16))
+        dU = (E @ rng.uniform(-1.0, 1.0, (16, K, 1)))[..., 0]
+        for i in range(16):
+            kernel, oracle = hedge_both_ways(E[i:i + 1], dU[i:i + 1])
+            assert kernel == oracle
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_all_zero_stack(self, K):
+        # zero rates: every bond difference is 0 and inv finds the stack singular
+        kernel, oracle = hedge_both_ways(np.zeros((4, K, K)), np.ones((4, K)))
+        assert kernel == oracle
+        assert "condition estimate inf, largest singular value 0.000e+00" in kernel
+
+    @pytest.mark.parametrize("log_cond", [12.5, 15.0, 17.0])
+    def test_failure_after_passing_systems(self, log_cond):
+        # the first failing system comes after systems the bound passes; one
+        # after it fails too, so the earliest is the one named
+        rng = np.random.default_rng(7)
+        log_conds = np.r_[np.zeros(5), log_cond, 1.0, 16.0]
+        E = conditioned_systems(rng, 3, log_conds, np.zeros(8))
+        kernel, oracle = hedge_both_ways(E, rng.uniform(-1.0, 1.0, (8, 3)))
+        assert kernel == oracle
+        assert "(t=0.05, state=0)" in kernel
+
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_birth_death_schedule_needs_no_svd(self, monkeypatch):
+        # the full-basis schedule of the CLI's 5-state birth-death fixture
+        Q = np.diag([0.2, 0.2, 0.25, 0.2], 1) + np.diag([0.1, 0.15, 0.3, 0.1], -1)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        G, r = GeneratorMatrix(Q), RateMap(np.linspace(0.0, 1.0, 5))
+        plan = HedgePlan(G, r, 1.0, BondBasis((2.0, 3.0, 4.0, 5.0)), ClaimPayoff(np.eye(5)[0], 1.0))
+        calls = self.svd_calls(monkeypatch)
+        D, _ = plan.schedule(np.arange(5) * 0.25)
+        assert calls == [] and np.isfinite(D).all()
+
+    def test_zero_rates_still_go_to_the_svd(self, monkeypatch):
+        G = GeneratorMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]]))
+        plan = HedgePlan(G, RateMap(np.zeros(2)), 1.0, BondBasis((1.5,)),
+                         ClaimPayoff(np.array([1.0, 0.0]), 1.0))
+        calls = self.svd_calls(monkeypatch)
+        with pytest.raises(UnhedgeableBasisError, match=r"unhedgeable basis at \(t=0.25, state=0\)"):
+            plan.positions(0.25, 0)
+        assert calls == [(1, 1, 1)]
 
 
 class TestHedgeForPayoff:
