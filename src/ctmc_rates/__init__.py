@@ -14,7 +14,6 @@ from .model import (
     matrix_exponential,
     simulate_path,
     simulate_terminal,
-    transition_matrix,
     validate_model,
 )
 from .modelfile import ModelSpec, load_model, parse_model_text

@@ -131,8 +131,7 @@ def cmd_yield_curve(args) -> int:
     header = ["T"] + [f"yield_{nm}" for nm in spec.labels]
     asym = None
     if G.n == 2:
-        rho, _ = recovery.dominant_eigenpair(G, r)
-        asym = -rho if rho else 0.0  # 0, not -0, at zero rates
+        asym = -recovery.perron_pair(G, r)[0] if np.any(r.rates) else 0.0
         header.append("asymptote")
     Y = pricing.yield_curve(G, r, args.t, grid)
     columns = [grid, *Y.T] + ([np.full(grid.size, asym)] if asym is not None else [])

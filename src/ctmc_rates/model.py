@@ -330,13 +330,6 @@ def propagate(
     return scaled, exponent * np.log(2.0)
 
 
-def transition_matrix(G: GeneratorMatrix, t: float) -> np.ndarray:
-    """P(t) = e^{tG}; stochastic for any admissible generator."""
-    if t < 0:
-        raise ValueError(f"transition time must be >= 0, got {t}")
-    return matrix_exponential(t * G.entries)
-
-
 def _check_horizon(horizon: float) -> None:
     # an infinite horizon would never end the event loop; nan would end it at once
     if not 0 < horizon < math.inf:

@@ -22,7 +22,7 @@ from .pricing import ClaimPayoff, mean_and_se
 
 # panel width of _gth_lu; unshifted and total steps of _perron; a closed bracket's width
 _PANEL, _CHEAP_STEPS, _MAX_STEPS, _CLOSED = 64, 64, 96, 4 * float(np.finfo(float).eps)
-# |(G-R)pi - rho pi| for the Perron pair
+# |(G-R)pi - rho pi| <= EIGEN_RESIDUAL_TOL |G-R| pi entrywise for the Perron pair
 EIGEN_RESIDUAL_TOL = 1e-10
 
 
@@ -110,8 +110,8 @@ def _lu_solve(panels: list[tuple], b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _perron(Q: np.ndarray, rates: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """Perron pair of M = Q - diag(rates), checked by |M pi - rho pi| <= tol |M| pi.
+def _perron(Q: np.ndarray, rates: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron pair of M = Q - diag(rates), checked by |M pi - rho pi| <= EIGEN_RESIDUAL_TOL |M| pi.
 
     Each iterate v > 0 has w = A v, A = diag(rates) - Q, so [min w/v, max w/v]
     brackets -rho (Collatz-Wielandt). Inverse iteration uses one factoring of
@@ -144,34 +144,30 @@ def _perron(Q: np.ndarray, rates: np.ndarray, tol: float) -> tuple[float, np.nda
         # r is not 0, so rho < 0 even where it is nearer 0 than -5e-324
         rho, pi = -0.5 * (lo + hi) or -5e-324, v / np.linalg.norm(v)
         M = Q - np.diag(rates)
-        bad = ~((pi > 0) & (np.abs(M @ pi - rho * pi) <= tol * (np.abs(M) @ pi)))
+        bad = ~((pi > 0) & (np.abs(M @ pi - rho * pi) <= EIGEN_RESIDUAL_TOL * (np.abs(M) @ pi)))
         if np.any(bad):
-            raise ModelValidationError(f"pi underflows or |M pi - rho pi| > {tol:g} |M| pi in {bad.sum()} states")
+            raise ModelValidationError(
+                f"pi underflows or |M pi - rho pi| > {EIGEN_RESIDUAL_TOL:g} |M| pi in {bad.sum()} states")
     except (FloatingPointError, ModelValidationError) as exc:
         raise ModelValidationError(f"Perron solve failed: {exc}; bracket on -rho [{lo:.17g}, {hi:.17g}]") from exc
     return rho, pi
 
 
-def dominant_eigenpair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
-    """Perron eigenvalue rho of G - R and its positive unit eigenvector pi, each
-    entry accurate relative to itself; exactly (0, 1/sqrt(n)) when r = 0."""
+def perron_pair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
+    """Perron eigenvalue rho < 0 of G - R and its positive unit eigenvector pi,
+    read-only, each entry accurate relative to itself.
+
+    Raises RecoveryHypothesisError before any solve when r is identically 0
+    (then rho = 0). The pair is checked entrywise, |M pi - rho pi| <=
+    EIGEN_RESIDUAL_TOL |M| pi with M = G - R: a test that reads the same in
+    any unit of time, since scaling G and r by c scales both sides by c.
+    """
     require_valid_model(G, r)
     if not np.any(r.rates):
-        return 0.0, np.full(G.n, 1.0 / np.sqrt(G.n))
+        raise RecoveryHypothesisError("recovery hypothesis violated: rho = 0 (the short rate is identically 0)")
     # underflow from tiny valid data (a 1e-311 rate) is no error; _perron checks pi
     with np.errstate(all="raise", under="ignore"):
-        return _perron(G.entries, r.rates, EIGEN_RESIDUAL_TOL)
-
-
-def perron_pair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
-    """Perron eigenpair (rho, pi) with pi read-only, gated on the recovery
-    hypothesis rho < 0, i.e. r not identically 0."""
-    rho, pi = dominant_eigenpair(G, r)
-    if rho == 0.0:
-        raise RecoveryHypothesisError("recovery hypothesis violated: rho = 0 (the short rate is identically 0)")
-    resid = np.linalg.norm((G.entries - r.diagonal) @ pi - rho * pi)
-    if resid > EIGEN_RESIDUAL_TOL:
-        raise ModelValidationError(f"Perron eigen-residual too large: {resid:.3e}")
+        rho, pi = _perron(G.entries, r.rates)
     pi.setflags(write=False)
     return rho, pi
 

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import ctmc_rates
+from ctmc_rates import GeneratorMatrix, RateMap, load_model, validate_model
 from ctmc_rates.cli import _parse_grid, _write_output, main
+from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL
 
 TWO_STATE = """\
 states: 2
@@ -54,6 +56,17 @@ generator:
  0     0     0     0.1  -0.1
 rates: 0 0.25 0.5 0.75 1
 """
+
+
+def stiff_dense_text(seed=11, n=5):
+    """A dense chain at intensity 1e6, every number written with repr."""
+    rng = np.random.default_rng(seed)
+    Q = 1e6 * rng.uniform(0.05, 1.0, (n, n))
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    rates = rng.uniform(0.01, 0.2, n)
+    return (f"states: {n}\ngenerator:\n" + "\n".join(" ".join(map(repr, row.tolist())) for row in Q)
+            + "\nrates: " + " ".join(map(repr, rates.tolist())) + "\n")
 
 
 @pytest.fixture
@@ -273,6 +286,21 @@ class TestRecover:
         assert code == 2
         assert "hypothesis" in err
 
+    def test_stiff_chain_recovers(self, capsys, tmp_path):
+        # |M pi - rho pi| is ~1.5e-10 here from rounding M pi alone; the gate
+        # is entrywise, relative to |M| pi, so the report goes out
+        p = tmp_path / "stiff.txt"
+        p.write_text(stiff_dense_text())
+        code, out, err = run(capsys, "recover", str(p))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        spec = load_model(str(p))
+        M = spec.generator.entries - spec.rates.diagonal
+        rho, pi = report["rho"], np.array(report["pi"])
+        assert np.all(np.abs(M @ pi - rho * pi) <= EIGEN_RESIDUAL_TOL * (np.abs(M) @ pi))
+        Gp = GeneratorMatrix(np.array(report["generator_p"]))
+        assert validate_model(Gp, RateMap(np.zeros(len(pi)))) == ()
+
     def test_scalar_model_rho(self, capsys, tmp_path):
         p = tmp_path / "one.txt"
         p.write_text(SCALAR)
@@ -311,6 +339,16 @@ class TestSimulate:
         # rate) is favoured: g01/g10 < 1
         assert abs(outs["q"]["0"] - 0.5) < 0.02
         assert outs["p"]["0"] > 0.53
+
+    def test_stiff_chain_under_p(self, capsys, tmp_path):
+        # about 200 jumps per path at intensity 1e6
+        p = tmp_path / "stiff.txt"
+        p.write_text(stiff_dense_text())
+        code, out, err = run(capsys, "simulate", str(p), "--measure", "p", "--N", "200",
+                             "--horizon", "1e-4", "--seed", "1")
+        assert (code, err) == (0, "")
+        occupancy = [float(r[2]) for r in parse_csv(out)[1] if r[0] == "occupancy_at_horizon"]
+        assert len(occupancy) == 5 and sum(occupancy) == pytest.approx(1.0)
 
     def test_n_zero_exit_1(self, capsys, model_file):
         code, _, _ = run(
@@ -669,8 +707,7 @@ class TestStartup:
             "caplet", "floorlet", "forward_rate", "load_model", "matrix_exponential",
             "mc_price_claim", "parse_model_text", "perron_pair", "price_claim",
             "price_forward_rate_option", "recover_generator", "replicate_paths",
-            "simulate_path", "simulate_terminal", "tipk_price", "transition_matrix",
-            "validate_model",
+            "simulate_path", "simulate_terminal", "tipk_price", "validate_model",
         ]
 
     def test_cli_import_leaves_scipy_and_manifest_modules_out(self):

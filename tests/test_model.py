@@ -20,7 +20,6 @@ from ctmc_rates import (
     matrix_exponential,
     simulate_path,
     simulate_terminal,
-    transition_matrix,
     validate_model,
 )
 import ctmc_rates
@@ -230,14 +229,16 @@ class TestMatrixExponential:
 
 
 class TestTransitionMatrix:
+    """P(t) = e^{tG}, stochastic for any admissible generator."""
+
     def test_identity_at_zero(self, two_state_example):
         _, G, _ = two_state_example
-        assert np.allclose(transition_matrix(G, 0.0), np.eye(2), atol=1e-15)
+        assert np.allclose(matrix_exponential(0.0 * G.entries), np.eye(2), atol=1e-15)
 
     def test_symmetric_two_state_value(self, two_state_example):
         # off-diagonal of e^{tG} for symmetric intensity lam: (1 - e^{-2 lam t})/2
         _, G, _ = two_state_example
-        P = transition_matrix(G, 1.0)
+        P = matrix_exponential(1.0 * G.entries)
         expected = (1.0 - np.exp(-1.0)) / 2.0
         assert P[0, 1] == pytest.approx(expected, abs=1e-12)
         assert P[1, 0] == pytest.approx(expected, abs=1e-12)
@@ -246,26 +247,21 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(3)
         G, _ = random_model(rng)
         pi = stationary_distribution(G)
-        P = transition_matrix(G, 400.0)
+        P = matrix_exponential(400.0 * G.entries)
         assert np.allclose(P, np.tile(pi, (G.n, 1)), atol=1e-9)
-
-    def test_negative_time_rejected(self, two_state_example):
-        _, G, _ = two_state_example
-        with pytest.raises(ValueError):
-            transition_matrix(G, -0.1)
 
     @settings(max_examples=25, deadline=None)
     @given(G=generators(), t=st.floats(0.0, 5.0))
     def test_stochastic_within_policy(self, G, t):
-        P = transition_matrix(G, t)
+        P = matrix_exponential(t * G.entries)
         assert np.all(P >= -ENTRY_FLOOR)
         assert np.allclose(P.sum(axis=1), 1.0, atol=STOCHASTIC_TOL)
 
     @settings(max_examples=25, deadline=None)
     @given(G=generators(), s=st.floats(0.0, 5.0), t=st.floats(0.0, 5.0))
     def test_semigroup(self, G, s, t):
-        lhs = transition_matrix(G, s + t)
-        rhs = transition_matrix(G, s) @ transition_matrix(G, t)
+        lhs = matrix_exponential((s + t) * G.entries)
+        rhs = matrix_exponential(s * G.entries) @ matrix_exponential(t * G.entries)
         assert np.allclose(lhs, rhs, atol=SEMIGROUP_TOL)
 
 
@@ -303,7 +299,7 @@ class TestSimulation:
         n_paths = 100_000
         states, _ = simulate_terminal(G, r, 1, 0.7, n_paths, seed=23)
         observed = np.bincount(states, minlength=G.n)
-        expected = transition_matrix(G, 0.7)[1] * n_paths
+        expected = matrix_exponential(0.7 * G.entries)[1] * n_paths
         _, pvalue = stats.chisquare(observed, expected)
         assert pvalue > 1e-4
 

@@ -22,7 +22,7 @@ from ctmc_rates import (
 from ctmc_rates.cli import main as cli_main
 from ctmc_rates.model import simulate_terminal
 from ctmc_rates.pricing import mean_and_se
-from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL, dominant_eigenpair
+from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL
 from ctmc_rates.two_state import TwoStateModel
 from scipy.linalg import eig
 
@@ -73,6 +73,30 @@ def birth_death_reference(G: np.ndarray, rates: np.ndarray, digits: int = 64):
             pi.append(pi[-1] * q)
         norm = mpmath.sqrt(mpmath.fsum(p * p for p in pi))
         return float(rho), np.array([float(p / norm) for p in pi])
+
+
+def inverse_iteration_reference(G, r, rho, pi, digits: int = 60):
+    """Perron pair of G - R in `digits`-digit arithmetic, by inverse iteration
+    shifted by rho and started from pi; returns doubles.
+
+    Every diagonal entry of G is taken as minus the exact sum of its row's
+    off-diagonals, as the solver takes it: at intensity 1e6 the stored
+    diagonal is rounded by ~1e-9, which would move rho at small rates.
+    """
+    n = G.n
+    with mpmath.workdps(digits):
+        M = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in G.entries])
+        for i in range(n):
+            M[i, i] = -mpmath.fsum(M[i, j] for j in range(n) if j != i) - mpmath.mpf(float(r.rates[i]))
+        shifted = M - mpmath.mpf(float(rho)) * mpmath.eye(n)
+        x = mpmath.matrix([mpmath.mpf(float(p)) for p in pi])
+        for _ in range(4):
+            x = mpmath.lu_solve(shifted, x)
+            x /= mpmath.norm(x)
+        Mx = M * x
+        rho_ref = mpmath.fsum(x[i] * Mx[i] for i in range(n))
+        assert mpmath.norm(Mx - rho_ref * x) <= mpmath.mpf(10) ** (20 - digits)
+        return float(rho_ref), np.array([float(x[i]) for i in range(n)])
 
 
 def two_blocks(eps):
@@ -130,14 +154,6 @@ class TestPerronPair:
             assert float(vals[k].real) == pytest.approx(rho, abs=1e-9)
             assert np.allclose(pi_eig, pi, atol=1e-8)
 
-
-    def test_zero_rates_give_exact_pair(self):
-        for n in (1, 2, 5):
-            Q = np.ones((n, n)) - n * np.eye(n)
-            rho, pi = dominant_eigenpair(GeneratorMatrix(Q), RateMap(np.zeros(n)))
-            assert rho == 0.0 and str(rho) == "0.0"
-            assert np.array_equal(pi, np.full(n, 1.0 / np.sqrt(n)))
-
     @pytest.mark.parametrize("lam, rate", [(0.5, 0.1), (2.0, 0.01), (0.05, 1.0), (1.0, 1.0)])
     def test_two_state_closed_forms_to_1e12(self, lam, rate):
         m = TwoStateModel(lam=lam, rate=rate)
@@ -178,22 +194,44 @@ class TestPerronPair:
         assert entrywise_residual_ok(G, r, rho, pi)
         assert np.max(np.abs(pi[::-1] / pi - 1.0)) <= 1e-12
 
+    def test_time_unit_scales_rho_and_leaves_pi(self):
+        # rates per day instead of per year: (G, r) -> (cG, cr) must give
+        # (c rho, pi) bit for bit and pass the same gate, at any power of two c
+        rng = np.random.default_rng(2024)
+        for G, r in [random_model(rng, n_max=11) for _ in range(40)]:
+            rho, pi = perron_pair(G, r)
+            for k in range(-30, 31):
+                c = np.ldexp(1.0, k)
+                rho_c, pi_c = perron_pair(GeneratorMatrix(c * G.entries), RateMap(c * r.rates))
+                assert rho_c == c * rho and np.array_equal(pi_c, pi)
+
+    def test_stiff_dense_chain_matches_reference(self):
+        # intensity 1e6: evaluated in doubles, the correctly rounded pair's
+        # ||M pi - rho pi|| is over 1e-10, so an absolute gate at 1e-10 would
+        # reject even the exact answer; the entrywise gate accepts it
+        rng = np.random.default_rng(6)
+        n = 30
+        Q = 1e6 * rng.uniform(0.05, 1.0, (n, n))
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        G, r = GeneratorMatrix(Q), RateMap(rng.uniform(0.01, 0.2, n))
+        rho, pi = perron_pair(G, r)
+        rho_ref, pi_ref = inverse_iteration_reference(G, r, rho, pi)
+        assert abs(rho - rho_ref) <= 1e-13 * abs(rho_ref)
+        assert np.max(np.abs(pi - pi_ref) / pi_ref) <= 1e-13
+        assert np.linalg.norm((G.entries - r.diagonal) @ pi_ref - rho_ref * pi_ref) > EIGEN_RESIDUAL_TOL
+        assert entrywise_residual_ok(G, r, rho_ref, pi_ref)
+
     @settings(max_examples=200, deadline=None)
     @given(models())
     def test_pair_is_positive_and_gated_up_to_stiff_chains(self, model):
         G, r = model
         assume(np.any(r.rates > 0))
-        rho, pi = dominant_eigenpair(G, r)
+        rho, pi = perron_pair(G, r)
         assert rho < 0 and np.all(pi > 0)
         assert entrywise_residual_ok(G, r, rho, pi)
         rec = recover_generator(G, pi)
         assert validate_model(rec, RateMap(np.zeros(G.n))) == ()
-        # perron_pair's absolute gate |M pi - rho pi| <= 1e-10 also holds
-        # wherever rounding pi to doubles leaves room for it: that alone puts
-        # about eps |M| pi into M pi, ~1e-10 at intensity 1e6
-        M = G.entries - r.diagonal
-        if np.finfo(float).eps * np.linalg.norm(np.abs(M) @ pi) <= EIGEN_RESIDUAL_TOL / 16:
-            assert perron_pair(G, r)[0] == rho
 
     @pytest.mark.parametrize("rate", [1e-303, 1.1125369292536007e-308, 1e-311, 5e-324])
     @pytest.mark.parametrize("intensity", [1.0, 1e6])
@@ -324,7 +362,7 @@ class TestRadonNikodym:
         # the horizon allows about ten jumps from the fastest state
         G, r = model
         assume(np.any(r.rates > 0))
-        rho, pi = dominant_eigenpair(G, r)
+        rho, pi = perron_pair(G, r)
         T = 10.0 / max(10.0, float(-np.diag(G.entries).min()))
         states, integ = simulate_terminal(G, r, 0, T, 4000, seed=29)
         mean, se = mean_and_se(density(rho, pi, 0, T, states, integ))
