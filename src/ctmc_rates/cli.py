@@ -163,28 +163,24 @@ def cmd_hedge(args) -> int:
     return 0
 
 
-def _json_list(items, depth: int) -> str:
-    """json.dumps(items, indent=2) at `depth`, for JSON texts or floats (C encoder)."""
-    if isinstance(items, np.ndarray):
-        items = json.dumps(items.tolist())[1:-1].split(", ")  # no float's text holds ", "
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-
-
 def cmd_recover(args) -> int:
     spec = load_model(args.model)
     G, r = spec.generator, spec.rates
     rho, pi = recovery.perron_pair(G, r)
     rec = recovery.recover_generator(G, pi)
-    report = {
-        "rho": json.dumps(rho),
-        "pi": _json_list(pi, 1),
-        "generator_p": _json_list([_json_list(row, 2) for row in rec.entries], 1),
-        "states": _json_list([json.dumps(name) for name in spec.labels], 1),
-        "validation": json.dumps("ok"),
-    }
-    body = ",\n  ".join(f"{json.dumps(key)}: {text}" for key, text in report.items())
-    sys.stdout.write("{\n  " + body + "\n}\n")
+    # json.dumps(report, indent=2) written a row at a time, so only one row's text
+    # is held; repr is json's text for a finite float, and pi and G^pi are validated
+    sep = ",\n    "
+    row = "    [\n      " + ",\n      ".join(["%r"] * G.n) + "\n    ]"
+    write = sys.stdout.write
+    write('{\n  "rho": %r,\n  "pi": [\n    %s\n  ],\n  "generator_p": [\n'
+          % (float(rho), sep.join(map(repr, pi.tolist()))))
+    lead = ""
+    for values in rec.entries:
+        write(lead + row % tuple(values.tolist()))
+        lead = ",\n"
+    write('\n  ],\n  "states": [\n    %s\n  ],\n  "validation": "ok"\n}\n'
+          % sep.join(map(json.dumps, spec.labels)))
     return 0
 
 

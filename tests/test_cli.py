@@ -1,9 +1,11 @@
 import datetime
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from importlib.metadata import PackageNotFoundError, version
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 import ctmc_rates
-from ctmc_rates import GeneratorMatrix, RateMap, load_model, validate_model
+from ctmc_rates import (GeneratorMatrix, ModelValidationError, RateMap, load_model, perron_pair,
+                        recover_generator, recovery, validate_model)
 from ctmc_rates.cli import _parse_grid, _write_output, main
 from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL
 
@@ -58,10 +61,10 @@ rates: 0 0.25 0.5 0.75 1
 """
 
 
-def stiff_dense_text(seed=11, n=5):
-    """A dense chain at intensity 1e6, every number written with repr."""
+def dense_text(seed=11, n=5, scale=1e6):
+    """A dense chain at intensity `scale`, every number written with repr."""
     rng = np.random.default_rng(seed)
-    Q = 1e6 * rng.uniform(0.05, 1.0, (n, n))
+    Q = scale * rng.uniform(0.05, 1.0, (n, n))
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
     rates = rng.uniform(0.01, 0.2, n)
@@ -266,18 +269,54 @@ class TestRecover:
         assert Gp[0, 1] == pytest.approx(0.4524937810560445, abs=1e-12)
         assert report["validation"] == "ok"
 
-    def test_report_layout_is_json_indent_2(self, capsys, model_file, tmp_path):
-        labelled = tmp_path / "labelled.txt"
-        labelled.write_text(
-            'states: lo"w mid h\u00e9\ngenerator:\n-1 0.5 0.5\n0.25 -0.5 0.25\n1 2 -3\n'
-            "rates: 0.01 0.02 0.07\n",
-            encoding="utf-8",
-        )
-        for path in (model_file, str(labelled)):
-            code, out, _ = run(capsys, "recover", path)
-            assert code == 0
-            assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert json.loads(out)["states"] == ['lo"w', "mid", "h\u00e9"]
+    def test_report_layout_is_json_indent_2(self, capsys, tmp_path):
+        # byte for byte json.dumps of the library's values, also for labels that
+        # json escapes or % would read, and for the -0.0 of a 1-state G^pi
+        texts = [dense_text(seed=n, n=n, scale=1.0) for n in (1, 2, 5, 30)]
+        texts.append(texts[2].replace("states: 5", 'states: lo"w b\\ack 50% h\u00e9 x'))
+        for k, text in enumerate(texts):
+            path = tmp_path / f"m{k}.txt"
+            path.write_text(text, encoding="utf-8")
+            spec = load_model(str(path))
+            rho, pi = perron_pair(spec.generator, spec.rates)
+            Gp = recover_generator(spec.generator, pi).entries
+            report = {"rho": float(rho), "pi": pi.tolist(), "generator_p": Gp.tolist(),
+                      "states": list(spec.labels), "validation": "ok"}
+            code, out, err = run(capsys, "recover", str(path))
+            assert (code, out, err) == (0, json.dumps(report, indent=2) + "\n", "")
+            if k == 0:
+                assert '"generator_p": [\n    [\n      -0.0\n    ]\n  ]' in out
+        assert json.loads(out)["states"] == ['lo"w', "b\\ack", "50%", "h\u00e9", "x"]
+
+    def test_report_memory_is_the_arrays_plus_one_row(self, tmp_path, monkeypatch):
+        # the peak is now load_model's on this repr-written file (8.95 x 8n^2);
+        # formatting the whole report before writing it peaked at 15.3 x 8n^2
+        n = 200
+        path = tmp_path / "dense.txt"
+        path.write_text(dense_text(seed=5, n=n, scale=1.0))
+
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            code = main(["recover", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 10 * 8 * n * n
+
+    def test_nothing_is_written_before_the_checks(self, capsys, monkeypatch, model_file):
+        def reject(G, pi):
+            raise ModelValidationError("recovered generator is not admissible")
+
+        monkeypatch.setattr(recovery, "recover_generator", reject)
+        code, out, err = run(capsys, "recover", model_file)
+        assert (code, out) == (1, "")
+        assert "not admissible" in err
 
     def test_zero_rates_exit_2(self, capsys, tmp_path):
         p = tmp_path / "zero.txt"
@@ -290,7 +329,7 @@ class TestRecover:
         # |M pi - rho pi| is ~1.5e-10 here from rounding M pi alone; the gate
         # is entrywise, relative to |M| pi, so the report goes out
         p = tmp_path / "stiff.txt"
-        p.write_text(stiff_dense_text())
+        p.write_text(dense_text())
         code, out, err = run(capsys, "recover", str(p))
         assert (code, err) == (0, "")
         report = json.loads(out)
@@ -343,7 +382,7 @@ class TestSimulate:
     def test_stiff_chain_under_p(self, capsys, tmp_path):
         # about 200 jumps per path at intensity 1e6
         p = tmp_path / "stiff.txt"
-        p.write_text(stiff_dense_text())
+        p.write_text(dense_text())
         code, out, err = run(capsys, "simulate", str(p), "--measure", "p", "--N", "200",
                              "--horizon", "1e-4", "--seed", "1")
         assert (code, err) == (0, "")
@@ -582,7 +621,7 @@ class TestGoldenBytes:
     """
 
     MODELS = {"two": TWO_STATE, "high": HIGH_RATE, "zero": ZERO_RATE, "scalar": SCALAR,
-              "bd5": BIRTH_DEATH}
+              "bd5": BIRTH_DEATH, "dense12": dense_text(seed=12, n=12, scale=1.0)}
     CASES = [
         ("two", ["price", "--T", "1", "--bond"], 0,
          "263549e331851177804d6a6b7e0ce81a282cc571f1a9f2b149382e7bf23a3a11"),
@@ -616,6 +655,8 @@ class TestGoldenBytes:
         ("bd5", ["replicate", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--dt", "0.01", "--N", "4", "--seed", "3"], 0,
          "e58a3b01128796da02edac99cf694d19c99c35508284b7ee8603a724a927a980"),
+        ("dense12", ["recover"], 0,
+         "40ef722d0f8590731b8460701dfbeb11c98e177dc257b861e4d7a1ad75e15520"),
     ]
 
     @pytest.mark.parametrize("model, argv, code, digest", CASES,
