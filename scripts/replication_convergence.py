@@ -45,7 +45,7 @@ def main(argv=None):
 
     paths, seed = [], args.seed
     while len(paths) < args.n_paths:
-        path = simulate_path(G, 0, args.basis, seed, r=r)
+        path = simulate_path(G, 0, args.basis, seed)
         if sum(t < args.T for t in path.jump_times) >= args.min_jumps:
             paths.append(path)
         seed += 1
@@ -55,7 +55,7 @@ def main(argv=None):
     dts = [float(s) for s in args.dts.split(",")]
     means = []
     for dt in dts:
-        reports = replicate_paths(G, r, paths, args.T, basis, payoff, dt)
+        reports = replicate_paths(G, r, paths, basis, payoff, dt)
         means.append(np.mean([rep.terminal_error for rep in reports]))
         track = np.max([rep.max_tracking_error for rep in reports])
         print(f"{dt:g},{means[-1]:.6e},{track:.6e}")

@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_output(args, header: list[str], columns, params: dict, seed=None) -> None:
+def _write_output(args, header: list[str], columns, params: dict) -> None:
     # equal-length columns, numeric ones as %.17g; one row template formats all cells in C
     arrays = [np.asarray(c) for c in columns]
     row = ",".join("%.17g" if a.dtype.kind in "biuf" else "%s" for a in arrays) + "\n"
@@ -51,6 +51,7 @@ def _write_output(args, header: list[str], columns, params: dict, seed=None) -> 
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
         model, model_sha256 = getattr(args, "model", None), None
+        seed = getattr(args, "seed", None)
         if model:
             with open(model, "rb") as fh:
                 model_sha256 = hashlib.sha256(fh.read()).hexdigest()
@@ -144,7 +145,7 @@ def cmd_hedge(args) -> int:
     G, r = spec.generator, spec.rates
     basis = replication.BondBasis(tuple(float(x) for x in args.basis.split(",")))
     payoff = _parse_payoff(args.payoff, G.n, args.T)
-    plan = replication.HedgePlan(G, r, args.T, basis, payoff)
+    plan = replication.HedgePlan(G, r, basis, payoff)
     grid = _parse_grid(args.t_grid)
     grid = grid[grid <= args.T]
     if grid.size == 0:
@@ -211,7 +212,6 @@ def cmd_simulate(args) -> int:
         args, ["statistic", "state", "value"], list(zip(*rows)),
         {"measure": args.measure, "N": args.N, "horizon": args.horizon,
          "initial": args.initial},
-        seed=args.seed,
     )
     return 0
 
@@ -225,8 +225,8 @@ def cmd_replicate(args) -> int:
     payoff = _parse_payoff(args.payoff, G.n, args.T)
     horizon = max(args.T, max(basis.maturities))
     rng = np.random.default_rng(args.seed)
-    paths = [simulate_path(G, args.initial, horizon, rng, r=r) for _ in range(args.N)]
-    reports = replication.replicate_paths(G, r, paths, args.T, basis, payoff, args.dt)
+    paths = [simulate_path(G, args.initial, horizon, rng) for _ in range(args.N)]
+    reports = replication.replicate_paths(G, r, paths, basis, payoff, args.dt)
     _write_output(
         args,
         ["path", "n_jumps", "terminal_error", "max_tracking_error"],
@@ -234,7 +234,6 @@ def cmd_replicate(args) -> int:
                    for p, rep in enumerate(reports)])),
         {"T": args.T, "basis": args.basis, "payoff": args.payoff, "dt": args.dt,
          "N": args.N, "initial": args.initial},
-        seed=args.seed,
     )
     return 0
 
@@ -243,9 +242,10 @@ def cmd_demo(args) -> int:
     m = two_state.TwoStateModel(lam=args.lam, rate=args.rate)
     grid = _parse_grid(args.T_grid)
     grid = grid[grid > 0]
-    rows = list(two_state.yield_curve_rows(m, 0.0, grid))
+    Y = -two_state.closed_form_log_bonds(m, 0.0, grid) / grid[:, None]
     _write_output(
-        args, ["T", "yield_state0", "yield_state1", "asymptote"], np.reshape(rows, (-1, 4)).T,
+        args, ["T", "yield_state0", "yield_state1", "asymptote"],
+        [grid, *Y.T, np.full(grid.size, two_state.limiting_yield(m))],
         {"lam": args.lam, "rate": args.rate, "T_grid": args.T_grid},
     )
     return 0

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ModelValidationError
 
-# identifier recorded in run manifests; all randomness flows through
+# identifier written to run manifests; all randomness flows through
 # numpy.random.default_rng (PCG64)
 RNG_ALGORITHM = "numpy-pcg64"
 # generator row sums: |sum| <= ROW_SUM_TOL * max(1, max|entry|)
@@ -382,7 +382,6 @@ def _sample_chain(
     horizon: float,
     n_paths: int,
     rng: np.random.Generator,
-    record: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, int]]]:
     """Event loop behind simulate_path and simulate_terminal.
 
@@ -391,8 +390,8 @@ def _sample_chain(
     each path that jumps, whose next state j has probability g_ij / (-g_ii)
     and is picked by inverse CDF. One path thus draws the variates of a
     Gillespie loop in the same order. Returns the states at the horizon, the
-    exact integrals of `rates` along the paths and, with `record` and one
-    path, its (jump time, new state) pairs.
+    exact integrals of `rates` along the paths and, for a single path, its
+    (jump time, new state) pairs.
     """
     _check_horizon(horizon)
     if not (0 <= initial < G.n):
@@ -434,7 +433,7 @@ def _sample_chain(
                 for a, b in zip(cuts[:-1], cuts[1:]):
                     nxt[a:b] = np.searchsorted(cum[cur[a]], u[a:b], side="right")
                 states[jump_idx[order]] = nxt
-            if record:
+            if n_paths == 1:
                 jumps.append((float(t_new[0]), int(states[0])))
         alive = jump_idx
     return states, integ, jumps
@@ -449,19 +448,17 @@ def simulate_path(
     initial: int,
     horizon: float,
     seed: int | np.random.Generator,
-    r: RateMap | None = None,
 ) -> ChainPath:
     """Simulate one trajectory on [0, horizon]; the one-path case of the
     event loop behind simulate_terminal.
 
     Holding time in state i is Exponential(-g_ii); the next state is j with
-    probability g_ij / (-g_ii). Deterministic given the seed. Without r the
-    model is validated with zero rates.
+    probability g_ij / (-g_ii). Deterministic given the seed. The path does
+    not depend on the rates, so G is validated with zero rates.
     """
-    if r is None:
-        r = RateMap(np.zeros(G.n))
+    r = RateMap(np.zeros(G.n))
     require_valid_model(G, r)
-    _, _, jumps = _sample_chain(G, r.rates, initial, horizon, 1, _rng(seed), record=True)
+    _, _, jumps = _sample_chain(G, r.rates, initial, horizon, 1, _rng(seed))
     return ChainPath(
         initial_state=initial,
         jump_times=tuple(t for t, _ in jumps),

@@ -172,16 +172,12 @@ def perron_pair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
     return rho, pi
 
 
-def _check_pi(pi: np.ndarray, n: int) -> None:
-    """The recovery divides by pi: it must be a finite, strictly positive (n,) array."""
-    ok = isinstance(pi, np.ndarray) and pi.dtype.kind in "iuf" and pi.shape == (n,)
-    if not (ok and np.all((pi > 0) & (pi < np.inf))):
-        raise ModelValidationError(f"eigenvector must be a finite, strictly positive array of length {n}")
-
-
 def recover_generator(G: GeneratorMatrix, pi: np.ndarray) -> GeneratorMatrix:
-    """Real-world generator G^pi: off-diagonals pi(j)/pi(i) g_ij, diagonals rebalanced."""
-    _check_pi(pi, G.n)
+    """Real-world generator G^pi: off-diagonals pi(j)/pi(i) g_ij, diagonals
+    rebalanced. It divides by pi, which must be a finite, strictly positive (n,) array."""
+    ok = isinstance(pi, np.ndarray) and pi.dtype.kind in "iuf" and pi.shape == (G.n,)
+    if not (ok and np.all((pi > 0) & (pi < np.inf))):
+        raise ModelValidationError(f"eigenvector must be a finite, strictly positive array of length {G.n}")
     Gp = (pi[None, :] / pi[:, None]) * G.entries
     np.fill_diagonal(Gp, 0.0)
     np.fill_diagonal(Gp, -Gp.sum(axis=1))
@@ -193,30 +189,29 @@ def recover_generator(G: GeneratorMatrix, pi: np.ndarray) -> GeneratorMatrix:
 
 
 def tipk_price(
-    rho: float,
-    pi: np.ndarray,
-    G_p: GeneratorMatrix,
+    G: GeneratorMatrix,
+    r: RateMap,
     payoff: ClaimPayoff,
     t: float,
-    T: float,
     i: int,
     n_paths: int,
     seed: int | np.random.Generator,
 ) -> tuple[float, float]:
-    """Price via the transition-independent kernel, by simulation under G_p = G^pi.
+    """Price via the transition-independent kernel, by simulation under G^pi.
 
-    Estimates pi(i) e^{rho (T-t)} E^pi[ phi(J_T)/pi(J_T) | J_t = i ]; returns
-    (estimate, standard error). Cross-checks the analytic price.
+    Estimates pi(i) e^{rho (T-t)} E^pi[ phi(J_T)/pi(J_T) | J_t = i ] with T = payoff.maturity
+    and rho, pi, G^pi recovered from (G, r); returns (estimate, standard error).
+    Cross-checks the analytic price.
     """
-    _check_pi(pi, G_p.n)
+    T = payoff.maturity
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if t > T:
         raise ValueError(f"valuation time {t} after maturity {T}")
-    if not 0 <= i < G_p.n:
+    if not 0 <= i < G.n:
         raise ValueError(f"initial state {i} outside state space")
     if t == T:
         return float(payoff.values[i]), 0.0
-    zero_rates = RateMap(np.zeros(G_p.n))
-    states, _ = simulate_terminal(G_p, zero_rates, i, T - t, n_paths, seed)
+    rho, pi = perron_pair(G, r)
+    states, _ = simulate_terminal(recover_generator(G, pi), RateMap(np.zeros(G.n)), i, T - t, n_paths, seed)
     return mean_and_se(pi[i] * np.exp(rho * (T - t)) * payoff.values[states] / pi[states])

@@ -169,11 +169,9 @@ class HedgePlan:
     more than K.
     """
 
-    def __init__(
-        self, G: GeneratorMatrix, r: RateMap, T: float, basis: BondBasis, payoff: ClaimPayoff
-    ):
-        n, K = G.n, len(basis.maturities)
-        if any(m <= T for m in basis.maturities):
+    def __init__(self, G: GeneratorMatrix, r: RateMap, basis: BondBasis, payoff: ClaimPayoff):
+        n, K, T = G.n, len(basis.maturities), payoff.maturity
+        if not all(m > T for m in basis.maturities):  # also rejects T = nan
             raise ModelValidationError(
                 f"every basis maturity must exceed the claim maturity {T}: "
                 f"{basis.maturities}"
@@ -188,8 +186,6 @@ class HedgePlan:
                 f"full replication of an {n}-state model needs {n - 1} bonds, got {K}"
                 + (f"; state {s} has {exits[s]} exits" if K < n - 1 else "")
             )
-        if payoff.maturity != T:
-            raise ModelValidationError("payoff maturity must equal the claim maturity")
         if payoff.values.shape[0] != n:
             raise ModelValidationError("payoff length does not match state count")
         self.G, self.r, self.T = G, r, T
@@ -254,12 +250,11 @@ def replicate_paths(
     G: GeneratorMatrix,
     r: RateMap,
     paths: Sequence[ChainPath],
-    T: float,
     basis: BondBasis,
     payoff: ClaimPayoff,
     dt: float,
 ) -> list[ReplicationReport]:
-    """Run the discrete-rebalancing hedge along each realized path.
+    """Run the discrete-rebalancing hedge to T = payoff.maturity along each realized path.
 
     Positions are held constant over each interval of a path's grid: the
     uniform dt mesh refined with that path's exact jump times. Bonds are
@@ -277,8 +272,8 @@ def replicate_paths(
     """
     if not 0 < dt < np.inf:
         raise ValueError("rebalance step dt must be positive and finite")
-    plan = HedgePlan(G, r, T, basis, payoff)
-    n, K = G.n, len(basis.maturities)
+    plan = HedgePlan(G, r, basis, payoff)
+    n, K, T = G.n, len(basis.maturities), plan.T
     for path in paths:
         if path.horizon < T:
             raise ValueError(f"path horizon {path.horizon} shorter than maturity {T}")
@@ -346,8 +341,9 @@ def replicate_paths(
                 X = v1[m] + (X - v0[m]) * growth[m]
                 wealth[m] = X
             track = np.maximum(track, np.abs(wealth - nxt[..., 0]).max(axis=0))
-        final = payoff.values[[path.state_at(T) for path in chunk]]
-        for c, path in enumerate(chunk):
+        # the padded grid's last row holds each path's state at T
+        final = payoff.values[held[-1]]
+        for c in range(len(chunk)):
             reports.append(ReplicationReport(
                 terminal_error=float(abs(X[c] - final[c])),
                 max_tracking_error=float(track[c]),

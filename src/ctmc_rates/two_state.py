@@ -35,17 +35,18 @@ class TwoStateModel:
         return RateMap(np.array([0.0, self.rate]))
 
 
-def closed_form_log_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
-    """(log B(t,0;T), log B(t,1;T)) = rho tau + log(c_i + d_i e^{-gamma tau}).
+def closed_form_log_bonds(m: TwoStateModel, t: float, T) -> np.ndarray:
+    """(log B(t,0;T), log B(t,1;T)) = rho tau + log(c_i + d_i e^{-gamma tau}),
+    shape (2,) for one maturity T and (len(T), 2) for an array of them.
 
     rho = -limiting_yield(m), c_{0,1} = (gamma + 2 lambda +- r)/(2 gamma) and
     d_i = 1 - c_i, so the log term is log1p(d_i expm1(-gamma tau)), which no
     factor e^{gamma tau} can overflow: finite at every maturity.
     """
-    if t > T:
+    if np.any(t > np.asarray(T)):
         raise ValueError(f"need t <= T, got t={t}, T={T}")
     lam, r, gam = m.lam, m.rate, m.gamma
-    tau = T - t
+    tau = np.subtract(T, t)[..., None]
     d = np.array([gam - 2.0 * lam - r, gam - 2.0 * lam + r]) / (2.0 * gam)
     return -limiting_yield(m) * tau + np.log1p(d * np.expm1(-gam * tau))
 
@@ -59,15 +60,3 @@ def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
 def limiting_yield(m: TwoStateModel) -> float:
     """Long-maturity yield (r + 2 lambda - gamma)/2, i.e. minus the Perron eigenvalue."""
     return (m.rate + 2.0 * m.lam - m.gamma) / 2.0
-
-
-def yield_curve_rows(m: TwoStateModel, t: float, grid: np.ndarray):
-    """(T, Y(t,0;T), Y(t,1;T), asymptote) rows for the worked demo."""
-    asym = limiting_yield(m)
-    for T in grid:
-        yield (
-            float(T),
-            closed_form_yield(m, t, float(T), 0),
-            closed_form_yield(m, t, float(T), 1),
-            asym,
-        )

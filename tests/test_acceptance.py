@@ -67,7 +67,7 @@ def closed_form_pass():
         worst = max(worst, deviation(A, A_cf))
         worst = max(worst, deviation(B, B_cf))
         for k in (0, 1):
-            plan = HedgePlan(G, rm, tau, BondBasis((1.5 * tau,)), ClaimPayoff(np.eye(2)[k], tau))
+            plan = HedgePlan(G, rm, BondBasis((1.5 * tau,)), ClaimPayoff(np.eye(2)[k], tau))
             D = plan.positions(0.0, 0)[0]
             D_cf = closed_form_hedge(m, 0.0, tau, 1.5 * tau, k)
             worst = max(worst, deviation(D, D_cf))
@@ -177,14 +177,14 @@ def test_criterion_4_replication_convergence():
     paths = []
     seed = 0
     while len(paths) < 10:
-        path = simulate_path(G, 0, 1.5, seed, r=r)
+        path = simulate_path(G, 0, 1.5, seed)
         if sum(t < T for t in path.jump_times) >= 2:
             paths.append(path)
         seed += 1
     errs = {}
     for dt in (1e-3, 5e-4, 1e-4):
         errs[dt] = np.mean(
-            [rep.terminal_error for rep in replicate_paths(G, r, paths, T, basis, payoff, dt)]
+            [rep.terminal_error for rep in replicate_paths(G, r, paths, basis, payoff, dt)]
         )
     decay = errs[5e-4] < 0.6 * errs[1e-3]
     fine_ok = errs[1e-4] < 1e-3
@@ -222,7 +222,7 @@ def test_criterion_5_recovery_soundness():
         phi = rng.uniform(0.0, 2.0, size=G.n)
         payoff = ClaimPayoff(phi, T)
         analytic = price_claim(G, r, payoff, 0.0)[0]
-        est, se = tipk_price(rho, pi, rec, payoff, 0.0, T, 0, 100_000, seed=rng.integers(2**31))
+        est, se = tipk_price(G, r, payoff, 0.0, 0, 100_000, seed=rng.integers(2**31))
         if abs(est - analytic) <= 3.5 * se:
             tipk_ok += 1
     ok = (

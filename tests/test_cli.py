@@ -1,5 +1,6 @@
 import datetime
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -452,9 +453,9 @@ class TestReplicate:
         G, r = spec.generator, spec.rates
         rng = np.random.default_rng(3)
         for row in rows:
-            path = ctmc_rates.simulate_path(G, 0, 1.5, rng, r=r)
+            path = ctmc_rates.simulate_path(G, 0, 1.5, rng)
             rep = ctmc_rates.replicate_paths(
-                G, r, [path], 1.0, ctmc_rates.BondBasis((1.5,)),
+                G, r, [path], ctmc_rates.BondBasis((1.5,)),
                 ctmc_rates.ClaimPayoff(np.array([1.0, 0.0]), 1.0), 1e-3,
             )[0]
             assert int(row[1]) == rep.n_jumps
@@ -750,6 +751,19 @@ class TestStartup:
             "price_forward_rate_option", "recover_generator", "replicate_paths",
             "simulate_path", "simulate_terminal", "tipk_price", "validate_model",
         ]
+
+    def test_signatures_take_each_input_once(self):
+        # T is payoff.maturity, rho, pi and G^pi come from (G, r), and a path
+        # needs no rates: none of them is a parameter
+        assert {f.__name__: list(inspect.signature(f).parameters) for f in (
+            ctmc_rates.HedgePlan, ctmc_rates.replicate_paths, ctmc_rates.tipk_price,
+            ctmc_rates.simulate_path,
+        )} == {
+            "HedgePlan": ["G", "r", "basis", "payoff"],
+            "replicate_paths": ["G", "r", "paths", "basis", "payoff", "dt"],
+            "tipk_price": ["G", "r", "payoff", "t", "i", "n_paths", "seed"],
+            "simulate_path": ["G", "initial", "horizon", "seed"],
+        }
 
     def test_cli_import_leaves_scipy_and_manifest_modules_out(self):
         code = (

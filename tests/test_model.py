@@ -125,13 +125,11 @@ class TestValidation:
             simulate_terminal(G, r, 0, 1.0, 10, 0)
 
     def test_simulate_path_validates_with_or_without_rates(self):
+        # simulate_path takes no rates; it validates G with zero rates
         G = GeneratorMatrix(np.array([[-1.0, 0.5], [0.5, -0.5]]))
-        messages = []
-        for r in (None, RateMap(np.zeros(2))):
-            with pytest.raises(ModelValidationError) as exc:
-                simulate_path(G, 0, 10.0, 1, r=r)
-            messages.append(str(exc.value))
-        assert messages == ["generator row 0 sums to -5.000e-01, not 0"] * 2
+        with pytest.raises(ModelValidationError) as exc:
+            simulate_path(G, 0, 10.0, 1)
+        assert str(exc.value) == "generator row 0 sums to -5.000e-01, not 0"
 
     def test_recover_and_simulate_check_four_generators(self, monkeypatch, tmp_path, capsys):
         # recover: the loaded model and the recovered generator; simulate
@@ -267,9 +265,9 @@ class TestTransitionMatrix:
 
 class TestSimulation:
     def test_deterministic_given_seed(self, two_state_example):
-        _, G, r = two_state_example
-        p1 = simulate_path(G, 0, 20.0, 7, r=r)
-        p2 = simulate_path(G, 0, 20.0, 7, r=r)
+        _, G, _ = two_state_example
+        p1 = simulate_path(G, 0, 20.0, 7)
+        p2 = simulate_path(G, 0, 20.0, 7)
         assert p1 == p2
 
     def test_mean_holding_time_matches_exponential(self, two_state_example):
@@ -327,7 +325,7 @@ class TestSimulation:
                      random_model(rng, n_max=4), random_model(rng, n_max=5)):
             for seed in range(20):
                 initial, horizon = seed % G.n, 0.5 + seed
-                path = simulate_path(G, initial, horizon, seed, r=r)
+                path = simulate_path(G, initial, horizon, seed)
                 states, integ = simulate_terminal(G, r, initial, horizon, 1, seed)
                 assert states[0] == path.state_at(horizon)
                 assert integ[0] == integrate_rate(path, r)
@@ -335,8 +333,8 @@ class TestSimulation:
     def test_seed_stream_is_stable(self):
         # one exponential and one uniform per jump, in the order of a
         # Gillespie loop; the values were drawn by that loop
-        G, r = random_model(np.random.default_rng(17), n_max=4)
-        path = simulate_path(G, 2, 6.0, 2024, r=r)
+        G, _ = random_model(np.random.default_rng(17), n_max=4)
+        path = simulate_path(G, 2, 6.0, 2024)
         assert path.post_jump_states == (
             1, 3, 0, 1, 3, 0, 1, 3, 1, 0, 1, 0, 3, 0, 1, 3, 1, 2, 3, 0, 3
         )
@@ -412,7 +410,7 @@ class TestSimulation:
             with pytest.raises(ValueError, match="initial state"):
                 simulate_terminal(G, r, initial, 1.0, 10, seed=0)
             with pytest.raises(ValueError, match="initial state"):
-                simulate_path(G, initial, 1.0, 0, r=r)
+                simulate_path(G, initial, 1.0, 0)
 
 
 class TestIntegrateRate:
@@ -467,7 +465,7 @@ class TestChainPath:
         with pytest.raises(ValueError, match="horizon must be finite"):
             simulate_terminal(G, r, 0, horizon, 3, seed=1)
         with pytest.raises(ValueError, match="horizon must be finite"):
-            simulate_path(G, 0, horizon, seed=1, r=r)
+            simulate_path(G, 0, horizon, seed=1)
 
     def test_state_at_is_cadlag(self):
         path = ChainPath(0, (0.5,), (1,), 1.0, 2)

@@ -17,10 +17,8 @@ from ctmc_rates import (
     floorlet,
     forward_rate,
     mc_price_claim,
-    perron_pair,
     price_claim,
     price_forward_rate_option,
-    recover_generator,
     tipk_price,
 )
 from ctmc_rates.pricing import yield_curve
@@ -173,9 +171,8 @@ class TestForwardRate:
         with pytest.raises(ValueError, match=f"state {i} outside state space"):
             forward_rate(G, r, 0.0, i, 1.0, 2.0)
         # tipk_price at t = T returns the payoff without simulating
-        rho, pi = perron_pair(G, r)
         with pytest.raises(ValueError, match=f"state {i} outside state space"):
-            tipk_price(rho, pi, recover_generator(G, pi), ClaimPayoff(np.ones(2), 1.0), 1.0, 1.0, i, 1, seed=0)
+            tipk_price(G, r, ClaimPayoff(np.ones(2), 1.0), 1.0, i, 1, seed=0)
 
     def test_long_maturity_is_finite(self):
         # rates (0, 1): both bonds underflow to 0 as plain doubles; from log

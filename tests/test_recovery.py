@@ -302,14 +302,6 @@ class TestBadEigenvector:
         with pytest.raises(ModelValidationError, match=BAD_PI_ERROR):
             recover_generator(G, pi)
 
-    @BAD_PI
-    def test_tipk_price_rejects(self, two_state_example, pi):
-        _, G, r = two_state_example
-        rho, good = perron_pair(G, r)
-        rec = recover_generator(G, good)
-        with pytest.raises(ModelValidationError, match=BAD_PI_ERROR):
-            tipk_price(rho, pi, rec, ClaimPayoff(np.ones(2), 1.0), 0.0, 1.0, 0, 10, seed=0)
-
 
 def density(rho, pi, initial, T, states, integ):
     """Z_T = exp(-int_0^T r(J_s) ds - rho T) pi(J_T) / pi(J_0) from simulate_terminal."""
@@ -373,34 +365,45 @@ class TestTipkPrice:
     def test_eigen_payoff_has_zero_variance(self, two_state_example):
         _, G, r = two_state_example
         rho, pi = perron_pair(G, r)
-        rec = recover_generator(G, pi)
-        payoff = ClaimPayoff(pi, 1.0)
-        est, se = tipk_price(rho, pi, rec, payoff, 0.0, 1.0, 0, 2000, seed=1)
+        est, se = tipk_price(G, r, ClaimPayoff(pi, 1.0), 0.0, 0, 2000, seed=1)
         assert se == pytest.approx(0.0, abs=1e-16)
         assert est == pytest.approx(pi[0] * np.exp(rho), rel=1e-13)
 
     def test_bond_price_cross_check(self, two_state_example):
         _, G, r = two_state_example
-        rho, pi = perron_pair(G, r)
-        rec = recover_generator(G, pi)
         payoff = ClaimPayoff(np.ones(2), 1.0)
-        est, se = tipk_price(rho, pi, rec, payoff, 0.0, 1.0, 0, 200_000, seed=13)
+        est, se = tipk_price(G, r, payoff, 0.0, 0, 200_000, seed=13)
         assert abs(est - bond_prices(G, r, 0.0, 1.0)[0]) <= 3.5 * se
 
     def test_at_maturity_returns_payoff(self, two_state_example):
         _, G, r = two_state_example
-        rho, pi = perron_pair(G, r)
-        rec = recover_generator(G, pi)
         payoff = ClaimPayoff(np.array([0.2, 0.9]), 1.0)
-        est, se = tipk_price(rho, pi, rec, payoff, 1.0, 1.0, 1, 10, seed=0)
+        est, se = tipk_price(G, r, payoff, 1.0, 1, 10, seed=0)
         assert est == 0.9 and se == 0.0
 
     def test_zero_paths_rejected(self, two_state_example):
         _, G, r = two_state_example
-        rho, pi = perron_pair(G, r)
-        rec = recover_generator(G, pi)
         with pytest.raises(ValueError):
-            tipk_price(rho, pi, rec, ClaimPayoff(np.ones(2), 1.0), 0.0, 1.0, 0, 0, seed=0)
+            tipk_price(G, r, ClaimPayoff(np.ones(2), 1.0), 0.0, 0, 0, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_equals_the_recovered_measure_average(self, n):
+        # tipk_price recovers rho, pi and G^pi from (G, r) and reads T from the
+        # payoff: the same average from the same pieces and seed agrees bit for bit
+        rng = np.random.default_rng(n)
+        Q = rng.uniform(0.05, 2.0, size=(n, n))
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        G, r = GeneratorMatrix(Q), RateMap(rng.uniform(0.01, 0.2, n))
+        T, payoff = 1.5, ClaimPayoff(rng.uniform(0.0, 2.0, n), 1.5)
+        rho, pi = perron_pair(G, r)
+        G_p, zero = recover_generator(G, pi), RateMap(np.zeros(n))
+        for i in range(n):
+            for t in (0.0, 0.5):
+                states, _ = simulate_terminal(G_p, zero, i, T - t, 500, seed=11)
+                want = mean_and_se(pi[i] * np.exp(rho * (T - t)) * payoff.values[states] / pi[states])
+                assert tipk_price(G, r, payoff, t, i, 500, seed=11) == want
+            assert tipk_price(G, r, payoff, T, i, 500, seed=11) == (payoff.values[i], 0.0)
 
 
 class TestEigenClaim:

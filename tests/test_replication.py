@@ -51,7 +51,7 @@ def birth_death_models(draw, n_max=6):
 
 def arrow_debreu_plan(G, r, T, basis, k):
     """Hedge plan for the Arrow-Debreu claim paying 1 in state k at T."""
-    return HedgePlan(G, r, T, basis, ClaimPayoff(np.eye(G.n)[k], T))
+    return HedgePlan(G, r, basis, ClaimPayoff(np.eye(G.n)[k], T))
 
 
 def bond_jumps(G, r, t, basis, current):
@@ -114,7 +114,7 @@ class TestSolveHedge:
         # a claim that does not move across jumps needs no bonds, even where
         # the bond-difference matrix is singular (zero rates)
         G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        plan = HedgePlan(G, RateMap(np.zeros(2)), 1.0, BondBasis((1.5,)),
+        plan = HedgePlan(G, RateMap(np.zeros(2)), BondBasis((1.5,)),
                          ClaimPayoff(np.ones(2), 1.0))
         assert plan.positions(0.3, 0)[0] == 0.0
 
@@ -223,14 +223,14 @@ class TestConditionGate:
         Q = np.diag([0.2, 0.2, 0.25, 0.2], 1) + np.diag([0.1, 0.15, 0.3, 0.1], -1)
         np.fill_diagonal(Q, -Q.sum(axis=1))
         G, r = GeneratorMatrix(Q), RateMap(np.linspace(0.0, 1.0, 5))
-        plan = HedgePlan(G, r, 1.0, BondBasis((2.0, 3.0, 4.0, 5.0)), ClaimPayoff(np.eye(5)[0], 1.0))
+        plan = HedgePlan(G, r, BondBasis((2.0, 3.0, 4.0, 5.0)), ClaimPayoff(np.eye(5)[0], 1.0))
         calls = self.svd_calls(monkeypatch)
         D, _ = plan.schedule(np.arange(5) * 0.25)
         assert calls == [] and np.isfinite(D).all()
 
     def test_zero_rates_still_go_to_the_svd(self, monkeypatch):
         G = GeneratorMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]]))
-        plan = HedgePlan(G, RateMap(np.zeros(2)), 1.0, BondBasis((1.5,)),
+        plan = HedgePlan(G, RateMap(np.zeros(2)), BondBasis((1.5,)),
                          ClaimPayoff(np.array([1.0, 0.0]), 1.0))
         calls = self.svd_calls(monkeypatch)
         with pytest.raises(UnhedgeableBasisError, match=r"unhedgeable basis at \(t=0.25, state=0\)"):
@@ -243,14 +243,14 @@ class TestHedgeForPayoff:
         _, G, r = two_state_example
         basis = BondBasis((1.5,))
         phi = np.array([0.7, -0.4])
-        plan = HedgePlan(G, r, 1.0, basis, ClaimPayoff(phi, 1.0))
+        plan = HedgePlan(G, r, basis, ClaimPayoff(phi, 1.0))
         per_k = [arrow_debreu_plan(G, r, 1.0, basis, k).positions(0.3, 0) for k in (0, 1)]
         expected = phi[0] * per_k[0] + phi[1] * per_k[1]
         assert np.allclose(plan.positions(0.3, 0), expected, atol=1e-12)
 
     def test_zero_payoff_zero_plan(self, two_state_example):
         _, G, r = two_state_example
-        plan = HedgePlan(G, r, 1.0, BondBasis((1.5,)), ClaimPayoff(np.zeros(2), 1.0))
+        plan = HedgePlan(G, r, BondBasis((1.5,)), ClaimPayoff(np.zeros(2), 1.0))
         assert np.allclose(plan.positions(0.2, 1), 0.0, atol=1e-14)
         assert plan.money_market_residual(0.2, 1) == pytest.approx(0.0, abs=1e-14)
 
@@ -259,12 +259,12 @@ class TestHedgeForPayoff:
         # tiny payoff is hedged, not dropped
         _, G, r = two_state_example
         basis = BondBasis((1.5,))
-        unit = HedgePlan(G, r, 1.0, basis, ClaimPayoff(np.array([1.0, 0.0]), 1.0))
+        unit = HedgePlan(G, r, basis, ClaimPayoff(np.array([1.0, 0.0]), 1.0))
         D1, R1 = unit.positions(0.3, 0), unit.money_market_residual(0.3, 0)
         assert D1[0] == pytest.approx(7.657, abs=1e-3)
         assert R1 == pytest.approx(-6.725, abs=1e-3)
         for c in (1e-14, 1.0, 1e6):
-            plan = HedgePlan(G, r, 1.0, basis, ClaimPayoff(np.array([c, 0.0]), 1.0))
+            plan = HedgePlan(G, r, basis, ClaimPayoff(np.array([c, 0.0]), 1.0))
             assert plan.positions(0.3, 0) / c == pytest.approx(D1, rel=1e-12)
             assert plan.money_market_residual(0.3, 0) / c == pytest.approx(R1, rel=1e-12)
 
@@ -273,14 +273,14 @@ class TestHedgeForPayoff:
         _, G, r = two_state_example
         payoff = ClaimPayoff(np.ones(2), 1.0)
         for eps, tol in ((1e-2, 2e-2), (1e-3, 2e-3)):
-            plan = HedgePlan(G, r, 1.0, BondBasis((1.0 + eps,)), payoff)
+            plan = HedgePlan(G, r, BondBasis((1.0 + eps,)), payoff)
             assert plan.positions(0.5, 0)[0] == pytest.approx(1.0, abs=tol)
 
     def test_residual_consistent_with_claim_value(self, two_state_example):
         _, G, r = two_state_example
         payoff = ClaimPayoff(np.array([1.0, 0.0]), 1.0)
         basis = BondBasis((1.5,))
-        plan = HedgePlan(G, r, 1.0, basis, payoff)
+        plan = HedgePlan(G, r, basis, payoff)
         t, i = 0.4, 1
         D = plan.positions(t, i)
         value = D[0] * bond_prices(G, r, t, 1.5)[i] + plan.money_market_residual(t, i)
@@ -289,7 +289,10 @@ class TestHedgeForPayoff:
     def test_basis_maturing_before_claim_rejected(self, two_state_example):
         _, G, r = two_state_example
         with pytest.raises(ModelValidationError):
-            HedgePlan(G, r, 1.0, BondBasis((0.5,)), ClaimPayoff(np.ones(2), 1.0))
+            HedgePlan(G, r, BondBasis((0.5,)), ClaimPayoff(np.ones(2), 1.0))
+        # the maturity is the payoff's, and no basis exceeds a nan one
+        with pytest.raises(ModelValidationError, match="exceed the claim maturity nan"):
+            HedgePlan(G, r, BondBasis((1.5,)), ClaimPayoff(np.ones(2), np.nan))
 
     @pytest.mark.parametrize("m", [np.inf, np.nan])
     def test_non_finite_maturity_rejected(self, m):
@@ -300,7 +303,7 @@ class TestHedgeForPayoff:
         # the error price_claim raises, not numpy's from stacking the columns
         _, G, r = two_state_example
         with pytest.raises(ModelValidationError, match="^payoff length does not match state count$"):
-            HedgePlan(G, r, 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(3), 1.0))
+            HedgePlan(G, r, BondBasis((1.5,)), ClaimPayoff(np.ones(3), 1.0))
 
 
 class TestJumpCoverage:
@@ -314,7 +317,7 @@ class TestJumpCoverage:
             payoff = ClaimPayoff(rng.normal(size=n), 1.0)
             target = price_claim(G, r, payoff, 0.3)
             i = int(rng.integers(n))
-            D = HedgePlan(G, r, 1.0, basis, payoff).positions(0.3, i)
+            D = HedgePlan(G, r, basis, payoff).positions(0.3, i)
             E = bond_jumps(G, r, 0.3, basis, i)
             assert np.allclose(E @ D, target - target[i], atol=1e-8)
 
@@ -324,7 +327,7 @@ def assert_hedges_allowed_jumps(G, r, bonds, values, t=0.4):
     allows, or the basis is reported unhedgeable there."""
     basis = BondBasis(tuple(1.5 + 0.5 * k for k in range(bonds)))
     payoff = ClaimPayoff(values, 1.0)
-    plan = HedgePlan(G, r, 1.0, basis, payoff)
+    plan = HedgePlan(G, r, basis, payoff)
     U = price_claim(G, r, payoff, t)
     for s in range(G.n):
         try:
@@ -362,7 +365,7 @@ class TestSchedule:
         G, r = birth_death_model(n=4)
         basis = BondBasis(bonds)
         payoff = ClaimPayoff(np.random.default_rng(5).normal(size=4), 1.0)
-        plan = HedgePlan(G, r, 1.0, basis, payoff)
+        plan = HedgePlan(G, r, basis, payoff)
         ts = np.linspace(0.0, 1.0, 6)
         D, residual = plan.schedule(ts)
         assert D.shape == (6, 4, len(basis.maturities))
@@ -381,7 +384,7 @@ class TestReplicateOnPath:
         r0 = RateMap(np.zeros(2))
         path = simulate_path(G, 0, 2.0, 3)
         rep = replicate_paths(
-            G, r0, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), 0.01
+            G, r0, [path], BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), 0.01
         )[0]
         assert rep.terminal_error <= 1e-12
         assert rep.max_tracking_error <= 1e-12
@@ -390,12 +393,12 @@ class TestReplicateOnPath:
         # discrete rebalancing leaves O(dt) error even without jumps; seed 42
         # holds state 0 past T=1
         _, G, r = two_state_example
-        path = simulate_path(G, 0, 2.0, 42, r=r)
+        path = simulate_path(G, 0, 2.0, 42)
         assert path.n_jumps == 0
         payoff = ClaimPayoff(np.ones(2), 1.0)
         basis = BondBasis((1.5,))
-        e3 = replicate_paths(G, r, [path], 1.0, basis, payoff, 1e-3)[0].terminal_error
-        e4 = replicate_paths(G, r, [path], 1.0, basis, payoff, 1e-4)[0].terminal_error
+        e3 = replicate_paths(G, r, [path], basis, payoff, 1e-3)[0].terminal_error
+        e4 = replicate_paths(G, r, [path], basis, payoff, 1e-4)[0].terminal_error
         assert e3 < 2e-5
         assert e4 < 0.2 * e3
 
@@ -406,9 +409,9 @@ class TestReplicateOnPath:
         rng = np.random.default_rng(0)
         path = None
         while path is None or sum(t < 1.0 for t in path.jump_times) < 2:
-            path = simulate_path(G, 0, 1.5, rng, r=r)
-        e_coarse = replicate_paths(G, r, [path], 1.0, basis, payoff, 1e-3)[0].terminal_error
-        e_fine = replicate_paths(G, r, [path], 1.0, basis, payoff, 5e-4)[0].terminal_error
+            path = simulate_path(G, 0, 1.5, rng)
+        e_coarse = replicate_paths(G, r, [path], basis, payoff, 1e-3)[0].terminal_error
+        e_fine = replicate_paths(G, r, [path], basis, payoff, 5e-4)[0].terminal_error
         assert e_fine < 0.75 * e_coarse
 
     def test_tracking_error_vanishes_with_dt(self):
@@ -417,9 +420,9 @@ class TestReplicateOnPath:
         n = G.n
         basis = BondBasis(tuple(1.6 + 0.3 * i for i in range(n - 1)))
         payoff = ClaimPayoff(rng.normal(size=n), 1.0)
-        path = simulate_path(G, 0, 1.8, 99, r=r)
+        path = simulate_path(G, 0, 1.8, 99)
         errs = [
-            replicate_paths(G, r, [path], 1.0, basis, payoff, dt)[0].max_tracking_error
+            replicate_paths(G, r, [path], basis, payoff, dt)[0].max_tracking_error
             for dt in (4e-3, 1e-3, 2.5e-4)
         ]
         assert errs[2] < errs[1] < errs[0]
@@ -436,7 +439,7 @@ class TestReplicateOnPath:
         basis = BondBasis((1.6, 2.1))
         payoff = ClaimPayoff(np.array([1.0, -0.5, 2.0]), 1.0)
         path = ChainPath(0, (0.23, 0.61), (2, 1), 2.2, 3)
-        plan = HedgePlan(G, r, 1.0, basis, payoff)
+        plan = HedgePlan(G, r, basis, payoff)
         ts = np.unique(np.concatenate([np.arange(11) * 0.1, [0.23, 0.61]]))
 
         def bonds(t, s):
@@ -449,7 +452,7 @@ class TestReplicateOnPath:
             D = plan.positions(t0, s0)
             X = D @ bonds(t1, s1) + (X - D @ bonds(t0, s0)) * np.exp(r.rates[s0] * (t1 - t0))
             track = max(track, abs(X - price_claim(G, r, payoff, t1)[s1]))
-        rep = replicate_paths(G, r, [path], 1.0, basis, payoff, 0.1)[0]
+        rep = replicate_paths(G, r, [path], basis, payoff, 0.1)[0]
         assert rep.n_grid_points == len(ts) and rep.n_jumps == 2
         assert rep.terminal_error == pytest.approx(abs(X - payoff.values[1]), abs=1e-10)
         assert rep.max_tracking_error == pytest.approx(track, abs=1e-10)
@@ -460,7 +463,7 @@ class TestReplicateOnPath:
         path = simulate_path(G, 0, 2.0, 3)
         with pytest.raises(UnhedgeableBasisError) as exc:
             replicate_paths(
-                G, r0, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
+                G, r0, [path], BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
             )
         assert "t=" in str(exc.value)
         assert "(t=0.0, state=0)" in str(exc.value)
@@ -473,17 +476,17 @@ class TestReplicateOnPath:
         path = ChainPath(1, (0.5,), (0,), 2.0, 2)
         with pytest.raises(UnhedgeableBasisError) as exc:
             replicate_paths(
-                G, r0, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
+                G, r0, [path], BondBasis((1.5,)), ClaimPayoff(np.array([1.0, 0.0]), 1.0), 0.01
             )
         assert "(t=0.0, state=1)" in str(exc.value)
 
     def test_non_positive_or_non_finite_step_rejected(self, two_state_example):
         _, G, r = two_state_example
-        path = simulate_path(G, 0, 2.0, 3, r=r)
+        path = simulate_path(G, 0, 2.0, 3)
         for dt in (0.0, -1e-3, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="dt must be positive"):
                 replicate_paths(
-                    G, r, [path], 1.0, BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), dt
+                    G, r, [path], BondBasis((1.5,)), ClaimPayoff(np.ones(2), 1.0), dt
                 )
 
 
@@ -491,9 +494,9 @@ class TestReducedBasis:
     def test_reachable_states_birth_death(self):
         # a basis smaller than n - 1 bonds hedges the jumps the generator allows
         G, r = birth_death_model(n=4)
-        plan = HedgePlan(G, r, 1.0, BondBasis((1.6, 2.1)), ClaimPayoff(np.ones(4), 1.0))
+        plan = HedgePlan(G, r, BondBasis((1.6, 2.1)), ClaimPayoff(np.ones(4), 1.0))
         assert [np.flatnonzero(row).tolist() for row in plan.hedged] == [[1], [0, 2], [1, 3], [2]]
-        full = HedgePlan(G, r, 1.0, BondBasis((1.6, 2.1, 2.7)), ClaimPayoff(np.ones(4), 1.0))
+        full = HedgePlan(G, r, BondBasis((1.6, 2.1, 2.7)), ClaimPayoff(np.ones(4), 1.0))
         assert (full.hedged == ~np.eye(4, dtype=bool)).all()
 
     def test_two_bond_hedge_covers_birth_death_jumps(self):
@@ -504,7 +507,7 @@ class TestReducedBasis:
         target = price_claim(G, r, payoff, 0.5)
         for i in range(4):
             reach = [j for j in (i - 1, i + 1) if 0 <= j < 4]
-            D = HedgePlan(G, r, 1.0, basis, payoff).positions(0.5, i)
+            D = HedgePlan(G, r, basis, payoff).positions(0.5, i)
             E = bond_jumps(G, r, 0.5, basis, i)[reach]
             assert np.allclose(E @ D, target[reach] - target[i], atol=1e-9)
 
@@ -519,7 +522,7 @@ class TestReducedBasis:
         with pytest.raises(ModelValidationError, match=(
             f"^full replication of an 4-state model needs 3 bonds, got {len(bonds)}; {exits}$"
         )):
-            HedgePlan(G, r, 1.0, BondBasis(bonds), ClaimPayoff(np.ones(4), 1.0))
+            HedgePlan(G, r, BondBasis(bonds), ClaimPayoff(np.ones(4), 1.0))
 
     def test_replication_with_two_bonds_on_birth_death_paths(self):
         G, r = birth_death_model(n=4)
@@ -527,8 +530,8 @@ class TestReducedBasis:
         payoff = ClaimPayoff(np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            path = simulate_path(G, 1, 2.2, rng, r=r)
-            rep = replicate_paths(G, r, [path], 1.0, basis, payoff, 2.5e-4)[0]
+            path = simulate_path(G, 1, 2.2, rng)
+            rep = replicate_paths(G, r, [path], basis, payoff, 2.5e-4)[0]
             assert rep.terminal_error < 3e-3
 
     def test_jump_outside_declared_structure_rejected(self):
@@ -541,9 +544,9 @@ class TestReducedBasis:
             r"^path jumps 0->2 at t=0.5, which the generator does not allow "
             r"and the 2-bond basis does not hedge$"
         )):
-            replicate_paths(G, r, [path], 1.0, BondBasis((1.6, 2.1)), payoff, 0.01)
+            replicate_paths(G, r, [path], BondBasis((1.6, 2.1)), payoff, 0.01)
         # the full basis hedges every jump, allowed or not
-        rep = replicate_paths(G, r, [path], 1.0, BondBasis((1.6, 2.1, 2.7)), payoff, 0.01)[0]
+        rep = replicate_paths(G, r, [path], BondBasis((1.6, 2.1, 2.7)), payoff, 0.01)[0]
         assert rep.n_jumps == 1
 
 
@@ -553,8 +556,8 @@ class TestReplicatePaths:
         G, r = birth_death_model(n=4)
         payoff = ClaimPayoff(np.array([1.0, 0.0, -0.5, 2.0]), 1.0)
         rng = np.random.default_rng(9)
-        paths = [simulate_path(G, 1, 2.7, rng, r=r) for _ in range(12)]
-        args = (1.0, BondBasis(basis), payoff, 1e-3)
+        paths = [simulate_path(G, 1, 2.7, rng) for _ in range(12)]
+        args = (BondBasis(basis), payoff, 1e-3)
         batch = replicate_paths(G, r, paths, *args)
         loop = [replicate_paths(G, r, [path], *args)[0] for path in paths]
         assert sum(rep.n_jumps for rep in loop) >= 8
@@ -576,7 +579,7 @@ class TestReplicatePaths:
         [0.6, 0.0, 0.0, -0.6],
     ]))
     FORK_RATES = RateMap(np.array([0.1, 0.3, 0.3, 0.6]))
-    FORK_ARGS = (1.0, BondBasis((1.5, 2.0)), ClaimPayoff(np.array([0.0, 0.0, 0.0, 1.0]), 1.0), 0.01)
+    FORK_ARGS = (BondBasis((1.5, 2.0)), ClaimPayoff(np.array([0.0, 0.0, 0.0, 1.0]), 1.0), 0.01)
 
     def first_loop_error(self, paths):
         with pytest.raises(UnhedgeableBasisError) as loop:

@@ -12,12 +12,12 @@ from ctmc_rates import (
     perron_pair,
     recover_generator,
 )
+from ctmc_rates.cli import main
 from ctmc_rates.pricing import yield_curve
 from ctmc_rates.two_state import (
     closed_form_log_bonds,
     closed_form_yield,
     limiting_yield,
-    yield_curve_rows,
 )
 
 from oracles import (
@@ -170,7 +170,7 @@ class TestClosedFormHedge:
             from ctmc_rates import BondBasis, ClaimPayoff, HedgePlan
 
             for k in (0, 1):
-                plan = HedgePlan(G, rm, T, BondBasis((T1,)), ClaimPayoff(np.eye(2)[k], T))
+                plan = HedgePlan(G, rm, BondBasis((T1,)), ClaimPayoff(np.eye(2)[k], T))
                 D = plan.positions(t, 0)
                 assert D[0] == pytest.approx(closed_form_hedge(m, t, T, T1, k), rel=1e-12)
 
@@ -215,11 +215,19 @@ class TestRecoveredGenerator:
 
 
 class TestYieldCurveRows:
-    def test_rows_match_engine(self):
+    def test_rows_match_engine(self, capsys):
+        # the demo's rows, computed from the closed form over the whole grid at once
         m = TwoStateModel(0.5, 0.1)
         G, rm = m.generator(), m.rate_map()
-        rows = list(yield_curve_rows(m, 0.0, np.array([0.5, 1.0, 5.0])))
+        assert main(["demo", "--lam", "0.5", "--rate", "0.1", "--T-grid", "0.5:5:0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "T,yield_state0,yield_state1,asymptote"
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 10
         for T, y0, y1, asym in rows:
             assert y0 == pytest.approx(yield_curve(G, rm, 0.0, [T])[0, 0], rel=1e-12)
             assert y1 == pytest.approx(yield_curve(G, rm, 0.0, [T])[0, 1], rel=1e-12)
+            assert (y0, y1) == (closed_form_yield(m, 0.0, T, 0), closed_form_yield(m, 0.0, T, 1))
             assert asym == pytest.approx(limiting_yield(m), rel=1e-15)
+        Y = closed_form_log_bonds(m, 0.0, np.array([0.5, 1.0]))
+        assert Y.shape == (2, 2) and np.array_equal(Y[1], closed_form_log_bonds(m, 0.0, 1.0))
