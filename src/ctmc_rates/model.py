@@ -165,7 +165,8 @@ _PADE_W13 = np.array([[0.0, *_PADE_B[4][9:14:2]], _PADE_B[4][1:8:2],
 
 
 def _norm1(X: np.ndarray) -> float:
-    return float(np.abs(X).sum(axis=0).max())
+    """The 1-norm of a matrix; of a stack, the largest 1-norm in it."""
+    return float(np.abs(X).sum(axis=-2).max())
 
 
 def _pade_ell(A: np.ndarray, k: int, norm: float) -> int:
@@ -190,50 +191,79 @@ def _pade_ell(A: np.ndarray, k: int, norm: float) -> int:
 
 
 def _pade_expm(A: np.ndarray) -> np.ndarray:
-    """e^A for a matrix that is not diagonal (so ||A||_1 > 0)."""
-    n = len(A)
-    P = np.empty((5, n, n))  # I, A^2, A^4, A^6, A^8
-    P[0] = np.eye(n)
-    np.matmul(A, A, out=P[1])
-    np.matmul(P[1], P[1], out=P[2])
-    np.matmul(P[2], P[1], out=P[3])
-    norm = _norm1(A)
-    d4, d6 = np.abs(P[2:4]).sum(axis=1).max(axis=1) ** (1 / 4, 1 / 6)
-    eta, s = max(d4, d6), 0
-    for k in range(4):  # degrees 3, 5, 7, 9
-        if k == 2:
-            np.matmul(P[2], P[2], out=P[4])
-            d8 = _norm1(P[4]) ** (1 / 8)
-            eta = max(d6, d8)
-        if eta < _PADE_THETA[k] and _pade_ell(A, k, norm) == 0:
-            W = (_PADE_UV[k] @ P[:k + 2].reshape(k + 2, -1)).reshape(2, n, n)
-            U, V = A @ W[0], W[1]
-            break
-    else:  # degree 13
-        if d6 > d8:  # else min(max(d6, d8), max(d8, d10)) = d8 whatever d10 is
-            eta = min(eta, max(d8, _norm1(P[2] @ P[3]) ** (1 / 10)))
-        s = max(math.ceil(math.log2(eta / _PADE_THETA[4])), 0) if eta else 0
-        s += _pade_ell(A * 2.0**-s, 4, norm * 2.0**-s)
-        # B = 2^-s A; scaling A^2j by 2^-2sj through the weights is exact
-        W = (_PADE_W13 * 2.0 ** (-2 * s * np.arange(4))) @ P[:4].reshape(4, -1)
-        W = W.reshape(4, n, n)
-        B6 = P[3] * 2.0 ** (-6 * s)
-        U, V = (A * 2.0**-s) @ (B6 @ W[0] + W[1]), B6 @ W[2] + W[3]
-    # r_m = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U; the second form was the
-    # more accurate on 59% of 150 random stiff chains
-    X = np.linalg.solve(V - U, U)
-    X += X
-    X.flat[::n + 1] += 1.0
-    for _ in range(s):
-        X = X @ X
+    """e^A for each matrix of a stack (b, n, n), none of them diagonal (so ||A||_1 > 0).
+
+    Degree and squarings are chosen matrix by matrix; the products, the solve
+    and the squarings then run once for all matrices that share them, each
+    the same BLAS or LAPACK call a single matrix makes, so every matrix comes
+    back with the bits of its own call.
+    """
+    b, n = A.shape[:2]
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    A8 = A4 @ A4
+    norms = np.abs(A).sum(axis=1).max(axis=1).tolist()
+    d = np.stack([np.abs(P).sum(axis=1).max(axis=1) for P in (A4, A6, A8)], axis=1)
+    d4, d6, d8 = (d ** (1 / 4, 1 / 6, 1 / 8)).T.tolist()
+    degree, squarings = np.full(b, 4), np.zeros(b, dtype=int)
+    for i, norm in enumerate(norms):
+        eta = max(d4[i], d6[i])
+        for k in range(4):  # degrees 3, 5, 7, 9
+            if k == 2:
+                eta = max(d6[i], d8[i])
+            if eta < _PADE_THETA[k] and _pade_ell(A[i], k, norm) == 0:
+                degree[i] = k
+                break
+        else:  # degree 13
+            if d6[i] > d8[i]:  # else min(max(d6, d8), max(d8, d10)) = d8 whatever d10 is
+                eta = min(eta, max(d8[i], _norm1(A4[i] @ A6[i]) ** (1 / 10)))
+            s = max(math.ceil(math.log2(eta / _PADE_THETA[4])), 0) if eta else 0
+            squarings[i] = s + _pade_ell(A[i] * 2.0**-s, 4, norm * 2.0**-s)
+    X = np.empty_like(A)
+    for k in range(5):
+        pick = np.flatnonzero(degree == k)
+        if not pick.size:
+            continue
+        # I, A^2, A^4, ... side by side, so that their weighted sums are one product
+        P = np.empty((pick.size, k + 2 if k < 4 else 4, n, n))
+        P[:, 0] = np.eye(n)
+        for j, Aj in enumerate((A2, A4, A6, A8)[:P.shape[1] - 1], 1):
+            P[:, j] = Aj[pick]
+        P = P.reshape(pick.size, P.shape[1], -1)
+        if k < 4:
+            W = (_PADE_UV[k] @ P).reshape(-1, 2, n, n)
+            U, V = A[pick] @ W[:, 0], W[:, 1]
+        else:
+            # B = 2^-s A; scaling A^2j by 2^-2sj through the weights is exact
+            s = squarings[pick][:, None, None]
+            W = ((_PADE_W13 * np.ldexp(1.0, -2 * s * np.arange(4))) @ P).reshape(-1, 4, n, n)
+            B6 = A6[pick] * np.ldexp(1.0, -6 * s)
+            U, V = (A[pick] * np.ldexp(1.0, -s)) @ (B6 @ W[:, 0] + W[:, 1]), B6 @ W[:, 2] + W[:, 3]
+        # r_m = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U; the second form was the
+        # more accurate on 59% of 150 random stiff chains
+        Xk = np.linalg.solve(V - U, U)
+        Xk += Xk
+        np.einsum("bii->bi", Xk)[...] += 1.0
+        X[pick] = Xk
+    for j in range(int(squarings.max(initial=0))):
+        pick = np.flatnonzero(squarings > j)
+        X[pick] = X[pick] @ X[pick]
     return X
+
+
+# a stack is exponentiated in blocks of about this many entries per matrix
+# power, which keeps the powers of a long stack of large matrices small
+_EXPM_BLOCK = 1 << 17
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
     """e^M by scaling and squaring with a Pade step (Al-Mohy & Higham 2009).
 
-    A diagonal M (1 x 1, zero) gives exp of its diagonal exactly. Otherwise
-    the mean row sum mu is taken out first: e^M = e^mu e^{M - mu I}. For
+    M is one n x n matrix or a stack of them, shape (..., n, n); each matrix
+    of a stack comes back bit for bit as from its own call. A diagonal
+    matrix (1 x 1, zero) gives exp of its diagonal exactly. Otherwise the
+    mean row sum mu is taken out first: e^M = e^mu e^{M - mu I}. For
     M = tau (G - R) that is the mean discount -tau mean(r), which left in
     costs the Pade step up to 1e-12 in relative accuracy (tau = 8, rates
     (1, 1)); a generator's rows sum to 0, so e^{tG} has no shift. A result
@@ -242,26 +272,117 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix exponential of non-finite matrix")
-    d = np.diagonal(M)
+    n = M.shape[-1]
+    stack = M.reshape(-1, n, n)
+    d = np.einsum("bii->bi", stack)
+    X = np.zeros_like(stack)
     try:
         with np.errstate(all="raise", under="ignore"):
-            if np.count_nonzero(M) == np.count_nonzero(d):
-                return np.diag(np.exp(d))
-            mu = float(M.sum(axis=1).mean())
-            A = M.copy()
-            A.flat[::len(A) + 1] -= mu
-            X = np.exp(mu) * _pade_expm(A)
+            diagonal = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(d, axis=1)
+            np.einsum("bii->bi", X)[diagonal] = np.exp(d[diagonal])
+            full, block = np.flatnonzero(~diagonal), max(1, _EXPM_BLOCK // max(n * n, 1))
+            for lo in range(0, full.size, block):
+                pick = full[lo:lo + block]
+                mu = stack[pick].sum(axis=2).mean(axis=1)
+                A = stack[pick]
+                np.einsum("bii->bi", A)[...] -= mu[:, None]
+                X[pick] = np.exp(mu)[:, None, None] * _pade_expm(A)
     except FloatingPointError as exc:
-        raise ModelValidationError(f"e^M overflows at ||M||_1 = {_norm1(M):.3g}: {exc}") from exc
+        raise ModelValidationError(f"e^M overflows at ||M||_1 = {_norm1(stack):.3g}: {exc}") from exc
     if not np.all(np.isfinite(X)):
-        raise ModelValidationError(f"e^M is not finite at ||M||_1 = {_norm1(M):.3g}")
-    return X
+        raise ModelValidationError(f"e^M is not finite at ||M||_1 = {_norm1(stack):.3g}")
+    return X.reshape(M.shape)
 
 
 # Half the exponent range of a double. A bond falls no faster than
 # e^{-tau max r}, so below this tau max r nothing the kernel propagates comes
 # near underflow, even after scaling by a payoff as small as 1e-150.
 _LOG_HEADROOM = -0.5 * np.log(np.finfo(float).tiny)
+# the planner looks for a run among this many times ahead of the point it has
+# reached, and past them only when the run spans them all
+_PLAN_WINDOW = 256
+
+
+def _first_hole(k: np.ndarray) -> int:
+    """The largest L with 1, ..., L all in the nondecreasing integers k."""
+    if not k.size or k[0] > 1:
+        return 0
+    skip = np.flatnonzero(k[1:] - k[:-1] > 1)
+    return int(k[skip[0]] if skip.size else k[-1])
+
+
+def _near(d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the offsets d lie within 2^-20 h of k h, k >= 1, and the k."""
+    k = np.rint(d / h)
+    return (k >= 1) & (np.abs(d - k * h) <= h * 2.0**-20), k
+
+
+def _plan(u: np.ndarray, tol: float, longest: float):
+    """Runs of equal steps that reach the sorted distinct times u from time 0.
+
+    Returns (runs, point, below, off). runs lists (h, count): count steps of
+    h, each run going on from the time the one before it reached. Step
+    number j (over all runs, 0 being time 0) reaches a time within tol of
+    u[i] where point[i] = j; a time with point[i] = -1 lies off the runs and
+    is reached from step number below[i] by one step of length off[i].
+
+    Each run is found among the next _PLAN_WINDOW times, with the anchor a
+    the time actually reached so far: its step h is the most common gap
+    there, and the run takes the steps k = 1, ..., L for which some time
+    lies within 2^-20 h of a + k h, with h refitted through the L-th. A time
+    within tol of a + k h is that run point; any other time up to a + L h is
+    off the run. Where no gap repeats, the farthest time is reached in one
+    step and the others from a. A step longer than `longest` is taken as the
+    fewest equal pieces within it.
+    """
+    N = len(u)
+    runs: list[tuple[float, int]] = []
+    point, below, off = np.full(N, -1), np.zeros(N, dtype=np.intp), np.zeros(N)
+    i, a, base = 0, 0.0, 0
+    while i < N:
+        d = u[i:i + _PLAN_WINDOW] - a
+        here = int(np.searchsorted(d, tol, side="right"))
+        if here:  # reached already, up to tol or the rounding of a
+            point[i:i + here] = base
+            i += here
+            continue
+        gaps = d.copy()
+        gaps[1:] -= d[:-1]
+        gaps.sort()
+        # the gaps cluster where sorted neighbours lie within tol; ends[c] + 1 starts cluster c
+        ends = np.concatenate([[-1], np.flatnonzero(gaps[1:] - gaps[:-1] > tol), [gaps.size - 1]])
+        sizes = ends[1:] - ends[:-1]
+        L = 0
+        if sizes.max() > 1:
+            h = float(gaps[ends[np.argmax(sizes)] + 1])
+            near, k = _near(d, h)
+            L = _first_hole(k[near])
+            if i + d.size < N and L and L == k[near][-1]:  # the run may go on past the window
+                d = u[i:] - a
+                near, k = _near(d, h)
+                L = _first_hole(k[near])
+        if L:
+            at = np.flatnonzero(near & (k == L))
+            h = float(d[at[np.argmin(np.abs(d[at] - L * h))]]) / L
+            on = near & (np.abs(a + k * h - u[i:i + d.size]) <= tol)
+        else:  # no run from a: one step to the first time, or where no gap
+            # repeats to the farthest, with the times before it off that step
+            far = d.size - 1 if sizes.max() == 1 else 0
+            far = min(far, max(int(np.searchsorted(d, longest, side="right")) - 1, 0))
+            h, L, k = float(d[far]), 1, np.zeros(d.size)
+            on = np.arange(d.size) == far
+            k[far] = 1
+        pieces = max(1, math.ceil(h / longest))
+        step = h / pieces
+        used = int(np.searchsorted(d, L * h + tol, side="right"))
+        on, k, d = on[:used] & (k[:used] <= L), k[:used], d[:used]
+        point[i:i + used][on] = base + k[on].astype(np.intp) * pieces
+        j = np.clip(np.floor(d / step), 0, L * pieces - 1).astype(np.intp)
+        below[i:i + used] = base + j
+        off[i:i + used] = d - j * step
+        runs.append((step, L * pieces))
+        i, a, base = i + used, a + L * h, base + L * pieces
+    return runs, point, below, off
 
 
 def propagate(
@@ -272,15 +393,18 @@ def propagate(
     Returns (scaled, log_scale) with shapes (len(taus), n, m) and
     (len(taus), m): column j of e^{taus[k] M} V is
     scaled[k, :, j] * exp(log_scale[k, j]). The taus may be unsorted and
-    repeated; they are visited in increasing order, each reached from the
-    time reached before it. A cached e^{h M} is reused when it lands within
-    eps * tau of tau, the rounding tau already carries (the time actually
-    reached is kept, so the error never accumulates); other steps get a fresh
-    matrix_exponential. So the cost is one per step length, not one per ulp
-    of the gaps np.arange leaves. When e^{-tau max r}
-    could underflow, steps longer than the headroom are split and each column
-    is rescaled by a power of two after every step, which keeps log B finite
-    at any maturity; otherwise log_scale is 0 and scaled is the plain product.
+    repeated. Sorted, they are split into runs of equal steps (see _plan);
+    times within 2 eps max(taus) of each other are one time, the rounding
+    that tau = T - t carries in every caller, unless that moves the result
+    by more than 2^-46. A run of L steps of h takes
+    log2 L products: from its step S = e^{hM}, X[w:2w] = S^w X[0:w] and
+    S^{2w} = S^w S^w. A time off the runs, such as a path's jump time
+    between mesh points, is one fresh step from the run point below it. All
+    fresh exponentials come from one stacked matrix_exponential. When
+    e^{-tau max r} could underflow, a run is taken in pieces no longer than
+    the headroom and each column is rescaled by a power of two after every
+    piece, which keeps log B finite at any maturity; otherwise log_scale is
+    0 and scaled is the plain product.
     """
     if G.n != r.n:
         raise ModelValidationError("generator and rate vector sizes differ")
@@ -293,41 +417,58 @@ def propagate(
     if not np.all(np.isfinite(taus)) or np.any(taus < 0):
         raise ValueError("propagation times must be finite and >= 0")
     M = G.entries - r.diagonal
-    rate_max = float(r.rates.max())
-    rescale = taus.max(initial=0.0) * rate_max > _LOG_HEADROOM
-    longest = _LOG_HEADROOM / rate_max if rescale else np.inf
-
-    steps: dict[float, np.ndarray] = {}
-    lengths: list[float] = []  # the keys of steps, sorted
-    eps = float(np.finfo(float).eps)
-    scaled = np.empty((taus.size, G.n, V.shape[1]))
-    exponent = np.zeros((taus.size, V.shape[1]), dtype=np.int64)
-    cur, cur_exp, prev = V, np.zeros(V.shape[1], dtype=np.int64), 0.0
+    n, m = V.shape
     order = np.argsort(taus, kind="stable")
-    for k, tau in zip(order.tolist(), taus[order].tolist()):
-        tol = eps * tau
-        gap = tau - prev
-        if gap > tol:
-            pieces = max(1, math.ceil(gap / longest))
-            h = gap / pieces
-            if h not in steps:
-                i = bisect.bisect_left(lengths, h)
-                near = min(lengths[max(i - 1, 0):i + 1], key=lambda s: abs(s - h), default=math.inf)
-                if abs(prev + pieces * near - tau) > tol:
-                    near = h
-                    steps[h] = matrix_exponential(h * M)
-                    lengths.insert(i, h)
-                h = near
-            for _ in range(pieces):
-                cur = steps[h] @ cur
-                if rescale:
-                    _, e = np.frexp(np.abs(cur).max(axis=0))
-                    cur = np.ldexp(cur, -e)
-                    cur_exp = cur_exp + e
-            prev += pieces * h
-        scaled[k] = cur
-        exponent[k] = cur_exp
-    return scaled, exponent * np.log(2.0)
+    t = taus[order]
+    tau_max = float(t[-1]) if t.size else 0.0
+    rate_max = float(r.rates.max())
+    rescale = tau_max * rate_max > _LOG_HEADROOM
+    longest = _LOG_HEADROOM / rate_max if rescale else math.inf
+    # the rounding tau = T - t carries, as long as a time error that small
+    # moves e^{tau M} by less than 2^-46 (~1.4e-14) relative
+    norm = _norm1(M)
+    tol = 2 * float(np.finfo(float).eps) * tau_max
+    tol = min(tol, 2.0**-46 / norm) if norm else tol
+    new = np.diff(t, prepend=0.0) > tol
+    runs, point, below, off = _plan(t[new], tol, longest)
+
+    lengths = sorted({h for h, _ in runs})
+    away = np.flatnonzero(point < 0)
+    S = matrix_exponential(np.concatenate([lengths, off[away]])[:, None, None] * M)
+    # X[:, j] holds step number j of the runs, then the times off them; it is
+    # state-major, so that a product over many points is one matrix product
+    steps = sum(count for _, count in runs)
+    X = np.empty((n, 1 + steps + away.size, m))
+    X[:, 0] = V
+    exponent = np.zeros((X.shape[1], m), dtype=np.int64)
+    j = 0
+    for h, count in runs:
+        step = S[lengths.index(h)]
+        piece = count if not rescale else max(1, int(longest // h))
+        for lo in range(j, j + count, piece):
+            hi = min(lo + piece, j + count)  # fill X[:, lo + 1 : hi + 1]
+            Sw, w = step, 1
+            while lo + w <= hi:
+                take = min(w, hi + 1 - lo - w)
+                np.matmul(Sw, X[:, lo:lo + take].reshape(n, -1),
+                          out=X[:, lo + w:lo + w + take].reshape(n, -1))
+                if take == w and lo + 2 * w <= hi:
+                    Sw = Sw @ Sw
+                w += take
+            exponent[lo + 1:hi + 1] = exponent[lo]
+            if rescale:
+                _, e = np.frexp(np.abs(X[:, hi]).max(axis=0))
+                X[:, hi] = np.ldexp(X[:, hi], -e)
+                exponent[hi] += e
+        j += count
+    X[:, 1 + steps:] = (S[len(lengths):] @ X[:, below[away]].transpose(1, 0, 2)).transpose(1, 0, 2)
+    exponent[1 + steps:] = exponent[below[away]]
+    point[away] = 1 + steps + np.arange(away.size)
+
+    at = np.empty(taus.size, dtype=np.intp)
+    at[order] = np.concatenate([[0], point])[np.cumsum(new)]
+    scaled = np.ascontiguousarray(X[:, at].transpose(1, 0, 2))
+    return scaled, exponent[at] * np.log(2.0)
 
 
 def _check_horizon(horizon: float) -> None:

@@ -165,9 +165,20 @@ def perron_pair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
     require_valid_model(G, r)
     if not np.any(r.rates):
         raise RecoveryHypothesisError("recovery hypothesis violated: rho = 0 (the short rate is identically 0)")
+    # A rate far below the smallest normal double leaves the elimination's
+    # products of it with the factors to round to 0 (rates (5e-324, 0) on an
+    # asymmetric pair gave a zero pivot). c (G, r) with c = 2^k has the same pi
+    # and c rho and is formed exactly, so k lifts the least positive rate to
+    # 2^-1000, within what the largest entry leaves of the exponent range.
+    least = int(np.frexp(r.rates[r.rates > 0].min())[1])
+    top = int(np.frexp(max(-G.entries.min(), G.entries.max(), r.rates.max()))[1])
+    k = max(0, min(-1000 - least, 1000 - top - G.n.bit_length()))
+    c = 2.0**k
+    Q, rates = (c * G.entries, c * r.rates) if k else (G.entries, r.rates)
     # underflow from tiny valid data (a 1e-311 rate) is no error; _perron checks pi
     with np.errstate(all="raise", under="ignore"):
-        rho, pi = _perron(G.entries, r.rates)
+        rho, pi = _perron(Q, rates)
+        rho = rho / c or -5e-324  # still < 0 when rho / c underflows
     pi.setflags(write=False)
     return rho, pi
 
@@ -204,6 +215,8 @@ def tipk_price(
     Cross-checks the analytic price.
     """
     T = payoff.maturity
+    if payoff.values.shape[0] != G.n:
+        raise ModelValidationError("payoff length does not match state count")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if t > T:

@@ -228,6 +228,19 @@ _BLOCK_CELLS = 1 << 20
 _WINDOW = 128
 
 
+def _wealth(X: np.ndarray, v0: np.ndarray, v1: np.ndarray, rate_dt: np.ndarray) -> np.ndarray:
+    """Wealth after each step of X_m = v1_m + (X_{m-1} - v0_m) g_m, g_m = e^{rate_dt_m},
+    from X_0 = X, shape (steps, paths).
+
+    The recursion is first-order linear, so with A_m = g_1 ... g_m =
+    e^{cumsum(rate_dt)} it is the scan X_m = A_m (X_0 + sum_{i<=m} (v1_i -
+    g_i v0_i) / A_i): one cumulative sum in place of a loop over steps.
+    """
+    growth = np.exp(rate_dt)
+    A = np.exp(np.cumsum(rate_dt, axis=0))
+    return A * (X + np.cumsum((v1 - growth * v0) / A, axis=0))
+
+
 def _path_grid(
     path: ChainPath, ts: np.ndarray, on_mesh: np.ndarray, T: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +281,8 @@ def replicate_paths(
     union of their grids, and each distinct (time, state) is hedged once, in
     one kernel call, numbered by first occurrence path by path, so a failure
     names the first failing path's earliest failing step. The wealth
-    recursion is one loop over steps, vectorized across paths.
+    recursion is a scan over each window of steps (see _wealth), vectorized
+    across paths.
     """
     if not 0 < dt < np.inf:
         raise ValueError("rebalance step dt must be positive and finite")
@@ -335,11 +349,8 @@ def replicate_paths(
             idx = cell[at[:-1] * n + hold[:-1]]
             nxt = P[at[1:], hold[1:]]
             v0, v1 = bonds_now[idx], np.einsum("mck,mck->mc", D[idx], nxt[..., 1:])
-            growth = np.exp(r.rates[hold[:-1]] * np.diff(ts[at], axis=0))
-            wealth = np.empty_like(v0)
-            for m in range(len(idx)):
-                X = v1[m] + (X - v0[m]) * growth[m]
-                wealth[m] = X
+            wealth = _wealth(X, v0, v1, r.rates[hold[:-1]] * np.diff(ts[at], axis=0))
+            X = wealth[-1]
             track = np.maximum(track, np.abs(wealth - nxt[..., 0]).max(axis=0))
         # the padded grid's last row holds each path's state at T
         final = payoff.values[held[-1]]

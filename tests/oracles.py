@@ -4,7 +4,7 @@ Each one is independent of the engine it checks. The two-state formulas are
 explicit eigendecompositions, not matrix exponentials; the stationary law is
 a least-squares solve; the rate integral walks a path's constant pieces, not
 the event loop behind simulate_terminal; the hedge gate is an SVD of every
-square system.
+square system; the wealth recursion is run step by step, not as a scan.
 """
 import bisect
 
@@ -106,6 +106,16 @@ def hedge_svd_gate(P, ts, steps, states, hedged) -> np.ndarray:
             f"{what} at (t={float(ts[steps[i]])}, state={int(states[i])}): {detail}"
         )
     return D
+
+
+def wealth_loop(X, v0, v1, rate_dt) -> np.ndarray:
+    """replication._wealth one step at a time: X_m = v1_m + (X_{m-1} - v0_m) e^{rate_dt_m}."""
+    growth = np.exp(rate_dt)
+    wealth = np.empty_like(v0)
+    for m in range(len(v0)):
+        X = v1[m] + (X - v0[m]) * growth[m]
+        wealth[m] = X
+    return wealth
 
 
 def closed_form_recovered_generator(m: TwoStateModel) -> np.ndarray:

@@ -127,15 +127,24 @@ def test_log_bonds_stay_finite_at_long_maturities(data):
     assert np.all(np.abs(composed - log_B[-1]) <= 1e-12 * (1.0 + np.abs(log_B[-1])) + floor)
 
 
+def count_formed(monkeypatch):
+    """Record how many matrices each matrix_exponential call of propagate forms."""
+    formed = []
+
+    def counting(M):
+        formed.append(len(np.reshape(M, (-1, *np.shape(M)[-2:]))))
+        return matrix_exponential(M)
+
+    monkeypatch.setattr(model_module, "matrix_exponential", counting)
+    return formed
+
+
 def test_one_matrix_exponential_per_distinct_step(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        model_module, "matrix_exponential", lambda M: calls.append(M) or matrix_exponential(M)
-    )
+    formed = count_formed(monkeypatch)
     G = GeneratorMatrix(np.array([[-1.0, 1.0], [2.0, -2.0]]))
     r = RateMap(np.array([0.0, 0.1]))
     scaled, log_scale = propagate(G, r, [3.0, 1.0, 1.0, 0.0, 2.0], np.eye(2))
-    assert len(calls) == 1  # every gap between sorted taus is 1.0
+    assert sum(formed) == 1  # every gap between sorted taus is 1.0
     assert np.array_equal(scaled[3], np.eye(2))
     assert np.array_equal(scaled[1], scaled[2])
     assert not np.any(log_scale)
@@ -151,17 +160,66 @@ def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch):
     r = RateMap(np.linspace(0.0, 0.2, 50))
     taus = np.arange(0.1, 10.05, 0.1)
     assert taus.size == 100 and len(set(np.diff(taus).tolist())) > 3
-    calls = []
-    monkeypatch.setattr(
-        model_module, "matrix_exponential", lambda M: calls.append(M) or matrix_exponential(M)
-    )
+    formed = count_formed(monkeypatch)
     V = np.ones((50, 2))
     V[0, 1] = 5.0
     out = values(*propagate(G, r, taus, V))
-    assert len(calls) <= 3
+    assert sum(formed) <= 3
     M = G.entries - r.diagonal
     for k, tau in enumerate(taus):
         assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
+
+
+def birth_death_5():
+    rng = np.random.default_rng(5)
+    Q = np.diag(rng.uniform(0.5, 1.5, 4), 1) + np.diag(rng.uniform(0.5, 1.5, 4), -1)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return GeneratorMatrix(Q), RateMap(np.linspace(0.0, 0.1, 5))
+
+
+def reversible_propagator(G, r, taus, V, dps=40):
+    """e^{tau (G - R)} V at dps digits for a birth-death chain, from the
+    eigendecomposition of D (G - R) D^-1, which is symmetric for D the square
+    root of the chain's reversible law; shares nothing with the Pade kernel."""
+    with mpmath.workdps(dps):
+        Q = [[mpmath.mpf(float(x)) for x in row] for row in G.entries]
+        n = len(Q)
+        p = [mpmath.mpf(1)]
+        for i in range(n - 1):
+            p.append(p[-1] * Q[i][i + 1] / Q[i + 1][i])
+        d = [mpmath.sqrt(x) for x in p]
+        S = mpmath.matrix(n, n)
+        for i in range(n):
+            S[i, i] = Q[i][i] - mpmath.mpf(float(r.rates[i]))
+            if i + 1 < n:
+                S[i, i + 1] = S[i + 1, i] = mpmath.sqrt(Q[i][i + 1] * Q[i + 1][i])
+        lam, U = mpmath.eigsy(S)
+        W = U.T * mpmath.matrix([[d[i] * mpmath.mpf(float(x)) for x in V[i]] for i in range(n)])
+        out = np.empty((len(taus), n, V.shape[1]))
+        for k, tau in enumerate(taus):
+            E = mpmath.diag([mpmath.exp(mpmath.mpf(float(tau)) * x) for x in lam])
+            X = U * (E * W)
+            out[k] = [[float(X[i, j] / d[i]) for j in range(V.shape[1])] for i in range(n)]
+        return out
+
+
+def test_mesh_with_off_mesh_times(monkeypatch):
+    # replicate's propagation: tau = T - t over a 1,000-step mesh and the jump
+    # times of paths between mesh points; the mesh is one run, each jump time
+    # one fresh step from the mesh point below it
+    G, r = birth_death_5()
+    T, dt = 1.0, 1e-3
+    jumps = np.random.default_rng(9).uniform(0.0, T, 8)
+    taus = T - np.concatenate([np.minimum(np.arange(1001) * dt, T), jumps])
+    V = np.column_stack([np.ones(5), np.eye(5)[0]])
+    formed = count_formed(monkeypatch)
+    out = values(*propagate(G, r, taus, V))
+    assert sum(formed) <= 1 + len(jumps)
+    M = G.entries - r.diagonal
+    want = reversible_propagator(G, r, taus, V)
+    for k, tau in enumerate(taus):
+        assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
+        assert close(out[k], want[k], tau, M)
 
 
 def test_rejects_bad_input():
@@ -222,6 +280,21 @@ def test_stiff_transition_rows_sum_to_one(q, tau):
         G = GeneratorMatrix(stiff_generator(q, ratio))
         rows = matrix_exponential(tau * G.entries).sum(axis=1)
         assert np.all(np.abs(rows - 1.0) <= expm_floor(tau, G.entries))
+
+
+def test_stack_matches_each_matrix_bit_for_bit():
+    # scales of 1e-4 ... 2e3 take the Pade step through degrees 3, 5, 7, 9
+    # and 13, the last with and without squarings; diagonal matrices take
+    # the exact shortcut
+    G, r = birth_death_5()
+    M = G.entries - r.diagonal
+    stack = [tau * M for tau in (1e-4, 0.01, 0.1, 0.4, 1.0, 2.0, 30.0, 2e3)]
+    stack += [np.zeros((5, 5)), np.diag([0.3, -1.2, 0.0, 2.0, -745.5]), 0.5 * G.entries]
+    got = matrix_exponential(np.array(stack))
+    for X, A in zip(got, stack):
+        assert X.tobytes() == matrix_exponential(A).tobytes()
+    assert matrix_exponential(np.array(stack).reshape(11, 1, 5, 5)).shape == (11, 1, 5, 5)
+    assert matrix_exponential(np.empty((0, 5, 5))).shape == (0, 5, 5)
 
 
 def test_diagonal_inputs_are_exact():

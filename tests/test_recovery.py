@@ -19,6 +19,7 @@ from ctmc_rates import (
     tipk_price,
     validate_model,
 )
+from ctmc_rates import recovery
 from ctmc_rates.cli import main as cli_main
 from ctmc_rates.model import simulate_terminal
 from ctmc_rates.pricing import mean_and_se
@@ -243,6 +244,21 @@ class TestPerronPair:
         assert -rate <= rho < 0
         assert np.allclose(pi, np.sqrt(0.5), rtol=1e-15)
 
+    @pytest.mark.parametrize("rates", [(5e-324, 0.0), (5e-324, 0.0, 0.0), (0.0, 1e-320, 5e-324)])
+    @pytest.mark.parametrize("intensity", [1.0, 1e6])
+    def test_subnormal_rate_on_an_asymmetric_chain(self, rates, intensity):
+        # the elimination multiplies the rates by factors below 1: on
+        # [[-1, 1], [0.5, -0.5]] with rates (5e-324, 0) the last pivot,
+        # 0.5 * 5e-324, rounded to 0 and the solve failed
+        n = len(rates)
+        Q = intensity * (np.diag(np.ones(n - 1), 1) + 0.5 * np.diag(np.ones(n - 1), -1))
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        G, r = GeneratorMatrix(Q), RateMap(np.array(rates))
+        rho, pi = perron_pair(G, r)
+        assert -max(rates) <= rho < 0 and np.all(pi > 0)
+        assert entrywise_residual_ok(G, r, rho, pi)
+        assert validate_model(recover_generator(G, pi), RateMap(np.zeros(n))) == ()
+
     def test_pi_beyond_double_range_is_a_typed_error(self):
         # pi falls by ~1e-5 per state, below the smallest double by state 70
         n = 80
@@ -385,6 +401,16 @@ class TestTipkPrice:
         _, G, r = two_state_example
         with pytest.raises(ValueError):
             tipk_price(G, r, ClaimPayoff(np.ones(2), 1.0), 0.0, 0, 0, seed=0)
+
+    @pytest.mark.parametrize("values", [[1.0, 0.5, 0.2], [1.0]])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_payoff_of_wrong_length_is_a_typed_error(self, two_state_example, monkeypatch, values, t):
+        # rejected before the Perron solve and before the t == T shortcut: a
+        # 3-entry payoff used to price silently and a 1-entry one to raise IndexError
+        _, G, r = two_state_example
+        monkeypatch.setattr(recovery, "perron_pair", lambda *a: pytest.fail("Perron solve ran"))
+        with pytest.raises(ModelValidationError, match="payoff length does not match state count"):
+            tipk_price(G, r, ClaimPayoff(np.array(values), 1.0), t, 1, 10, seed=0)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_equals_the_recovered_measure_average(self, n):

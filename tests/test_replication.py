@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctmc_rates import (
@@ -18,11 +18,12 @@ from ctmc_rates import (
     replicate_paths,
     simulate_path,
 )
+from ctmc_rates import replication
 from ctmc_rates.model import SUPPORT_EPS
 from ctmc_rates.replication import _hedge
 
 from conftest import models, random_model
-from oracles import closed_form_hedge, hedge_svd_gate
+from oracles import closed_form_hedge, hedge_svd_gate, wealth_loop
 
 
 def birth_death_model(n=4, up=0.8, down=0.6, rate_step=0.03):
@@ -607,3 +608,63 @@ class TestReplicatePaths:
         unhedgeable = ChainPath(0, (), (), 2.0, 4)
         with pytest.raises(error, match=match):
             replicate_paths(self.FORK, self.FORK_RATES, [unhedgeable, broken], *self.FORK_ARGS)
+
+
+def scan_and_loop(G, r, paths, basis, payoff, dt):
+    """replicate_paths' reports with the wealth scan and with oracles.wealth_loop,
+    and the largest |v0|, |v1| the scan was given."""
+    scan_wealth, terms = replication._wealth, [1.0]
+
+    def spy(X, v0, v1, rate_dt):
+        terms.append(max(np.abs(v0).max(), np.abs(v1).max()))
+        return scan_wealth(X, v0, v1, rate_dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replication, "_wealth", spy)
+        scan = replicate_paths(G, r, paths, basis, payoff, dt)
+        mp.setattr(replication, "_wealth", wealth_loop)
+        loop = replicate_paths(G, r, paths, basis, payoff, dt)
+    return scan, loop, max(terms)
+
+
+def assert_scan_matches_loop(scan, loop, bound):
+    assert len(scan) == len(loop)
+    for a, b in zip(scan, loop):
+        assert abs(a.terminal_error - b.terminal_error) <= bound
+        assert abs(a.max_tracking_error - b.max_tracking_error) <= bound
+        assert (a.n_jumps, a.n_grid_points) == (b.n_jumps, b.n_grid_points)
+
+
+class TestWealthScan:
+    """The wealth recursion as a scan against the step-by-step loop."""
+
+    def test_bench_shaped_birth_death(self):
+        # the replicate benchmark's shape: a 5-state birth-death chain, four
+        # bonds, 12 paths to T = 1 at dt = 1e-3 (8 windows of 128 steps)
+        rng = np.random.default_rng(7)
+        Q = np.diag(rng.uniform(0.5, 1.5, 4), 1) + np.diag(rng.uniform(0.5, 1.5, 4), -1)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        G, r = GeneratorMatrix(Q), RateMap(np.linspace(0.0, 0.1, 5))
+        paths = [simulate_path(G, 0, 1.0, rng) for _ in range(12)]
+        scan, loop, _ = scan_and_loop(G, r, paths, BondBasis((2.0, 3.0, 4.0, 5.0)),
+                                      ClaimPayoff(np.eye(5)[0], 1.0), 1e-3)
+        assert sum(rep.n_jumps for rep in scan) > 0
+        assert_scan_matches_loop(scan, loop, 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(birth_death_models(n_max=4), st.floats(0.1, 2.0), st.floats(1e-3, 0.2), st.data())
+    def test_drawn_paths(self, model, T, dt, data):
+        # each form rounds v1 - g v0 and X - v0 to about eps times the size of
+        # the terms; where the positions reach 1e3 (bonds nearly equal across
+        # states) both are ~6e-13 from the exact recursion and 1e-12 apart
+        G, r = model
+        payoff = ClaimPayoff(np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=G.n, max_size=G.n))), T)
+        basis = BondBasis(tuple(T + 0.5 * (k + 1) for k in range(G.n - 1)))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+        paths = [simulate_path(G, data.draw(st.integers(0, G.n - 1)), T, seed) for seed in seeds]
+        try:
+            scan, loop, size = scan_and_loop(G, r, paths, basis, payoff, dt)
+        except UnhedgeableBasisError:
+            assume(False)
+        assert_scan_matches_loop(scan, loop, 1e-12 * size)
