@@ -83,9 +83,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise CtmcRatesError(f"grid {spec!r} needs a finite start, stop and step")
     if step <= 0 or stop < start:
         raise CtmcRatesError(f"empty or invalid grid {spec!r}")
-    grid = np.arange(start, stop + 0.5 * step, step)
-    # arange's point k, start + k*((start + step) - start), carries k roundings of start
-    grid = grid[grid <= stop + 3 * np.finfo(float).eps * (grid.size * abs(start) + abs(stop))]
+    # point k is start + k*step, within 2 eps (|start| + |stop|) of the exact
+    # decimal point; arange's would carry k roundings of start
+    grid = start + step * np.arange((stop + 0.5 * step - start) / step)
+    grid = grid[grid <= stop + 3 * np.finfo(float).eps * (abs(start) + abs(stop))]
     if grid.size == 0:
         raise CtmcRatesError(f"grid {spec!r} contains no points")
     return grid
@@ -156,9 +157,22 @@ def cmd_hedge(args) -> int:
         + ["money_market_residual"]
     )
     D, residual = plan.schedule(grid)
-    columns = [np.repeat(grid, G.n), spec.labels * grid.size,
-               *D.reshape(-1, D.shape[2]).T, residual.ravel()]
-    _write_output(args, header, columns,
+    # the states of one row set print the same positions and residual at each
+    # time (HedgePlan.row_set), so each time and each (time, row set) tail is
+    # formatted once and a template per time places them in its n rows
+    first = np.flatnonzero(plan.row_set == np.arange(G.n))
+    sets = len(first)
+    values = np.concatenate([D[:, first], residual[:, first, None]], axis=2)
+    tail = ",%.17g" * values.shape[2] + "\n"
+    tails = (tail * (grid.size * sets) % tuple(values.ravel().tolist())).split("\n")
+    times = ("%.17g\n" * grid.size % tuple(grid.tolist())).split("\n")
+    block = "\n".join(
+        "{0}," + label.replace("{", "{{").replace("}", "}}") + "{%d}" % (1 + g)
+        for label, g in zip(spec.labels, np.searchsorted(first, plan.row_set).tolist())
+    )
+    rows = [block.format(times[i], *tails[i * sets:(i + 1) * sets]) for i in range(grid.size)]
+    # an object array, so _write_output takes the blocks as %s text without a copy
+    _write_output(args, header, [np.array(rows, dtype=object)],
                   {"T": args.T, "basis": args.basis, "payoff": args.payoff,
                    "t_grid": args.t_grid})
     return 0

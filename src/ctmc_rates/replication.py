@@ -1,13 +1,16 @@
 """Self-financing replication of European claims with bonds and cash.
 
-At each (time, state) the bond positions solve a linear system matching the
-portfolio's jump exposure to the claim's on every jump the basis hedges: to
-every other state with the full basis of n - 1 bonds, and along the
-generator's support with a smaller one. The money market account absorbs the
-rest. A discrete-rebalancing simulator verifies the hedge pathwise.
+At time t in state s, cash and the basis bonds replicate the claim across
+every jump the basis hedges: to every other state with the full basis of
+n - 1 bonds, and along the generator's support with a smaller one. The cash
+and bond positions solve one linear system per time and row set (s and the
+states it jumps to), not per state: with a full basis the row set is every
+state, and cash plus n - 1 bonds span them all. A discrete-rebalancing
+simulator verifies the hedge pathwise.
 """
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -70,6 +73,52 @@ def _claim_and_bonds(
     return scaled * np.exp(log_scale)[:, None, :]
 
 
+def _row_sets(hedged: np.ndarray) -> np.ndarray:
+    """The first state of each state's row set R_s: s and every j with hedged[s, j]."""
+    firsts: dict[bytes, int] = {}
+    sets = hedged | np.eye(len(hedged), dtype=bool)
+    return np.array([firsts.setdefault(row.tobytes(), s) for s, row in enumerate(sets)])
+
+
+def _solve_square(Eg: np.ndarray, dUg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions D, shape (K, times), solving E_g D = dU_g at each time, and
+    whether the cheap condition bound clears E_s for each state s of R,
+    shape (K + 1, times).
+
+    Eg (K + 1, K, times) and dUg (K + 1, times) hold E_g and dU_g below a
+    zero row for g, R's first state. One batched solve against [dU_g | I]
+    returns D and E_g^-1. For A = [1 | B(t, R)], E_s^-1 = (A^-1)[1:, R minus s],
+    and (A^-1)[1:] is E_g^-1 in the columns of R minus g and minus its row
+    sums in column g; the rows of E_g minus its row s are E_s's. Since
+    sigma_max <= K max|E_s| and 1/sigma_min <= K max|E_s^-1|, a system whose
+    bound sits 1e4 inside CONDITION_LIMIT is cleared: below a condition
+    number of 1e8 the computed inverse is good to about kappa*eps, which the
+    margin absorbs. The bound is compared as a quotient, so no product can
+    overflow. An exactly singular E_g (e.g. under zero rates) leaves NaN,
+    which is not cleared.
+    """
+    K = Eg.shape[1]
+    E = Eg[1:].transpose(2, 0, 1)
+    rhs = np.empty(E.shape[:2] + (K + 1,))
+    rhs[..., 0], rhs[..., 1:] = dUg[1:].T, np.eye(K)
+    try:
+        X = np.linalg.solve(E, rhs)
+    except np.linalg.LinAlgError:  # one at a time, to find the singular ones
+        X = np.full(rhs.shape, np.nan)
+        for i in range(len(E)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                X[i] = np.linalg.solve(E[i], rhs[i])
+    del rhs  # freed before the transposed copy: one stack less at the peak
+    X = np.ascontiguousarray(X.transpose(2, 1, 0))  # (column, row, time)
+    col_max = np.empty((K + 1, X.shape[2]))
+    col_max[1:] = np.abs(X[1:]).max(axis=1)
+    col_max[0] = np.abs(X[1:].sum(axis=0)).max(axis=0)
+    inv_max = np.stack([np.delete(col_max, s, axis=0).max(axis=0) for s in range(K + 1)])
+    hi, lo = Eg.max(axis=0), Eg.min(axis=0)
+    E_max = np.stack([np.maximum(hi - e, e - lo).max(axis=0) for e in Eg])
+    return X[0].copy(), inv_max < 1e-4 * CONDITION_LIMIT / K**2 / np.maximum(E_max, 1.0 / K)
+
+
 def _hedge(
     P: np.ndarray,
     ts: np.ndarray,
@@ -79,79 +128,101 @@ def _hedge(
 ) -> np.ndarray:
     """Bond positions at every (ts[steps[i]], states[i]), shape (len(states), K).
 
-    P comes from _claim_and_bonds and hedged from HedgePlan. Each position
-    vector D solves E @ D = dU, one equation per state j with hedged[s, j]
-    for the current state s:
-    E[j, k] = B(t, j; T_k) - B(t, s; T_k) and dU[j] = U(t, j) - U(t, s), so
-    the portfolio's jump exposure matches the claim's. The systems of one
-    current state share a shape and are handled as one stack: a condition
-    gate on square ones, one batched solve (minimum-norm when not square)
-    and a residual gate. The condition gate clears a system by a bound from
-    its inverse and sends only the rest to an SVD, so it accepts and rejects
-    what an SVD of every system would, with the same message. Raises
-    UnhedgeableBasisError for the first failing pair.
+    P comes from _claim_and_bonds and hedged from HedgePlan. In state s the
+    bonds hedge the jumps to the rest of the row set R = R_s (_row_sets):
+    cash a and positions D replicate the claim U across them iff
+    a + B(t, j) . D = U(t, j) for every j in R, the system
+    [1 | B(t, R)] [a; D] = U(t, R). It depends on (t, R), not on s: taking
+    row s from the others leaves E_s D = dU_s, with
+    E_s[j, k] = B(t, j; T_k) - B(t, s; T_k) and dU_s[j] = U(t, j) - U(t, s)
+    for j in R minus s. So the cells of one (t, R) share one system and one
+    solution, bit for bit. With a full basis (K = n - 1 bonds) R is every
+    state, and cash plus the bonds span every state.
+
+    The cells are grouped by R, and each group's distinct times are solved
+    as one stack, the cash eliminated with the row of g, the set's first
+    state. A claim that does not move across R gets zero positions. A square
+    system (|R| = K + 1) is solved by _solve_square, and a cell its bound
+    does not clear goes to an SVD of E_s, so the gate accepts and rejects
+    what an SVD of every E_s would, with the same message. A smaller R is
+    solved in the minimum-norm least-squares sense. Every cell's residual
+    E_s D - dU_s is gated.
+    Raises UnhedgeableBasisError for the first failing cell.
     """
     K = P.shape[2] - 1
     D = np.zeros((len(states), K))
-    failures: list[tuple[int, str, str]] = []  # (pair, what failed, detail)
-    for s in sorted(set(states.tolist())):
-        others = np.flatnonzero(hedged[s])
-        if not others.size:
+    row_set = _row_sets(hedged)[states]
+    failures: list[tuple[int, str, str]] = []  # (cell, what failed, detail)
+    for g in sorted(set(row_set.tolist())):
+        # R lists g first: the cash is eliminated with its row
+        R = np.r_[g, np.flatnonzero(hedged[g])]
+        pick = np.flatnonzero(row_set == g)
+        # the group's distinct times, and each cell's slot among them
+        at = np.zeros(len(P), dtype=bool)
+        at[steps[pick]] = True
+        slot = (np.cumsum(at) - 1)[steps[pick]]
+        at = np.flatnonzero(at)
+        # the claim values U (states, times), and below the bond differences,
+        # are kept with time last, so reductions over the few states and
+        # bonds run along the times
+        U = np.ascontiguousarray(P[at, :, 0].T)
+        # a claim that does not move across R needs no bonds; "does not move"
+        # is judged against the claim's own size, so scaling the payoff scales
+        # the positions
+        live = np.ptp(U[R], axis=0) > EXPOSURE_CUTOFF * np.abs(U).max(axis=0)
+        keep = live[slot]
+        pick, slot, at = pick[keep], (np.cumsum(live) - 1)[slot[keep]], at[live]
+        if not pick.size:
             continue
-        pick = np.flatnonzero(states == s)
-        rows = steps[pick]
-        jumps = P[rows[:, None], others]
-        jumps -= P[rows, s][:, None]
-        # a claim that does not move across any jump needs no bonds; "does not
-        # move" is judged against the claim's own size, so scaling the payoff
-        # scales the positions
-        scale = np.abs(P[rows, :, 0]).max(axis=1)
-        live = np.linalg.norm(jumps[..., 0], axis=1) > EXPOSURE_CUTOFF * scale
-        pick, jumps = pick[live], jumps[live]
-        E, dU = jumps[..., 1:], jumps[..., 0]
-        if others.size == K:
-            # sigma_max <= K max|E| and 1/sigma_min <= K max|E^-1|, so a system
-            # whose bound sits 1e4 inside the limit passes without an SVD: below
-            # a condition number of 1e8 the computed inverse is good to about
-            # kappa*eps, which the margin absorbs. The bound is compared as a
-            # quotient, so no product can overflow.
-            try:
-                inv = np.linalg.inv(E)
-            except np.linalg.LinAlgError:  # an exactly singular system
-                ok = np.zeros(len(E), dtype=bool)
-            else:
-                ok = np.abs(inv).max(axis=(1, 2)) < 1e-4 * CONDITION_LIMIT / K**2 / np.maximum(
-                    np.abs(E).max(axis=(1, 2)), 1.0 / K)
+        pos = np.argmax(R == states[pick][:, None], axis=1)  # each cell's row of the system
+        # Eg (|R|, K, times) and dUg (|R|, times) hold E_g and dU_g below a
+        # zero row for g
+        U = U[R][:, live]
+        Eg, dUg = np.ascontiguousarray(P[at[:, None], R, 1:].transpose(1, 2, 0)), U - U[0]
+        Eg -= Eg[0]
+        ok = np.ones(len(pick), dtype=bool)
+        if R.size == K + 1:
+            Dt, cleared = _solve_square(Eg, dUg)
+            ok = cleared[pos, slot]
             # the SVD decides the rest exactly. Condition number alone misses a
             # uniformly tiny system (e.g. all bonds constant under zero rates),
             # so also reject when every singular value is below the noise
             # floor of O(1) bond prices
             check = np.flatnonzero(~ok)
             if check.size:
-                sv = np.linalg.svd(E[check], compute_uv=False)
+                # E_s as the hedge of s alone forms it, its rows in state order
+                rows, s = at[slot[check]], states[pick[check]]
+                others = np.nonzero(hedged[s])[1].reshape(len(s), K)
+                E = P[rows[:, None], others, 1:] - P[rows, s, 1:][:, None]
+                sv = np.linalg.svd(E, compute_uv=False)
                 smax, smin = sv.max(axis=1), sv.min(axis=1)
                 ok[check] = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / CONDITION_LIMIT)
-            if not ok.all():
-                i = int(np.argmin(ok))
+        else:  # least squares with lstsq's default cutoff
+            E = Eg[1:].transpose(2, 0, 1)
+            rcond = np.finfo(float).eps * max(E.shape[1:])
+            Dt = (np.linalg.pinv(E, rcond=rcond) @ dUg[1:].T[..., None])[..., 0].T
+        # each cell's residual E_s D - dU_s is rho[R minus s] - rho[s], from the
+        # residual rho of the system in g. It is formed from differences:
+        # B D - U would carry rounding of size eps |B| |D| rather than
+        # eps |E_g| |D|
+        Eg *= Dt
+        rho = Eg.sum(axis=1) - dUg
+        resid = np.linalg.norm(rho[:, slot] - rho[pos, slot], axis=0)
+        scale = 1.0 + np.linalg.norm(U[:, slot] - U[pos, slot], axis=0)
+        fail = ~ok | ~(resid <= HEDGE_RESIDUAL_TOL * scale)
+        if fail.any():
+            i = int(np.argmax(fail))
+            if ok[i]:
+                failures.append((int(pick[i]), "basis cannot match jump exposures",
+                                 f"residual {resid[i]:.3e}"))
+            else:
                 c = np.searchsorted(check, i)  # i's row in the SVD
                 cond = np.inf if smin[c] == 0.0 else smax[c] / smin[c]
                 failures.append((int(pick[i]), "unhedgeable basis", (
                     f"bond-difference matrix is numerically singular (condition "
                     f"estimate {cond:.3e}, largest singular value {smax[c]:.3e})"
                 )))
-                # only the steps before this one can still fail earlier
-                pick, E, dU = pick[:i], E[:i], dU[:i]
-            D[pick] = np.linalg.solve(E, dU[..., None])[..., 0]
-        else:  # least squares with lstsq's default cutoff
-            rcond = np.finfo(float).eps * max(E.shape[1:])
-            D[pick] = (np.linalg.pinv(E, rcond=rcond) @ dU[..., None])[..., 0]
-        resid = np.linalg.norm((E @ D[pick][..., None])[..., 0] - dU, axis=1)
-        bad = resid > HEDGE_RESIDUAL_TOL * (1.0 + np.linalg.norm(dU, axis=1))
-        if bad.any():
-            i = int(np.argmax(bad))
-            failures.append(
-                (int(pick[i]), "basis cannot match jump exposures", f"residual {resid[i]:.3e}")
-            )
+        D[pick] = Dt[:, slot].T
     if failures:
         i, what, detail = min(failures)
         raise UnhedgeableBasisError(
@@ -166,7 +237,9 @@ class HedgePlan:
     hedged[s, j] marks the jumps s -> j the bonds hedge: every j != s with the
     full basis of n - 1 bonds, and with a smaller basis of K bonds the jumps
     the generator allows (g_sj > SUPPORT_EPS), of which no state may have
-    more than K.
+    more than K. row_set[s] is the first state of s's row set (_row_sets):
+    the states of one row set share their positions and money-market
+    residual at every t.
     """
 
     def __init__(self, G: GeneratorMatrix, r: RateMap, basis: BondBasis, payoff: ClaimPayoff):
@@ -192,6 +265,7 @@ class HedgePlan:
         self.basis = basis
         self.payoff = payoff
         self.hedged = hedged
+        self.row_set = _row_sets(hedged)
 
     def _positions_at(self, ts, steps, states) -> tuple[np.ndarray, np.ndarray]:
         """Claim and bond values on ts and the positions at every
@@ -205,20 +279,25 @@ class HedgePlan:
 
     def money_market_residual(self, t: float, state: int) -> float:
         P, D = self._positions_at([t], np.zeros(1, dtype=int), np.array([state]))
-        return float(P[0, state, 0] - D[0] @ P[0, state, 1:])
+        g = self.row_set[state]
+        return float(P[0, g, 0] - D[0] @ P[0, g, 1:])
 
     def schedule(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Positions and money-market residuals at every (t, state) on a grid.
 
         Returns arrays of shape (len(ts), n, K) and (len(ts), n); the claim
         and bond values on the whole grid come from one block propagation and
-        the positions from one call of the hedge kernel.
+        the positions from one call of the hedge kernel. The residual
+        U - D . B is taken once per (t, row set), in the set's first state,
+        so the rows of one (t, row set) are equal bit for bit.
         """
         m, n = len(ts), self.G.n
         steps, states = np.divmod(np.arange(m * n), n)
         P, D = self._positions_at(ts, steps, states)
         D = D.reshape(m, n, -1)
-        return D, P[..., 0] - np.einsum("msk,msk->ms", D, P[..., 1:])
+        first = np.flatnonzero(self.row_set == np.arange(n))
+        cash = P[:, first, 0] - np.einsum("mgk,mgk->mg", D[:, first], P[:, first, 1:])
+        return D, cash[:, np.searchsorted(first, self.row_set)]
 
 
 # paths are replicated in blocks of about 2**20 (step, path) cells, and each
@@ -242,9 +321,10 @@ def _wealth(X: np.ndarray, v0: np.ndarray, v1: np.ndarray, rate_dt: np.ndarray) 
 
 
 def _path_grid(
-    path: ChainPath, ts: np.ndarray, on_mesh: np.ndarray, T: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ts on one path's rebalancing grid and the state held at each.
+    path: ChainPath, ts: np.ndarray, on_mesh: np.ndarray, T: float, n: int
+) -> np.ndarray:
+    """One path's rebalancing grid as keys row * n + state: the rows of ts and
+    the state held at each.
 
     The path's grid is the uniform mesh (on_mesh) refined with its own jump
     times before T; at a jump time it holds the post-jump state (cadlag).
@@ -256,7 +336,7 @@ def _path_grid(
     held = np.array((path.initial_state,) + path.post_jump_states)[
         np.searchsorted(jt, ts[rows], side="right")
     ]
-    return rows, held
+    return rows * n + held
 
 
 def replicate_paths(
@@ -279,8 +359,9 @@ def replicate_paths(
     model's states and make only jumps the basis hedges up to T. The paths
     then share the work. The claim and bonds are propagated once over the
     union of their grids, and each distinct (time, state) is hedged once, in
-    one kernel call, numbered by first occurrence path by path, so a failure
-    names the first failing path's earliest failing step. The wealth
+    one kernel call that solves each distinct (time, row set) once. The
+    cells are numbered by first occurrence path by path, so a failure names
+    the first failing path's earliest failing step. The wealth
     recursion is a scan over each window of steps (see _wealth), vectorized
     across paths.
     """
@@ -310,18 +391,25 @@ def replicate_paths(
     on_mesh = np.zeros(len(ts), dtype=bool)
     on_mesh[np.searchsorted(ts, mesh)] = True
 
-    # cell[row * n + state] numbers the distinct step starts by first
-    # occurrence, path by path; -1 marks a cell no path starts a step in
+    # cell[key] numbers the distinct step starts by first occurrence, path by
+    # path, and -1 marks a cell no path starts a step in. The grids are kept
+    # for the wealth pass when they all fit in one block; past that each
+    # block builds its own again, so memory stays flat in the number of paths
     cell = np.full(len(ts) * n, -1)
-    firsts, n_jumps, n_cells = [], [], 0
+    grids, firsts, n_jumps, n_cells, n_keys = [], [], [], 0, 0
     for path in paths:
-        rows, held = _path_grid(path, ts, on_mesh, T)
-        keys = rows[:-1] * n + held[:-1]
-        new = keys[cell[keys] < 0]
+        keys = _path_grid(path, ts, on_mesh, T, n)
+        new = keys[:-1][cell[keys[:-1]] < 0]
         cell[new] = np.arange(n_cells, n_cells + len(new))
         firsts.append(new)
         n_cells += len(new)
+        held = keys % n
         n_jumps.append(int(np.count_nonzero(held[1:] != held[:-1])))
+        n_keys += len(keys)
+        if n_keys <= _BLOCK_CELLS:
+            grids.append(keys)
+    if len(grids) < len(paths):
+        grids = None
     cell_rows, cell_states = np.divmod(np.concatenate([np.zeros(0, dtype=int)] + firsts), n)
     P, D = plan._positions_at(ts, cell_rows, cell_states)
 
@@ -329,36 +417,35 @@ def replicate_paths(
     # short paths: with v0 = v1 = 0 and growth 1 they leave the wealth as it is
     bonds_now = np.append(np.einsum("ck,ck->c", D, P[cell_rows, cell_states, 1:]), 0.0)
     D = np.concatenate([D, np.zeros((1, K))])
+    by_key = P.reshape(len(ts) * n, 1 + K)
     longest = n_steps + 1 + max((path.n_jumps for path in paths), default=0)
     block = max(1, _BLOCK_CELLS // longest)
     reports = []
     for start in range(0, len(paths), block):
-        chunk = paths[start:start + block]
-        grids = [_path_grid(path, ts, on_mesh, T) for path in chunk]
-        width = max(len(rows) for rows, _ in grids)
-        # step-major: column c is path c's grid, padded with its last cell
-        rows = np.full((width, len(chunk)), len(ts) - 1)
-        held = np.empty((width, len(chunk)), dtype=int)
-        for c, (path_rows, path_held) in enumerate(grids):
-            rows[: len(path_rows), c] = path_rows
-            held[: len(path_held), c] = path_held
-            held[len(path_held):, c] = path_held[-1]
-        X, track = P[0, held[0], 0], np.zeros(len(chunk))
-        for lo in range(0, width - 1, _WINDOW):
-            at, hold = rows[lo:lo + _WINDOW + 1], held[lo:lo + _WINDOW + 1]
-            idx = cell[at[:-1] * n + hold[:-1]]
-            nxt = P[at[1:], hold[1:]]
+        chunk = grids[start:start + block] if grids is not None else [
+            _path_grid(path, ts, on_mesh, T, n) for path in paths[start:start + block]]
+        # step-major: column c is path c's grid, padded with its last cell (at T)
+        keys = np.empty((max(map(len, chunk)), len(chunk)), dtype=int)
+        for c, path_keys in enumerate(chunk):
+            keys[: len(path_keys), c] = path_keys
+            keys[len(path_keys):, c] = path_keys[-1]
+        rows, held = np.divmod(keys, n)
+        X, track = by_key[keys[0], 0], np.zeros(len(chunk))
+        for lo in range(0, len(keys) - 1, _WINDOW):
+            win = slice(lo, lo + _WINDOW + 1)
+            at, hold = rows[win], held[win]
+            idx, nxt = cell[keys[win][:-1]], by_key[keys[win][1:]]
             v0, v1 = bonds_now[idx], np.einsum("mck,mck->mc", D[idx], nxt[..., 1:])
             wealth = _wealth(X, v0, v1, r.rates[hold[:-1]] * np.diff(ts[at], axis=0))
             X = wealth[-1]
             track = np.maximum(track, np.abs(wealth - nxt[..., 0]).max(axis=0))
         # the padded grid's last row holds each path's state at T
         final = payoff.values[held[-1]]
-        for c in range(len(chunk)):
+        for c, path_keys in enumerate(chunk):
             reports.append(ReplicationReport(
                 terminal_error=float(abs(X[c] - final[c])),
                 max_tracking_error=float(track[c]),
                 n_jumps=n_jumps[start + c],
-                n_grid_points=len(grids[c][0]),
+                n_grid_points=len(path_keys),
             ))
     return reports

@@ -253,6 +253,16 @@ class TestGrid:
         assert np.array_equal(_parse_grid("0:1.19:0.4"), [0.0, 0.4, 0.8])
         assert _parse_grid("0:0.99999999:0.1").size == 10
 
+    def test_points_do_not_drift(self, capsys):
+        # point k is start + k*step; arange's point 4 of 0.3:1:0.1 carried four
+        # roundings of 0.3 and printed as 0.70000000000000018
+        grid = _parse_grid("0.3:1:0.1")
+        assert grid.tolist() == [0.3 + 0.1 * k for k in range(8)]
+        assert grid[4] == 0.7 and grid[-1] == 1.0
+        code, out, _ = run(capsys, "demo", "--T-grid", "0.3:1:0.1")
+        assert code == 0 and [row[0] for row in parse_csv(out)[1]] == ["%.17g" % T for T in grid]
+        assert "\n0.69999999999999996," in out
+
     @pytest.mark.parametrize("spec", ["0.1:10:0.1", "0:1:0.005", "0.1:50:0.1", "1:3:1", "2500:2700:100"])
     def test_usual_grids_are_unchanged(self, spec):
         start, stop, step = (float(p) for p in spec.split(":"))
@@ -525,8 +535,10 @@ class TestHedge:
         assert header[:2] == ["time", "state"]
         assert header[-1] == "money_market_residual"
         assert len(rows) == 6  # 3 times x 2 states
-        # the two-state hedge ratio is state-independent
-        assert float(rows[0][2]) == pytest.approx(float(rows[1][2]), rel=1e-10)
+        # with a full basis the hedge is one system per time, so both states
+        # print the same positions and residual, digit for digit
+        for r0 in range(0, 6, 2):
+            assert rows[r0][0] == rows[r0 + 1][0] and rows[r0][2:] == rows[r0 + 1][2:]
 
     def test_grid_after_maturity_exit_1(self, capsys, model_file):
         code, out, err = run(
@@ -618,7 +630,11 @@ class TestGoldenBytes:
     The pins were recorded before a refactor that must not change a byte, so
     they hold any later cleanup to the same output. The yield-curve-two,
     hedge and replicate pins were re-recorded when the propagator took runs
-    of equal steps by doubling, which moves those numbers at ulp level. The float digits come
+    of equal steps by doubling, which moves those numbers at ulp level. The
+    hedge and replicate pins were re-recorded again when the hedge became one
+    cash-and-bond system per (time, row set): positions and residuals moved
+    by at most 1.6e-12 of their column's largest value and replication
+    errors by at most 4.6e-13. The float digits come
     from numpy and its BLAS: on another numpy/OpenBLAS build (these pins are
     from numpy 2.4 with OpenBLAS on x86-64) a pin may move by the last digit.
     """
@@ -637,7 +653,7 @@ class TestGoldenBytes:
         ("scalar", ["yield-curve", "--T-grid", "1:5:1"], 0,
          "b57b53e3264764f516cc3994d35e7e94763001772ac59cad6896caaab2eab4b1"),
         ("two", ["hedge", "--T", "1", "--basis", "2", "--payoff", "1,0", "--t-grid", "0:1:0.125"], 0,
-         "7604e3eea7d3572cfe6369f852bda3ee2d754c8e98707e81ef0b6113fe599867"),
+         "16ae463f80a443c82dda14f6c0345a65ff8dd1c499b3afad876fbfbd45fa368d"),
         ("two", ["recover"], 0,
          "72345ea68d7d7aa103763256f7bbfabf75f94b9cd6ee222984e34fa1b3a9b34d"),
         ("high", ["recover"], 0,
@@ -648,16 +664,16 @@ class TestGoldenBytes:
          "9b54039ca9955c1dfef14ce4a08113e517661c4e5cb7c56aed2a18db5372cb28"),
         ("two", ["replicate", "--T", "1", "--basis", "2", "--payoff", "1,0", "--dt", "0.01",
                  "--N", "4", "--seed", "3"], 0,
-         "277ee6d9373340df62bc8391e49c9d4dbdafe408635a03ad6e024b5133d60ad1"),
+         "f79628af6ec5ebce0accdd6ba4e52354250e7a4c80e2001f946e45cbc632a9a3"),
         (None, ["demo", "--T-grid", "0.5:20:0.5"], 0,
          "6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c"),
         # the full basis hedges every j != s, not only the generator's support
         ("bd5", ["hedge", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--t-grid", "0:1:0.25"], 0,
-         "df55e3cf62c792299a76f6eea84e78476b3b8fb58aff1c05c27b99f699fee76b"),
+         "cf431b185810b8ef5a40a969fe792bd832aabb901921dcaa66ddc95d0984a736"),
         ("bd5", ["replicate", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--dt", "0.01", "--N", "4", "--seed", "3"], 0,
-         "5237a16de14d63080afe133a23c6adbf683d7cf9e3995568047ede1d24195828"),
+         "3386a0b45be66ae81aa8ba96cebab0baa5ebdcfecf6a21488f1ffdf8c784740a"),
         ("dense12", ["recover"], 0,
          "40ef722d0f8590731b8460701dfbeb11c98e177dc257b861e4d7a1ad75e15520"),
     ]
@@ -776,13 +792,16 @@ class TestStartup:
         assert out.stdout == "[]\n"
 
     def test_replicate_leaves_numpy_ma_out(self, model_file):
-        # np.unique imports numpy.ma on its first call, ~18 ms of a cold process
+        # np.unique imports numpy.ma on its first call, ~18 ms of a cold
+        # process; neither replicate nor hedge (grouping cells by row set) may
         code = (
             "import contextlib, io, sys\n"
             "from ctmc_rates.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    main(['replicate', {model_file!r}, '--T', '1', '--basis', '2', '--payoff', '1,0',"
             " '--dt', '0.01', '--N', '4', '--seed', '3'])\n"
+            f"    main(['hedge', {model_file!r}, '--T', '1', '--basis', '2', '--payoff', '1,0',"
+            " '--t-grid', '0:1:0.125'])\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
