@@ -540,6 +540,16 @@ class TestHedge:
         for r0 in range(0, 6, 2):
             assert rows[r0][0] == rows[r0 + 1][0] and rows[r0][2:] == rows[r0 + 1][2:]
 
+    def test_labels_print_as_written(self, capsys, tmp_path):
+        # the rows are placed by a str.format template: braces and % in a
+        # label are text
+        p = tmp_path / "labels.txt"
+        p.write_text(TWO_STATE.replace("states: 2", "states: a{0} 5%}"))
+        code, out, _ = run(capsys, "hedge", str(p), "--T", "1", "--basis", "1.5",
+                           "--payoff", "1,0", "--t-grid", "0:0.5:0.5")
+        assert code == 0
+        assert [row[1] for row in parse_csv(out)[1]] == ["a{0}", "5%}"] * 2
+
     def test_grid_after_maturity_exit_1(self, capsys, model_file):
         code, out, err = run(
             capsys, "hedge", model_file, "--T", "1", "--basis", "1.5",
