@@ -159,20 +159,17 @@ def cmd_hedge(args) -> int:
     D, residual = plan.schedule(grid)
     # the states of one row set print the same positions and residual at each
     # time (HedgePlan.row_set), so each time and each (time, row set) tail is
-    # formatted once and a template per time places them in its n rows
+    # formatted once and indexed out to its rows as text
     first = np.flatnonzero(plan.row_set == np.arange(G.n))
-    sets = len(first)
     values = np.concatenate([D[:, first], residual[:, first, None]], axis=2)
-    tail = ",%.17g" * values.shape[2] + "\n"
-    tails = (tail * (grid.size * sets) % tuple(values.ravel().tolist())).split("\n")
+    tail = ",".join(["%.17g"] * values.shape[2]) + "\n"
+    tails = (tail * (grid.size * len(first)) % tuple(values.ravel().tolist())).split("\n")
     times = ("%.17g\n" * grid.size % tuple(grid.tolist())).split("\n")
-    block = "\n".join(
-        "{0}," + label.replace("{", "{{").replace("}", "}}") + "{%d}" % (1 + g)
-        for label, g in zip(spec.labels, np.searchsorted(first, plan.row_set).tolist())
-    )
-    rows = [block.format(times[i], *tails[i * sets:(i + 1) * sets]) for i in range(grid.size)]
-    # an object array, so _write_output takes the blocks as %s text without a copy
-    _write_output(args, header, [np.array(rows, dtype=object)],
+    at = np.repeat(np.arange(grid.size), G.n)
+    sets = np.tile(np.searchsorted(first, plan.row_set), grid.size)
+    columns = [np.array(times, dtype=object)[at], spec.labels * grid.size,
+               np.array(tails, dtype=object)[at * len(first) + sets]]
+    _write_output(args, header, columns,
                   {"T": args.T, "basis": args.basis, "payoff": args.payoff,
                    "t_grid": args.t_grid})
     return 0

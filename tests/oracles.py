@@ -4,8 +4,7 @@ Each one is independent of the engine it checks. The two-state formulas are
 explicit eigendecompositions, not matrix exponentials; the stationary law is
 a least-squares solve; the rate integral walks a path's constant pieces, not
 the event loop behind simulate_terminal; the hedge gate is an SVD of every
-square system, one cell at a time; the wealth recursion is run step by step,
-not as a scan.
+square system; the wealth recursion is run step by step, not as a scan.
 """
 import bisect
 
@@ -62,41 +61,50 @@ def closed_form_hedge(m: TwoStateModel, t: float, T: float, T1: float, k: int) -
 
 
 def hedge_svd_gate(P, ts, steps, states, hedged) -> np.ndarray:
-    """replication._hedge for full bases, one cell at a time, with every E_s gated by its SVD.
+    """replication._hedge for full bases, with every square system gated by its SVD.
 
-    The same system [1 | B(t)] [a; D] = U(t), with a eliminated by state 0's
-    row and solved by the same call, the same zero-claim rule and the same
-    residual gate as the kernel. Only the condition gate differs, and the
-    kernel solves each distinct time once, so positions and error texts must
-    agree bit for bit wherever the kernel's cheap bound is sound. The first
-    failing cell raises.
+    The same stacks, solve and residual gate as the kernel; only the
+    condition gate differs, so positions and error texts must agree bit for
+    bit wherever the kernel's cheap bound is sound.
     """
-    n, K = P.shape[1], P.shape[2] - 1
-    assert (hedged == ~np.eye(n, dtype=bool)).all(), "the oracle covers full bases only"
+    K = P.shape[2] - 1
     D = np.zeros((len(states), K))
-    for i, (step, s) in enumerate(zip(steps.tolist(), states.tolist())):
-        U, B = P[step, :, 0], P[step, :, 1:]
-        if not U.max() - U.min() > EXPOSURE_CUTOFF * np.abs(U).max():
-            continue
-        others = np.flatnonzero(np.arange(n) != s)
-        sv = np.linalg.svd(B[others] - B[s], compute_uv=False)
-        smax, smin = sv.max(), sv.min()
-        where = f"at (t={float(ts[step])}, state={s})"
-        if not (smax > 0.0 and smin > max(smax, 1.0) / CONDITION_LIMIT):
-            cond = np.inf if smin == 0.0 else smax / smin
-            raise UnhedgeableBasisError(
-                f"unhedgeable basis {where}: bond-difference matrix is numerically singular "
-                f"(condition estimate {cond:.3e}, largest singular value {smax:.3e})"
+    failures = []
+    for s in sorted(set(states.tolist())):
+        others = np.flatnonzero(hedged[s])
+        assert others.size == K, "the oracle covers square systems only"
+        pick = np.flatnonzero(states == s)
+        rows = steps[pick]
+        jumps = P[rows[:, None], others]
+        jumps -= P[rows, s][:, None]
+        scale = np.abs(P[rows, :, 0]).max(axis=1)
+        live = np.linalg.norm(jumps[..., 0], axis=1) > EXPOSURE_CUTOFF * scale
+        pick, jumps = pick[live], jumps[live]
+        E, dU = jumps[..., 1:], jumps[..., 0]
+        sv = np.linalg.svd(E, compute_uv=False)
+        smax, smin = sv.max(axis=1), sv.min(axis=1)
+        ok = (smax > 0.0) & (smin > np.maximum(smax, 1.0) / CONDITION_LIMIT)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            cond = np.inf if smin[i] == 0.0 else smax[i] / smin[i]
+            failures.append((int(pick[i]), "unhedgeable basis", (
+                f"bond-difference matrix is numerically singular (condition "
+                f"estimate {cond:.3e}, largest singular value {smax[i]:.3e})"
+            )))
+            pick, E, dU = pick[:i], E[:i], dU[:i]
+        D[pick] = np.linalg.solve(E, dU[..., None])[..., 0]
+        resid = np.linalg.norm((E @ D[pick][..., None])[..., 0] - dU, axis=1)
+        bad = resid > HEDGE_RESIDUAL_TOL * (1.0 + np.linalg.norm(dU, axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            failures.append(
+                (int(pick[i]), "basis cannot match jump exposures", f"residual {resid[i]:.3e}")
             )
-        E0, dU0 = B[1:] - B[0], U[1:] - U[0]
-        D[i] = np.linalg.solve(E0, np.column_stack([dU0, np.eye(K)]))[:, 0]
-        rho = ((B - B[0]) * D[i]).sum(axis=1) - (U - U[0])
-        resid = np.linalg.norm((rho - rho[s])[None], axis=1)[0]
-        scale = 1.0 + np.linalg.norm((U - U[s])[None], axis=1)[0]
-        if not resid <= HEDGE_RESIDUAL_TOL * scale:
-            raise UnhedgeableBasisError(
-                f"basis cannot match jump exposures {where}: residual {resid:.3e}"
-            )
+    if failures:
+        i, what, detail = min(failures)
+        raise UnhedgeableBasisError(
+            f"{what} at (t={float(ts[steps[i]])}, state={int(states[i])}): {detail}"
+        )
     return D
 
 

@@ -541,8 +541,8 @@ class TestHedge:
             assert rows[r0][0] == rows[r0 + 1][0] and rows[r0][2:] == rows[r0 + 1][2:]
 
     def test_labels_print_as_written(self, capsys, tmp_path):
-        # the rows are placed by a str.format template: braces and % in a
-        # label are text
+        # the rows are text columns filled in by a %s template: braces and %
+        # in a label are text
         p = tmp_path / "labels.txt"
         p.write_text(TWO_STATE.replace("states: 2", "states: a{0} 5%}"))
         code, out, _ = run(capsys, "hedge", str(p), "--T", "1", "--basis", "1.5",
@@ -641,10 +641,11 @@ class TestGoldenBytes:
     they hold any later cleanup to the same output. The yield-curve-two,
     hedge and replicate pins were re-recorded when the propagator took runs
     of equal steps by doubling, which moves those numbers at ulp level. The
-    hedge and replicate pins were re-recorded again when the hedge became one
-    cash-and-bond system per (time, row set): positions and residuals moved
-    by at most 1.6e-12 of their column's largest value and replication
-    errors by at most 4.6e-13. The float digits come
+    hedge pins and the bd5 replicate pin were re-recorded again when the
+    hedge became one cash-and-bond system per (time, row set): positions and
+    residuals moved by at most 1.6e-12 of their column's largest value and
+    replication errors by at most 3.4e-13; the two-state replicate output
+    did not move. The float digits come
     from numpy and its BLAS: on another numpy/OpenBLAS build (these pins are
     from numpy 2.4 with OpenBLAS on x86-64) a pin may move by the last digit.
     """
@@ -663,7 +664,7 @@ class TestGoldenBytes:
         ("scalar", ["yield-curve", "--T-grid", "1:5:1"], 0,
          "b57b53e3264764f516cc3994d35e7e94763001772ac59cad6896caaab2eab4b1"),
         ("two", ["hedge", "--T", "1", "--basis", "2", "--payoff", "1,0", "--t-grid", "0:1:0.125"], 0,
-         "16ae463f80a443c82dda14f6c0345a65ff8dd1c499b3afad876fbfbd45fa368d"),
+         "f7951644b74ab947460cbb085f95f248e7f3fda7160353e74a68163d939b1fca"),
         ("two", ["recover"], 0,
          "72345ea68d7d7aa103763256f7bbfabf75f94b9cd6ee222984e34fa1b3a9b34d"),
         ("high", ["recover"], 0,
@@ -674,16 +675,16 @@ class TestGoldenBytes:
          "9b54039ca9955c1dfef14ce4a08113e517661c4e5cb7c56aed2a18db5372cb28"),
         ("two", ["replicate", "--T", "1", "--basis", "2", "--payoff", "1,0", "--dt", "0.01",
                  "--N", "4", "--seed", "3"], 0,
-         "f79628af6ec5ebce0accdd6ba4e52354250e7a4c80e2001f946e45cbc632a9a3"),
+         "277ee6d9373340df62bc8391e49c9d4dbdafe408635a03ad6e024b5133d60ad1"),
         (None, ["demo", "--T-grid", "0.5:20:0.5"], 0,
          "6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c"),
         # the full basis hedges every j != s, not only the generator's support
         ("bd5", ["hedge", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--t-grid", "0:1:0.25"], 0,
-         "cf431b185810b8ef5a40a969fe792bd832aabb901921dcaa66ddc95d0984a736"),
+         "edc05f3e0e6bbe6d4524985c2a4dbda44d6d63d6c8bd9f652b836b3de6848e41"),
         ("bd5", ["replicate", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--dt", "0.01", "--N", "4", "--seed", "3"], 0,
-         "3386a0b45be66ae81aa8ba96cebab0baa5ebdcfecf6a21488f1ffdf8c784740a"),
+         "d74f47c808d34f362c3cf7251491e231071bae987035c592f8d94829bfee9076"),
         ("dense12", ["recover"], 0,
          "40ef722d0f8590731b8460701dfbeb11c98e177dc257b861e4d7a1ad75e15520"),
     ]
