@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -175,24 +176,102 @@ def cmd_hedge(args) -> int:
     return 0
 
 
+# G^pi cells per forked report worker, at the least. A warm recover gained
+# nothing from a second worker at 10,000 cells and 2.4 ms at 19,600; in
+# between, the fork and the drain of its pipe cost about what they take off
+# the parent (BENCH_parallel_report.json)
+_SPLIT_CELLS = 20_000
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_rows(row: str, block: np.ndarray, workers: dict) -> tuple[int, int]:
+    """Fork a worker that writes ",\n" and `row` % each row of `block` to a pipe.
+
+    Returns (pid, read end of the pipe). The worker formats its whole block
+    before it writes, so it never waits on a parent still busy with the rows
+    before it. It closes the read ends of the earlier `workers`, and every
+    exit from it, an exception too, goes through os._exit: it never unwinds
+    into the parent's frames, flushes the parent's stdout buffer or runs
+    atexit hooks.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            for _, fd in workers.values():
+                os.close(fd)
+            text = memoryview("".join([",\n" + row % tuple(values.tolist()) for values in block])
+                              .encode("ascii"))
+            while text:
+                text = text[os.write(wfd, text):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    return pid, rfd
+
+
+def _reap(worker: tuple[int, int]) -> int:
+    """Close a worker's pipe and wait for it; its wait status, 0 on success."""
+    pid, fd = worker
+    os.close(fd)
+    return os.waitpid(pid, 0)[1]
+
+
 def cmd_recover(args) -> int:
     spec = load_model(args.model)
     G, r = spec.generator, spec.rates
     rho, pi = recovery.perron_pair(G, r)
-    rec = recovery.recover_generator(G, pi)
+    entries = recovery.recover_generator(G, pi).entries
     # json.dumps(report, indent=2) written a row at a time, so only one row's text
     # is held; repr is json's text for a finite float, and pi and G^pi are validated
+    n = G.n
     sep = ",\n    "
-    row = "    [\n      " + ",\n      ".join(["%r"] * G.n) + "\n    ]"
+    row = "    [\n      " + ",\n      ".join(["%r"] * n) + "\n    ]"
+    # the rows split into k contiguous blocks; the parent formats the first
+    # and a forked worker each other one, which the parent then copies from
+    # its pipe in row order
+    k = max(1, min(_available_cpus(), n * n // _SPLIT_CELLS, n)) if hasattr(os, "fork") else 1
+    bounds = [n * b // k for b in range(k + 1)]
+    workers = {}  # first row of a block -> (pid, read end of its pipe)
     write = sys.stdout.write
-    write('{\n  "rho": %r,\n  "pi": [\n    %s\n  ],\n  "generator_p": [\n'
-          % (float(rho), sep.join(map(repr, pi.tolist()))))
-    lead = ""
-    for values in rec.entries:
-        write(lead + row % tuple(values.tolist()))
-        lead = ",\n"
-    write('\n  ],\n  "states": [\n    %s\n  ],\n  "validation": "ok"\n}\n'
-          % sep.join(map(json.dumps, spec.labels)))
+    try:
+        for a, b in zip(bounds[1:], bounds[2:]):
+            try:
+                workers[a] = _fork_rows(row, entries[a:b], workers)
+            except OSError:  # no process or pipe to spare: the parent formats the rest
+                break
+        write('{\n  "rho": %r,\n  "pi": [\n    %s\n  ],\n  "generator_p": [\n'
+              % (float(rho), sep.join(map(repr, pi.tolist()))))
+        lead = ""
+        for a, b in zip(bounds, bounds[1:]):
+            if a not in workers:
+                for values in entries[a:b]:
+                    write(lead + row % tuple(values.tolist()))
+                    lead = ",\n"
+                continue
+            while chunk := os.read(workers[a][1], 1 << 16):
+                write(chunk.decode("ascii"))
+            if _reap(workers.pop(a)):
+                raise CtmcRatesError(f"the worker formatting report rows {a} to {b - 1} failed")
+        write('\n  ],\n  "states": [\n    %s\n  ],\n  "validation": "ok"\n}\n'
+              % sep.join(map(json.dumps, spec.labels)))
+    finally:
+        for worker in workers.values():
+            _reap(worker)
     return 0
 
 
@@ -358,7 +437,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader of stdout left, as `| head` does
+        if sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout at exit: send the text still
+            # buffered to devnull, where it cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 1
     except CtmcRatesError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

@@ -547,9 +547,13 @@ def _sample_chain(
     exit_rate = -np.diag(Q)
     probs = np.clip(Q, 0.0, None)
     np.fill_diagonal(probs, 0.0)
-    # clipped: a cumsum can round above 1 early; a uniform in [0, 1) compares the same
-    cum = np.minimum(np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1), 1.0)
-    cum[:, -1] = 1.0
+    # clipped: a cumsum can round above 1 early; a uniform in [0, 1) compares the
+    # same. Padded with 1.0 to a power-of-two width for the batched search below
+    width = 1 << (G.n - 1).bit_length()
+    cum = np.ones((G.n, width))
+    cum[:, :G.n - 1] = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)[:, :-1]
+    np.minimum(cum, 1.0, out=cum)
+    flat = cum.ravel()
 
     clock = np.zeros(n_paths)
     alive = np.arange(n_paths)
@@ -566,14 +570,18 @@ def _sample_chain(
             cur = s[jumping]
             if cur.min() == cur.max():
                 states[jump_idx] = np.searchsorted(cum[cur[0]], u, side="right")
-            else:  # one searchsorted per current state: memory stays linear in the paths
-                order = np.argsort(cur, kind="stable")
-                cur, u = cur[order], u[order]
-                cuts = [0, *(np.flatnonzero(np.diff(cur)) + 1).tolist(), cur.size]
-                nxt = np.empty_like(cur)
-                for a, b in zip(cuts[:-1], cuts[1:]):
-                    nxt[a:b] = np.searchsorted(cum[cur[a]], u[a:b], side="right")
-                states[jump_idx[order]] = nxt
+            else:
+                # searchsorted(cum[cur], u, side="right") for all paths at once,
+                # so memory stays linear in the paths: a binary search by
+                # halving steps, each one gather. at - start counts the entries
+                # of the row known to be <= u; the row's 1.0 entries never are
+                start = cur * width
+                at = start.copy()
+                step = width
+                while step > 1:
+                    step >>= 1
+                    np.add(at, step, out=at, where=flat[at + (step - 1)] <= u)
+                states[jump_idx] = at - start
             if n_paths == 1:
                 jumps.append((float(t_new[0]), int(states[0])))
         alive = jump_idx

@@ -18,6 +18,7 @@ import pytest
 import ctmc_rates
 from ctmc_rates import (GeneratorMatrix, ModelValidationError, RateMap, load_model, perron_pair,
                         recover_generator, recovery, validate_model)
+from ctmc_rates import cli
 from ctmc_rates.cli import _parse_grid, _write_output, main
 from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL
 
@@ -280,11 +281,15 @@ class TestRecover:
         assert Gp[0, 1] == pytest.approx(0.4524937810560445, abs=1e-12)
         assert report["validation"] == "ok"
 
-    def test_report_layout_is_json_indent_2(self, capsys, tmp_path):
-        # byte for byte json.dumps of the library's values, also for labels that
-        # json escapes or % would read, and for the -0.0 of a 1-state G^pi
-        texts = [dense_text(seed=n, n=n, scale=1.0) for n in (1, 2, 5, 30)]
-        texts.append(texts[2].replace("states: 5", 'states: lo"w b\\ack 50% h\u00e9 x'))
+    # the models of the layout tests: 1, 2, 5 and 30 states, then labels
+    # that json escapes or % would read
+    LAYOUT_TEXTS = [dense_text(seed=n, n=n, scale=1.0) for n in (1, 2, 5, 30)]
+    LAYOUT_TEXTS.append(LAYOUT_TEXTS[2].replace("states: 5", 'states: lo"w b\\ack 50% h\u00e9 x'))
+
+    @staticmethod
+    def assert_reports_are_json(capsys, tmp_path, texts):
+        """Each report is byte for byte json.dumps of the library's values; returns them."""
+        outs = []
         for k, text in enumerate(texts):
             path = tmp_path / f"m{k}.txt"
             path.write_text(text, encoding="utf-8")
@@ -295,9 +300,125 @@ class TestRecover:
                       "states": list(spec.labels), "validation": "ok"}
             code, out, err = run(capsys, "recover", str(path))
             assert (code, out, err) == (0, json.dumps(report, indent=2) + "\n", "")
-            if k == 0:
-                assert '"generator_p": [\n    [\n      -0.0\n    ]\n  ]' in out
-        assert json.loads(out)["states"] == ['lo"w', "b\\ack", "50%", "h\u00e9", "x"]
+            outs.append(out)
+        return outs
+
+    def test_report_layout_is_json_indent_2(self, capsys, tmp_path):
+        # also for labels that json escapes or % would read, and for the -0.0
+        # of a 1-state G^pi
+        outs = self.assert_reports_are_json(capsys, tmp_path, self.LAYOUT_TEXTS)
+        assert '"generator_p": [\n    [\n      -0.0\n    ]\n  ]' in outs[0]
+        assert json.loads(outs[-1])["states"] == ['lo"w', "b\\ack", "50%", "h\u00e9", "x"]
+
+    def test_split_report_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        # 300 states at the defaults: two blocks on a host with two CPUs
+        self.assert_reports_are_json(capsys, tmp_path, [dense_text(seed=3, n=300, scale=1.0)])
+        # forced: min(4 CPUs, n^2 cells, n rows) blocks, the parent's and a
+        # worker's each; 7 rows split 1, 2, 2, 2
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        self.assert_reports_are_json(capsys, tmp_path, self.LAYOUT_TEXTS + [dense_text(seed=7, n=7, scale=1.0)])
+        assert len(forks) == 0 + 1 + 3 + 3 + 3 + 3
+
+        # a fork that fails leaves its block and the ones after it to the parent
+        def fork_once():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(1)
+            return fork()
+
+        forks.clear()
+        monkeypatch.setattr(os, "fork", fork_once)
+        self.assert_reports_are_json(capsys, tmp_path, self.LAYOUT_TEXTS[3:4])
+        assert len(forks) == 1
+
+    def test_no_worker_is_left_behind(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "dense.txt"
+        path.write_text(dense_text(seed=4, n=30, scale=1.0))
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+
+        def assert_reaped():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+        code, out, err = run(capsys, "recover", str(path))
+        assert (code, err) == (0, "") and json.loads(out)["validation"] == "ok"
+        assert_reaped()
+
+        class Fails(io.TextIOBase):
+            def __init__(self, exc):
+                self.exc, self.writes = exc, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 3:  # in the parent's block, both workers forked
+                    raise self.exc
+                return len(text)
+
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", Fails(OSError(28, "No space left on device")))
+            with pytest.raises(OSError, match="No space left"):
+                main(["recover", str(path)])
+        assert_reaped()
+        # a closed pipe is exit 1 with nothing on stderr
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", Fails(BrokenPipeError(32, "Broken pipe")))
+            assert main(["recover", str(path)]) == 1
+        assert capsys.readouterr().err == ""
+        assert_reaped()
+
+        # a worker whose os.write raises leaves through os._exit(1)
+        def write(fd, data):
+            raise OSError(5, "Input/output error")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", write)
+            code, out, err = run(capsys, "recover", str(path))
+        assert code == 1
+        assert err == "error: the worker formatting report rows 10 to 19 failed\n"
+        assert_reaped()
+
+    def test_one_cpu_or_a_small_report_never_forks(self, capsys, tmp_path, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+        # 30 states are 900 cells, under the default cell count
+        self.assert_reports_are_json(capsys, tmp_path, self.LAYOUT_TEXTS)
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        self.assert_reports_are_json(capsys, tmp_path, self.LAYOUT_TEXTS)
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        path = tmp_path / "dense.txt"
+        path.write_text(dense_text(seed=3, n=300, scale=1.0))
+        cli_argv = [sys.executable, "-m", "ctmc_rates.cli"]
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as a shell pipe has it
+        # the reader leaves after 20 bytes of a multi-MB report, as `| head -c 20` does
+        proc = subprocess.Popen(cli_argv + ["recover", str(path)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (len(head), proc.returncode, err) == (20, 1, b"")
+        # a reader gone before a short output, which stays buffered until the
+        # flush; at interpreter exit that flush gave exit 120 and a warning
+        two = tmp_path / "two.txt"
+        two.write_text(TWO_STATE)
+        for argv in (["demo", "--T-grid", "1:2:1"], ["recover", str(two)]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                out = subprocess.run(cli_argv + argv, env=env, stdout=w, stderr=subprocess.PIPE, timeout=120)
+            finally:
+                os.close(w)
+            assert (out.returncode, out.stderr) == (1, b"")
 
     def test_report_memory_is_the_arrays_plus_one_row(self, tmp_path, monkeypatch):
         # the peak is now load_model's on this repr-written file (8.95 x 8n^2);
@@ -311,14 +432,17 @@ class TestRecover:
                 return len(text)
 
         monkeypatch.setattr(sys, "stdout", Discard())
-        tracemalloc.start()
-        try:
-            code = main(["recover", str(path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 10 * 8 * n * n
+        for cells, cpus in ((cli._SPLIT_CELLS, 1), (1, 2)):  # one block, then two
+            monkeypatch.setattr(cli, "_SPLIT_CELLS", cells)
+            monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                code = main(["recover", str(path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 10 * 8 * n * n
 
     def test_nothing_is_written_before_the_checks(self, capsys, monkeypatch, model_file):
         def reject(G, pi):
@@ -817,6 +941,24 @@ class TestStartup:
         )
         out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
         assert out.stdout == "False\n"
+
+    def test_split_report_forks_without_warnings_or_process_modules(self, tmp_path):
+        # 300 states split into two blocks on a host with two CPUs. OpenBLAS
+        # stops its thread at fork, so Python >= 3.12 has no threads to warn of
+        path = tmp_path / "dense.txt"
+        path.write_text(dense_text(seed=3, n=300, scale=1.0))
+        code = (
+            "import json, sys\n"
+            "from ctmc_rates.cli import main\n"
+            f"code = main(['recover', {str(path)!r}])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in"
+            " ('multiprocessing', 'concurrent', 'subprocess'))]))\n"
+        )
+        out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+                             env=child_env(), capture_output=True, text=True, timeout=120)
+        report, _, last = out.stdout.rstrip("\n").rpartition("\n")
+        assert (out.returncode, out.stderr, last) == (0, "", "[0, []]")
+        assert json.loads(report)["validation"] == "ok"
 
     def test_output_manifest_keys_and_tool_version(self, capsys, model_file, tmp_path):
         out_file = str(tmp_path / "curve.csv")

@@ -387,6 +387,17 @@ class TestSimulation:
         assert np.bincount(states, minlength=n).min() > 0
         assert np.array_equal(states, ref_states)
         assert np.array_equal(integ, ref_integ)
+        # a birth-death chain of 37 states: rows of equal cumulative entries,
+        # and a width that is no power of two
+        n = 37
+        Q = np.diag(rng.uniform(0.5, 2.0, n - 1), 1) + np.diag(rng.uniform(0.5, 2.0, n - 1), -1)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        rates = rng.uniform(0.0, 0.1, n)
+        states, integ = simulate_terminal(GeneratorMatrix(Q), RateMap(rates), n // 2, 20.0, 20_000, seed=37)
+        ref_states, ref_integ = broadcast_terminal(Q, rates, n // 2, 20.0, 20_000, 37)
+        assert np.unique(states).size > n // 2
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(integ, ref_integ)
 
     def test_dense_chain_draw_is_pinned(self):
         # most of the 60 states hold jumping paths in each round; the bytes
