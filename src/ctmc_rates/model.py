@@ -298,91 +298,87 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
 # e^{-tau max r}, so below this tau max r nothing the kernel propagates comes
 # near underflow, even after scaling by a payoff as small as 1e-150.
 _LOG_HEADROOM = -0.5 * np.log(np.finfo(float).tiny)
-# the planner looks for a run among this many times ahead of the point it has
-# reached, and past them only when the run spans them all
+# a run is looked for among this many times ahead of the point reached, and
+# past them only while its lattice goes on
 _PLAN_WINDOW = 256
+# a time within 2^-20 h of a + k h lies on the lattice of step h from a
+_LATTICE = 2.0**-20
 
 
-def _first_hole(k: np.ndarray) -> int:
-    """The largest L with 1, ..., L all in the nondecreasing integers k."""
-    if not k.size or k[0] > 1:
-        return 0
-    skip = np.flatnonzero(k[1:] - k[:-1] > 1)
-    return int(k[skip[0]] if skip.size else k[-1])
+def _lattice(d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The lattice of step h through the sorted offsets d, d[0] = h:
+    k = rint(d / h), whether each d lies within 2^-20 h of k h, and the
+    largest L with some d on each of k = 1, ..., L."""
+    with np.errstate(over="ignore"):  # d / h past the double range is no lattice point
+        k = np.rint(d / h)
+    on = np.abs(d - k * h) <= _LATTICE * h
+    ks = k[on]
+    hole = np.flatnonzero(ks[1:] - ks[:-1] > 1)
+    return k, on, int(ks[hole[0]] if hole.size else ks[-1])
 
 
-def _near(d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which of the offsets d lie within 2^-20 h of k h, k >= 1, and the k."""
-    k = np.rint(d / h)
-    return (k >= 1) & (np.abs(d - k * h) <= h * 2.0**-20), k
-
-
-def _plan(u: np.ndarray, tol: float, longest: float):
+def _plan(u: np.ndarray, reach: float, longest: float):
     """Runs of equal steps that reach the sorted distinct times u from time 0.
 
-    Returns (runs, point, below, off). runs lists (h, count): count steps of
-    h, each run going on from the time the one before it reached. Step
-    number j (over all runs, 0 being time 0) reaches a time within tol of
-    u[i] where point[i] = j; a time with point[i] = -1 lies off the runs and
-    is reached from step number below[i] by one step of length off[i].
+    Returns (runs, point, off). runs lists (h, count): count steps of h,
+    each run going on from the time the one before it reached. Time u[i]
+    lies off[i] past step number point[i] over all runs, 0 being time 0:
+    exactly on it where off[i] = 0, to first order where |off[i]| <= reach,
+    and one fresh step from it otherwise.
 
-    Each run is found among the next _PLAN_WINDOW times, with the anchor a
-    the time actually reached so far: its step h is the most common gap
-    there, and the run takes the steps k = 1, ..., L for which some time
-    lies within 2^-20 h of a + k h, with h refitted through the L-th. A time
-    within tol of a + k h is that run point; any other time up to a + L h is
-    off the run. Where no gap repeats, the farthest time is reached in one
-    step and the others from a. A step longer than `longest` is taken as the
-    fewest equal pieces within it.
+    From the time a reached so far, a run's step h is the first time past
+    a, and its lattice the points a + k h, k = 1, ..., L, for the largest L
+    with a time within 2^-20 h of each; h is refitted through the L-th.
+    Every time up to a + L h takes the nearest lattice point, or the one
+    below it when farther than reach. The run stops at its last point below
+    the first time it steps over if that time and the gap after it start a
+    run reaching more times than the rest of this one: on the grid 5, 5.1,
+    ..., 10 the first run is the one step to 5, not 5 and 10 with 49 times
+    off them. Where a run is one step and no gap among the next
+    _PLAN_WINDOW times comes three times, as with random maturities, the
+    farthest of them is the step and the others are fresh steps from a. A
+    step longer than `longest` is taken as the fewest equal pieces within it.
     """
     N = len(u)
     runs: list[tuple[float, int]] = []
-    point, below, off = np.full(N, -1), np.zeros(N, dtype=np.intp), np.zeros(N)
+    point, off = np.zeros(N, dtype=np.intp), np.zeros(N)
     i, a, base = 0, 0.0, 0
     while i < N:
-        d = u[i:i + _PLAN_WINDOW] - a
-        here = int(np.searchsorted(d, tol, side="right"))
-        if here:  # reached already, up to tol or the rounding of a
-            point[i:i + here] = base
+        w = _PLAN_WINDOW
+        d = u[i:i + w] - a
+        if d[0] <= reach:  # at the point reached, up to first order
+            here = int(np.searchsorted(d, reach, side="right"))
+            point[i:i + here], off[i:i + here] = base, d[:here]
             i += here
             continue
-        gaps = d.copy()
-        gaps[1:] -= d[:-1]
-        gaps.sort()
-        # the gaps cluster where sorted neighbours lie within tol; ends[c] + 1 starts cluster c
-        ends = np.concatenate([[-1], np.flatnonzero(gaps[1:] - gaps[:-1] > tol), [gaps.size - 1]])
-        sizes = ends[1:] - ends[:-1]
-        L = 0
-        if sizes.max() > 1:
-            h = float(gaps[ends[np.argmax(sizes)] + 1])
-            near, k = _near(d, h)
-            L = _first_hole(k[near])
-            if i + d.size < N and L and L == k[near][-1]:  # the run may go on past the window
-                d = u[i:] - a
-                near, k = _near(d, h)
-                L = _first_hole(k[near])
-        if L:
-            at = np.flatnonzero(near & (k == L))
+        h = float(d[0])
+        k, on, L = _lattice(d, h)
+        while k[-1] <= L + 1 and i + w < N:  # the run may go on past the window
+            w *= 4
+            d = u[i:i + w] - a
+            k, on, L = _lattice(d, h)
+        x = int(np.argmin(on))  # the first time the run steps over, if any
+        if not on[x] and d[x] < L * h and x + 1 < d.size:
+            below = int(d[x] // h)
+            if 1 + _lattice(d[x + 1:] - d[x], float(d[x + 1] - d[x]))[2] > L - below:
+                L = below
+        if L > 1:
+            at = np.flatnonzero(on & (k == L))
             h = float(d[at[np.argmin(np.abs(d[at] - L * h))]]) / L
-            on = near & (np.abs(a + k * h - u[i:i + d.size]) <= tol)
-        else:  # no run from a: one step to the first time, or where no gap
-            # repeats to the farthest, with the times before it off that step
-            far = d.size - 1 if sizes.max() == 1 else 0
-            far = min(far, max(int(np.searchsorted(d, longest, side="right")) - 1, 0))
-            h, L, k = float(d[far]), 1, np.zeros(d.size)
-            on = np.arange(d.size) == far
-            k[far] = 1
+        else:
+            gaps = np.sort(np.diff(d, prepend=0.0))
+            if not np.any(gaps[2:] - gaps[:-2] <= _LATTICE * gaps[2:]):  # no gap comes three times
+                h = float(d[min(d.size - 1, max(int(np.searchsorted(d, longest, side="right")) - 1, 0))])
         pieces = max(1, math.ceil(h / longest))
-        step = h / pieces
-        used = int(np.searchsorted(d, L * h + tol, side="right"))
-        on, k, d = on[:used] & (k[:used] <= L), k[:used], d[:used]
-        point[i:i + used][on] = base + k[on].astype(np.intp) * pieces
-        j = np.clip(np.floor(d / step), 0, L * pieces - 1).astype(np.intp)
-        below[i:i + used] = base + j
-        off[i:i + used] = d - j * step
-        runs.append((step, L * pieces))
-        i, a, base = i + used, a + L * h, base + L * pieces
-    return runs, point, below, off
+        step, count = h / pieces, L * pieces
+        d = d[:int(np.searchsorted(d, L * h + reach, side="right"))]
+        j = np.clip(np.rint(d / step), 0, count)
+        far = np.abs(d - j * step) > reach
+        j[far] = np.clip(np.floor(d[far] / step), 0, count - 1)
+        point[i:i + d.size], off[i:i + d.size] = base + j.astype(np.intp), d - j * step
+        runs.append((step, count))
+        i, a, base = i + d.size, a + L * h, base + count
+    return runs, point, off
 
 
 def propagate(
@@ -393,18 +389,19 @@ def propagate(
     Returns (scaled, log_scale) with shapes (len(taus), n, m) and
     (len(taus), m): column j of e^{taus[k] M} V is
     scaled[k, :, j] * exp(log_scale[k, j]). The taus may be unsorted and
-    repeated. Sorted, they are split into runs of equal steps (see _plan);
-    times within 2 eps max(taus) of each other are one time, the rounding
-    that tau = T - t carries in every caller, unless that moves the result
-    by more than 2^-46. A run of L steps of h takes
-    log2 L products: from its step S = e^{hM}, X[w:2w] = S^w X[0:w] and
-    S^{2w} = S^w S^w. A time off the runs, such as a path's jump time
-    between mesh points, is one fresh step from the run point below it. All
-    fresh exponentials come from one stacked matrix_exponential. When
-    e^{-tau max r} could underflow, a run is taken in pieces no longer than
-    the headroom and each column is rescaled by a power of two after every
-    piece, which keeps log B finite at any maturity; otherwise log_scale is
-    0 and scaled is the plain product.
+    repeated; equal taus get equal bits and tau = 0 gets V exactly. The
+    distinct taus are split into runs of equal steps (see _plan). A run of
+    L steps of h takes log2 L products: from its step S = e^{hM},
+    X[w:2w] = S^w X[0:w] and S^{2w} = S^w S^w. A time delta off a run
+    point X with |delta| ||M||_1 <= 2^-27, such as tau = T - t rounded off
+    its mesh point, is X + delta M X: the terms left out of e^{delta M} are
+    below 2^-55, an eighth of eps. A time farther off, such as a path's
+    jump time between mesh points, is one fresh step from the run point
+    below it. All fresh exponentials come from one stacked
+    matrix_exponential. When e^{-tau max r} could underflow, a run is taken
+    in pieces no longer than the headroom and each column is rescaled by a
+    power of two after every piece, which keeps log B finite at any
+    maturity; otherwise log_scale is 0 and scaled is the plain product.
     """
     if G.n != r.n:
         raise ModelValidationError("generator and rate vector sizes differ")
@@ -420,25 +417,26 @@ def propagate(
     n, m = V.shape
     order = np.argsort(taus, kind="stable")
     t = taus[order]
-    tau_max = float(t[-1]) if t.size else 0.0
+    new = np.diff(t, prepend=-1.0) > 0
+    at = np.empty(taus.size, dtype=np.intp)
+    at[order] = np.cumsum(new) - 1  # taus[k] is the distinct time t[new][at[k]]
     rate_max = float(r.rates.max())
-    rescale = tau_max * rate_max > _LOG_HEADROOM
+    rescale = float(taus.max(initial=0.0)) * rate_max > _LOG_HEADROOM
     longest = _LOG_HEADROOM / rate_max if rescale else math.inf
-    # the rounding tau = T - t carries, as long as a time error that small
-    # moves e^{tau M} by less than 2^-46 (~1.4e-14) relative
     norm = _norm1(M)
-    tol = 2 * float(np.finfo(float).eps) * tau_max
-    tol = min(tol, 2.0**-46 / norm) if norm else tol
-    new = np.diff(t, prepend=0.0) > tol
-    runs, point, below, off = _plan(t[new], tol, longest)
+    reach = 2.0**-27 / norm if norm else math.inf
+    runs, point, off = _plan(t[new], reach, longest)
 
     lengths = sorted({h for h, _ in runs})
-    away = np.flatnonzero(point < 0)
-    S = matrix_exponential(np.concatenate([lengths, off[away]])[:, None, None] * M)
-    # X[:, j] holds step number j of the runs, then the times off them; it is
-    # state-major, so that a product over many points is one matrix product
+    far = np.abs(off) > reach
+    fresh, near = np.flatnonzero(far), np.flatnonzero((off != 0) & ~far)
+    S = matrix_exponential(np.concatenate([lengths, off[fresh]])[:, None, None] * M)
+    # X[:, j] holds step number j of the runs, then the times off them, fresh
+    # steps first; it is state-major, so that a product over many points is
+    # one matrix product
     steps = sum(count for _, count in runs)
-    X = np.empty((n, 1 + steps + away.size, m))
+    moved = np.concatenate([fresh, near])
+    X = np.empty((n, 1 + steps + moved.size, m))
     X[:, 0] = V
     exponent = np.zeros((X.shape[1], m), dtype=np.int64)
     j = 0
@@ -461,14 +459,14 @@ def propagate(
                 X[:, hi] = np.ldexp(X[:, hi], -e)
                 exponent[hi] += e
         j += count
-    X[:, 1 + steps:] = (S[len(lengths):] @ X[:, below[away]].transpose(1, 0, 2)).transpose(1, 0, 2)
-    exponent[1 + steps:] = exponent[below[away]]
-    point[away] = 1 + steps + np.arange(away.size)
-
-    at = np.empty(taus.size, dtype=np.intp)
-    at[order] = np.concatenate([[0], point])[np.cumsum(new)]
-    scaled = np.ascontiguousarray(X[:, at].transpose(1, 0, 2))
-    return scaled, exponent[at] * np.log(2.0)
+    np.take(X, point[moved], axis=1, out=X[:, 1 + steps:])
+    exponent[1 + steps:] = exponent[point[moved]]
+    F, Q = X[:, 1 + steps:1 + steps + fresh.size], X[:, 1 + steps + fresh.size:]
+    F[...] = (S[len(lengths):] @ F.transpose(1, 0, 2)).transpose(1, 0, 2)
+    Q += off[near, None] * (M @ Q.reshape(n, -1)).reshape(Q.shape)
+    point[moved] = 1 + steps + np.arange(moved.size)
+    scaled = X.transpose(1, 0, 2)[point[at]]
+    return scaled, exponent[point[at]] * np.log(2.0)
 
 
 def _check_horizon(horizon: float) -> None:

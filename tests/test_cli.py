@@ -769,9 +769,18 @@ class TestGoldenBytes:
     hedge became one cash-and-bond system per (time, row set): positions and
     residuals moved by at most 1.6e-12 of their column's largest value and
     replication errors by at most 3.4e-13; the two-state replicate output
-    did not move. The float digits come
-    from numpy and its BLAS: on another numpy/OpenBLAS build (these pins are
-    from numpy 2.4 with OpenBLAS on x86-64) a pin may move by the last digit.
+    did not move. Both replicate pins were re-recorded once more when a time
+    just off a run point became the first-order step X + delta M X instead
+    of that run point: replication errors moved by at most 8.6e-14.
+    replicate-two went from
+    277ee6d9373340df62bc8391e49c9d4dbdafe408635a03ad6e024b5133d60ad1 to
+    4da495d3e7c9069e2b9e1dea55ded73057ac6d79013b6dea08891c99aba4bd3b and
+    replicate-bd5 from
+    d74f47c808d34f362c3cf7251491e231071bae987035c592f8d94829bfee9076 to
+    4d7702b112d087489c2e20cf621f9fd85783d3993c4b13e5f391e5f262c97e57. The
+    float digits come from numpy and its BLAS: on another numpy/OpenBLAS
+    build (these pins are from numpy 2.4 with OpenBLAS on x86-64) a pin may
+    move by the last digit.
     """
 
     MODELS = {"two": TWO_STATE, "high": HIGH_RATE, "zero": ZERO_RATE, "scalar": SCALAR,
@@ -799,7 +808,7 @@ class TestGoldenBytes:
          "9b54039ca9955c1dfef14ce4a08113e517661c4e5cb7c56aed2a18db5372cb28"),
         ("two", ["replicate", "--T", "1", "--basis", "2", "--payoff", "1,0", "--dt", "0.01",
                  "--N", "4", "--seed", "3"], 0,
-         "277ee6d9373340df62bc8391e49c9d4dbdafe408635a03ad6e024b5133d60ad1"),
+         "4da495d3e7c9069e2b9e1dea55ded73057ac6d79013b6dea08891c99aba4bd3b"),
         (None, ["demo", "--T-grid", "0.5:20:0.5"], 0,
          "6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c"),
         # the full basis hedges every j != s, not only the generator's support
@@ -808,7 +817,7 @@ class TestGoldenBytes:
          "edc05f3e0e6bbe6d4524985c2a4dbda44d6d63d6c8bd9f652b836b3de6848e41"),
         ("bd5", ["replicate", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--dt", "0.01", "--N", "4", "--seed", "3"], 0,
-         "d74f47c808d34f362c3cf7251491e231071bae987035c592f8d94829bfee9076"),
+         "4d7702b112d087489c2e20cf621f9fd85783d3993c4b13e5f391e5f262c97e57"),
         ("dense12", ["recover"], 0,
          "40ef722d0f8590731b8460701dfbeb11c98e177dc257b861e4d7a1ad75e15520"),
     ]

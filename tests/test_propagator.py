@@ -164,15 +164,16 @@ def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch):
     V = np.ones((50, 2))
     V[0, 1] = 5.0
     out = values(*propagate(G, r, taus, V))
-    assert sum(formed) <= 3
+    assert sum(formed) == 1
     M = G.entries - r.diagonal
     for k, tau in enumerate(taus):
         assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
 
 
-def birth_death_5():
+def birth_death_5(q=1.0):
+    """A 5-state birth-death chain with intensities U(0.5, 1.5) times q."""
     rng = np.random.default_rng(5)
-    Q = np.diag(rng.uniform(0.5, 1.5, 4), 1) + np.diag(rng.uniform(0.5, 1.5, 4), -1)
+    Q = q * (np.diag(rng.uniform(0.5, 1.5, 4), 1) + np.diag(rng.uniform(0.5, 1.5, 4), -1))
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return GeneratorMatrix(Q), RateMap(np.linspace(0.0, 0.1, 5))
 
@@ -203,23 +204,43 @@ def reversible_propagator(G, r, taus, V, dps=40):
         return out
 
 
-def test_mesh_with_off_mesh_times(monkeypatch):
-    # replicate's propagation: tau = T - t over a 1,000-step mesh and the jump
-    # times of paths between mesh points; the mesh is one run, each jump time
-    # one fresh step from the mesh point below it
-    G, r = birth_death_5()
-    T, dt = 1.0, 1e-3
+def mesh_with_jumps(T, dt):
+    """replicate's times: tau = T - t over the mesh of step dt and 8 jump times."""
     jumps = np.random.default_rng(9).uniform(0.0, T, 8)
-    taus = T - np.concatenate([np.minimum(np.arange(1001) * dt, T), jumps])
+    return T - np.concatenate([np.minimum(np.arange(round(T / dt) + 1) * dt, T), jumps])
+
+
+@pytest.mark.parametrize("q", [1.0, 1e2, 1e3, 1e6])
+def test_mesh_with_off_mesh_times(monkeypatch, q):
+    # the mesh is one run and each jump time one fresh step from the mesh
+    # point below it. The rounding of T - t puts most mesh points an ulp or
+    # so off the run, which the first-order step X + delta M X takes up at
+    # any intensity
+    G, r = birth_death_5(q)
+    taus = mesh_with_jumps(1.0, 1e-3)
     V = np.column_stack([np.ones(5), np.eye(5)[0]])
     formed = count_formed(monkeypatch)
     out = values(*propagate(G, r, taus, V))
-    assert sum(formed) <= 1 + len(jumps)
+    assert sum(formed) <= 1 + 8
     M = G.entries - r.diagonal
-    want = reversible_propagator(G, r, taus, V)
+    want = matrix_exponential(taus[:, None, None] * M) @ V  # each matrix as from its own call
     for k, tau in enumerate(taus):
-        assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
         assert close(out[k], want[k], tau, M)
+    if q == 1.0:
+        want = reversible_propagator(G, r, taus, V)
+        for k, tau in enumerate(taus):
+            assert close(out[k], want[k], tau, M)
+
+
+@pytest.mark.parametrize("T, dt", [(3.7, 1e-3), (2.0, 1e-4)])
+@pytest.mark.parametrize("q", [1.0, 1e2, 1e3, 1e6])
+def test_stiff_meshes_form_one_exponential_per_jump_time(monkeypatch, T, dt, q):
+    # the longer meshes of the same kind; 20,000 doubling steps at q = 1 are
+    # 1.7 times close's bound from per-tau expm, so only the count is checked
+    G, r = birth_death_5(q)
+    formed = count_formed(monkeypatch)
+    propagate(G, r, mesh_with_jumps(T, dt), np.ones((5, 1)))
+    assert sum(formed) <= 1 + 8
 
 
 def test_rejects_bad_input():
@@ -280,6 +301,35 @@ def test_stiff_transition_rows_sum_to_one(q, tau):
         G = GeneratorMatrix(stiff_generator(q, ratio))
         rows = matrix_exponential(tau * G.entries).sum(axis=1)
         assert np.all(np.abs(rows - 1.0) <= expm_floor(tau, G.entries))
+
+
+def test_first_order_steps_on_a_stiff_chain(monkeypatch):
+    # ||M||_1 = 2e6 + 0.577: a time within 2^-27 / ||M||_1 ~ 3.7e-15 of a run
+    # point is X + delta M X, so one ulp off a mesh point, and 1e-17 off
+    # time 0, cost no exponential of their own
+    G = GeneratorMatrix(stiff_generator(1e6, 1.0))
+    r = RateMap(np.array([0.5, 0.577]))
+    M = G.entries - r.diagonal
+    V = np.array([[1.0, 0.0], [1.0, 1.0]])
+    mesh = 1.0 - np.arange(11) * 0.1
+    taus = np.concatenate([
+        mesh, [0.0, 1e-17, 1e-17],
+        np.nextafter(mesh[1:5], np.inf), np.nextafter(mesh[1:5], -np.inf), mesh[2:4],
+    ])
+    formed = count_formed(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = values(*propagate(G, r, taus, V))
+        # 4e-15 lies just past first order: the next run's step is that tiny
+        tiny = np.array([0.0, 4e-15, 1e-3, 0.5, 1.0])
+        out_tiny = values(*propagate(G, r, tiny, V))
+    assert formed[0] == 1
+    for got, tau in [*zip(out, taus), *zip(out_tiny, tiny)]:
+        assert close(got, mpmath_expm(tau * M) @ V, tau, M)
+    for k, tau in enumerate(taus):
+        assert out[k].tobytes() == out[np.flatnonzero(taus == tau)[0]].tobytes()
+    assert np.array_equal(out[taus == 0.0], np.broadcast_to(V, (2, 2, 2)))
+    assert np.array_equal(out_tiny[0], V)
 
 
 def test_stack_matches_each_matrix_bit_for_bit():
