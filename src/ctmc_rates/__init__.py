@@ -11,7 +11,6 @@ from .model import (
     ChainPath,
     GeneratorMatrix,
     RateMap,
-    matrix_exponential,
     simulate_path,
     simulate_terminal,
     validate_model,

@@ -107,7 +107,9 @@ def validate_model(G: GeneratorMatrix, r: RateMap) -> tuple[tuple[str, int | str
     Dimension mismatches are hard errors (there is no sensible partial report
     for them); everything else is accumulated. The generator checks depend on
     G alone, so they run once per GeneratorMatrix instance; the rate check
-    runs on every call.
+    runs on every call. The stored diagonal is checked, never read: every
+    kernel takes each diagonal as minus its row's off-diagonal sum, so a
+    diagonal rounded within ROW_SUM_TOL prices and simulates as that sum.
     """
     if r.n != G.n:
         raise ModelValidationError(f"rate vector has length {r.n} but n={G.n}")
@@ -139,159 +141,65 @@ def require_valid_model(G: GeneratorMatrix, r: RateMap) -> None:
         raise ModelValidationError("; ".join(v for v, _ in bad))
 
 
-# Scaling and squaring with Pade degrees m = 3, 5, 7, 9, 13 (Al-Mohy & Higham,
-# SIAM J. Matrix Anal. Appl. 31(3), 2009): the bounds theta_m on the scaled
-# norm, u / |c_{2m+1}| of the backward-error series and the coefficients b_j.
-_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
-               2.097847961257068e0, 4.25)
-_PADE_U_C = tuple(2.0**-53 * c for c in (
-    100800.0, 10059033600.0, 4487938430976000.0, 5914384781877411840000.0,
-    113250775606021113483283660800000000.0))
-_PADE_B = (
-    (120.0, 60.0, 12.0, 1.0),
-    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-     2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-)
-# weights of (I, A^2, A^4, ...): rows U/A and V for m <= 9; for m = 13 the
-# rows W give U = A (A^6 W0 + W1) and V = A^6 W2 + W3
-_PADE_UV = tuple(np.array([b[1::2], b[0::2]]) for b in _PADE_B[:4])
-_PADE_W13 = np.array([[0.0, *_PADE_B[4][9:14:2]], _PADE_B[4][1:8:2],
-                      [0.0, *_PADE_B[4][8:13:2]], _PADE_B[4][0:7:2]])
+def _killed(G: GeneratorMatrix, r: RateMap) -> np.ndarray:
+    """Generator of the chain killed at rate r, state n absorbing, from G's
+    off-diagonals and r alone: each diagonal is minus its row's sum."""
+    n = G.n
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = G.entries
+    A[:n, n] = r.rates
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return A
 
 
-def _norm1(X: np.ndarray) -> float:
-    """The 1-norm of a matrix; of a stack, the largest 1-norm in it."""
-    return float(np.abs(X).sum(axis=-2).max())
-
-
-def _pade_ell(A: np.ndarray, k: int, norm: float) -> int:
-    """Squarings to add so that degree k's backward error stays below u.
-
-    From ||abs(A)^(2m+1)||_1, formed by repeated squaring; 0 at once when
-    ||A||_1^(2m) already bounds it.
-    """
-    m = 2 * k + 3 if k < 4 else 13
-    if 2 * m * math.log2(norm) <= math.log2(_PADE_U_C[k]):
-        return 0
-    P, v, p = np.abs(A), np.ones(len(A)), 2 * m + 1
-    while True:
-        if p & 1:
-            v = v @ P
-        p >>= 1
-        if not p:
-            break
-        P = P @ P
-    alpha = float(v.max()) / (norm * _PADE_U_C[k])
-    return max(math.ceil(math.log2(alpha) / (2 * m)), 0) if alpha else 0
-
-
-def _pade_expm(A: np.ndarray) -> np.ndarray:
-    """e^A for each matrix of a stack (b, n, n), none of them diagonal (so ||A||_1 > 0).
-
-    Degree and squarings are chosen matrix by matrix; the products, the solve
-    and the squarings then run once for all matrices that share them, each
-    the same BLAS or LAPACK call a single matrix makes, so every matrix comes
-    back with the bits of its own call.
-    """
-    b, n = A.shape[:2]
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    A8 = A4 @ A4
-    norms = np.abs(A).sum(axis=1).max(axis=1).tolist()
-    d = np.stack([np.abs(P).sum(axis=1).max(axis=1) for P in (A4, A6, A8)], axis=1)
-    d4, d6, d8 = (d ** (1 / 4, 1 / 6, 1 / 8)).T.tolist()
-    degree, squarings = np.full(b, 4), np.zeros(b, dtype=int)
-    for i, norm in enumerate(norms):
-        eta = max(d4[i], d6[i])
-        for k in range(4):  # degrees 3, 5, 7, 9
-            if k == 2:
-                eta = max(d6[i], d8[i])
-            if eta < _PADE_THETA[k] and _pade_ell(A[i], k, norm) == 0:
-                degree[i] = k
-                break
-        else:  # degree 13
-            if d6[i] > d8[i]:  # else min(max(d6, d8), max(d8, d10)) = d8 whatever d10 is
-                eta = min(eta, max(d8[i], _norm1(A4[i] @ A6[i]) ** (1 / 10)))
-            s = max(math.ceil(math.log2(eta / _PADE_THETA[4])), 0) if eta else 0
-            squarings[i] = s + _pade_ell(A[i] * 2.0**-s, 4, norm * 2.0**-s)
-    X = np.empty_like(A)
-    for k in range(5):
-        pick = np.flatnonzero(degree == k)
-        if not pick.size:
-            continue
-        # I, A^2, A^4, ... side by side, so that their weighted sums are one product
-        P = np.empty((pick.size, k + 2 if k < 4 else 4, n, n))
-        P[:, 0] = np.eye(n)
-        for j, Aj in enumerate((A2, A4, A6, A8)[:P.shape[1] - 1], 1):
-            P[:, j] = Aj[pick]
-        P = P.reshape(pick.size, P.shape[1], -1)
-        if k < 4:
-            W = (_PADE_UV[k] @ P).reshape(-1, 2, n, n)
-            U, V = A[pick] @ W[:, 0], W[:, 1]
-        else:
-            # B = 2^-s A; scaling A^2j by 2^-2sj through the weights is exact
-            s = squarings[pick][:, None, None]
-            W = ((_PADE_W13 * np.ldexp(1.0, -2 * s * np.arange(4))) @ P).reshape(-1, 4, n, n)
-            B6 = A6[pick] * np.ldexp(1.0, -6 * s)
-            U, V = (A[pick] * np.ldexp(1.0, -s)) @ (B6 @ W[:, 0] + W[:, 1]), B6 @ W[:, 2] + W[:, 3]
-        # r_m = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U; the second form was the
-        # more accurate on 59% of 150 random stiff chains
-        Xk = np.linalg.solve(V - U, U)
-        Xk += Xk
-        np.einsum("bii->bi", Xk)[...] += 1.0
-        X[pick] = Xk
-    for j in range(int(squarings.max(initial=0))):
-        pick = np.flatnonzero(squarings > j)
-        X[pick] = X[pick] @ X[pick]
-    return X
+def _stochastic(P: np.ndarray) -> np.ndarray:
+    P /= P.sum(axis=-1, keepdims=True)  # each row divided by its sum, in place
+    return P
 
 
 # a stack is exponentiated in blocks of about this many entries per matrix
 # power, which keeps the powers of a long stack of large matrices small
 _EXPM_BLOCK = 1 << 17
+# degree of the Taylor step: at row sums h lambda < 1/2 the terms left out
+# are below 2^-55 of each row, about 0.5^15 / 15!
+_TAYLOR = 14
 
 
-def matrix_exponential(M: np.ndarray) -> np.ndarray:
-    """e^M by scaling and squaring with a Pade step (Al-Mohy & Higham 2009).
+def _expm(A: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """e^{tau A} for each tau, A from _killed, by uniformization (Jensen 1953).
 
-    M is one n x n matrix or a stack of them, shape (..., n, n); each matrix
-    of a stack comes back bit for bit as from its own call. A diagonal
-    matrix (1 x 1, zero) gives exp of its diagonal exactly. Otherwise the
-    mean row sum mu is taken out first: e^M = e^mu e^{M - mu I}. For
-    M = tau (G - R) that is the mean discount -tau mean(r), which left in
-    costs the Pade step up to 1e-12 in relative accuracy (tau = 8, rates
-    (1, 1)); a generator's rows sum to 0, so e^{tG} has no shift. A result
-    that overflows is a ModelValidationError, never a NumPy warning.
+    For lambda the largest exit rate and h = tau / 2^s, h lambda < 1/2 (s from
+    the exponents of tau and lambda, so nothing overflows), N = h (A + lambda I)
+    is nonnegative with rows summing to h lambda. Its Taylor polynomial, each
+    row divided by its sum (which applies e^{-h lambda}), is squared s times,
+    rows renormalized each time: no step subtracts. Each matrix comes back bit
+    for bit as from its own call.
     """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix exponential of non-finite matrix")
-    n = M.shape[-1]
-    stack = M.reshape(-1, n, n)
-    d = np.einsum("bii->bi", stack)
-    X = np.zeros_like(stack)
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            diagonal = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(d, axis=1)
-            np.einsum("bii->bi", X)[diagonal] = np.exp(d[diagonal])
-            full, block = np.flatnonzero(~diagonal), max(1, _EXPM_BLOCK // max(n * n, 1))
-            for lo in range(0, full.size, block):
-                pick = full[lo:lo + block]
-                mu = stack[pick].sum(axis=2).mean(axis=1)
-                A = stack[pick]
-                np.einsum("bii->bi", A)[...] -= mu[:, None]
-                X[pick] = np.exp(mu)[:, None, None] * _pade_expm(A)
-    except FloatingPointError as exc:
-        raise ModelValidationError(f"e^M overflows at ||M||_1 = {_norm1(stack):.3g}: {exc}") from exc
-    if not np.all(np.isfinite(X)):
-        raise ModelValidationError(f"e^M is not finite at ||M||_1 = {_norm1(stack):.3g}")
-    return X.reshape(M.shape)
+    k = len(A)
+    lam = float(-np.diagonal(A).min(initial=0.0))
+    N0 = A + lam * np.eye(k)
+    X = np.empty((taus.size, k, k))
+    if not lam:
+        X[...] = np.eye(k)
+        return X
+    s = np.maximum(np.frexp(taus)[1] + math.frexp(lam)[1] + 1, 0)
+    block = max(1, _EXPM_BLOCK // (k * k))
+    for lo in range(0, taus.size, block):
+        h = np.ldexp(taus[lo:lo + block], -s[lo:lo + block])
+        N = h[:, None, None] * N0
+        P = N / _TAYLOR
+        for j in range(_TAYLOR - 1, 0, -1):
+            np.einsum("bii->bi", P)[...] += 1.0
+            P = N @ P
+            P /= j
+        np.einsum("bii->bi", P)[...] += 1.0
+        _stochastic(P)
+        for j in range(int(s[lo:lo + block].max(initial=0))):
+            pick = np.flatnonzero(s[lo:lo + block] > j)
+            P[pick] = _stochastic(P[pick] @ P[pick])
+        X[lo:lo + block] = P
+    return X
 
 
 # Half the exponent range of a double. A bond falls no faster than
@@ -388,33 +296,36 @@ def propagate(
 
     Returns (scaled, log_scale) with shapes (len(taus), n, m) and
     (len(taus), m): column j of e^{taus[k] M} V is
-    scaled[k, :, j] * exp(log_scale[k, j]). The taus may be unsorted and
-    repeated; equal taus get equal bits and tau = 0 gets V exactly. The
-    distinct taus are split into runs of equal steps (see _plan). A run of
-    L steps of h takes log2 L products: from its step S = e^{hM},
-    X[w:2w] = S^w X[0:w] and S^{2w} = S^w S^w. A time delta off a run
-    point X with |delta| ||M||_1 <= 2^-27, such as tau = T - t rounded off
-    its mesh point, is X + delta M X: the terms left out of e^{delta M} are
-    below 2^-55, an eighth of eps. A time farther off, such as a path's
-    jump time between mesh points, is one fresh step from the run point
-    below it. All fresh exponentials come from one stacked
-    matrix_exponential. When e^{-tau max r} could underflow, a run is taken
-    in pieces no longer than the headroom and each column is rescaled by a
-    power of two after every piece, which keeps log B finite at any
-    maturity; otherwise log_scale is 0 and scaled is the plain product.
+    scaled[k, :, j] * exp(log_scale[k, j]). M is the chain killed at rate
+    r (_killed), so V may have a row n, the value at the killed state:
+    V = [0; 1] gives the mass lost to killing by tau, 1 - B, to its own
+    relative accuracy. The taus may be unsorted and repeated; equal taus
+    get equal bits and tau = 0 gets V exactly. The distinct taus are split
+    into runs of equal steps (see _plan). A run of L steps of h takes
+    log2 L products: from its step S = e^{hM}, X[w:2w] = S^w X[0:w] and
+    S^{2w} = S^w S^w, its rows renormalized. A time delta off a run point X
+    with |delta| ||M||_1 <= 2^-27, such as tau = T - t rounded off its mesh
+    point, is X + delta M X: the terms left out of e^{delta M} are below
+    2^-55, an eighth of eps. A time farther off, such as a path's jump time
+    between mesh points, is one fresh step from the run point below it.
+    All fresh exponentials come from one _expm call. When e^{-tau max r}
+    could underflow, a run is taken in pieces no longer than the headroom
+    and each column is rescaled by a power of two after every piece, which
+    keeps log B finite at any maturity; otherwise log_scale is 0 and scaled
+    is the plain product.
     """
     if G.n != r.n:
         raise ModelValidationError("generator and rate vector sizes differ")
     taus = np.asarray(taus, dtype=float)
     V = np.asarray(V, dtype=float)
-    if taus.ndim != 1 or V.ndim != 2 or V.shape[0] != G.n:
+    if taus.ndim != 1 or V.ndim != 2 or V.shape[0] not in (G.n, G.n + 1):
         raise ValueError(
-            f"need a vector of times and an n x m block, got shapes {taus.shape}, {V.shape}"
+            f"need a vector of times and an n or n + 1 x m block, got shapes {taus.shape}, {V.shape}"
         )
     if not np.all(np.isfinite(taus)) or np.any(taus < 0):
         raise ValueError("propagation times must be finite and >= 0")
-    M = G.entries - r.diagonal
-    n, m = V.shape
+    M = _killed(G, r)
+    n, m = G.n + 1, V.shape[1]
     order = np.argsort(taus, kind="stable")
     t = taus[order]
     new = np.diff(t, prepend=-1.0) > 0
@@ -423,21 +334,21 @@ def propagate(
     rate_max = float(r.rates.max())
     rescale = float(taus.max(initial=0.0)) * rate_max > _LOG_HEADROOM
     longest = _LOG_HEADROOM / rate_max if rescale else math.inf
-    norm = _norm1(M)
+    norm = float(np.abs(M).sum(axis=0).max())
     reach = 2.0**-27 / norm if norm else math.inf
     runs, point, off = _plan(t[new], reach, longest)
 
     lengths = sorted({h for h, _ in runs})
     far = np.abs(off) > reach
     fresh, near = np.flatnonzero(far), np.flatnonzero((off != 0) & ~far)
-    S = matrix_exponential(np.concatenate([lengths, off[fresh]])[:, None, None] * M)
+    S = _expm(M, np.concatenate([lengths, off[fresh]]))
     # X[:, j] holds step number j of the runs, then the times off them, fresh
     # steps first; it is state-major, so that a product over many points is
     # one matrix product
     steps = sum(count for _, count in runs)
     moved = np.concatenate([fresh, near])
-    X = np.empty((n, 1 + steps + moved.size, m))
-    X[:, 0] = V
+    X = np.zeros((n, 1 + steps + moved.size, m))
+    X[:len(V), 0] = V
     exponent = np.zeros((X.shape[1], m), dtype=np.int64)
     j = 0
     for h, count in runs:
@@ -451,7 +362,7 @@ def propagate(
                 np.matmul(Sw, X[:, lo:lo + take].reshape(n, -1),
                           out=X[:, lo + w:lo + w + take].reshape(n, -1))
                 if take == w and lo + 2 * w <= hi:
-                    Sw = Sw @ Sw
+                    Sw = _stochastic(Sw @ Sw)
                 w += take
             exponent[lo + 1:hi + 1] = exponent[lo]
             if rescale:
@@ -465,7 +376,7 @@ def propagate(
     F[...] = (S[len(lengths):] @ F.transpose(1, 0, 2)).transpose(1, 0, 2)
     Q += off[near, None] * (M @ Q.reshape(n, -1)).reshape(Q.shape)
     point[moved] = 1 + steps + np.arange(moved.size)
-    scaled = X.transpose(1, 0, 2)[point[at]]
+    scaled = X[:-1].transpose(1, 0, 2)[point[at]]
     return scaled, exponent[point[at]] * np.log(2.0)
 
 
@@ -525,9 +436,9 @@ def _sample_chain(
     """Event loop behind simulate_path and simulate_terminal.
 
     Each round draws one Exponential(1) holding time, scaled by the exit rate
-    -g_ii, for every path still short of the horizon, then one uniform for
-    each path that jumps, whose next state j has probability g_ij / (-g_ii)
-    and is picked by inverse CDF. One path thus draws the variates of a
+    q_i = sum of g_ij over j != i, for every path short of the horizon, then
+    one uniform for each path that jumps, whose next state j has probability
+    g_ij / q_i and is picked by inverse CDF. One path thus draws the variates of a
     Gillespie loop in the same order. Returns the states at the horizon, the
     exact integrals of `rates` along the paths and, for a single path, its
     (jump time, new state) pairs.
@@ -541,15 +452,14 @@ def _sample_chain(
     if G.n == 1:
         return states, integ + rates[0] * horizon, jumps
 
-    Q = G.entries
-    exit_rate = -np.diag(Q)
-    probs = np.clip(Q, 0.0, None)
+    probs = np.clip(G.entries, 0.0, None)
     np.fill_diagonal(probs, 0.0)
+    exit_rate = probs.sum(axis=1)
     # clipped: a cumsum can round above 1 early; a uniform in [0, 1) compares the
     # same. Padded with 1.0 to a power-of-two width for the batched search below
     width = 1 << (G.n - 1).bit_length()
     cum = np.ones((G.n, width))
-    cum[:, :G.n - 1] = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)[:, :-1]
+    cum[:, :G.n - 1] = np.cumsum(probs / exit_rate[:, None], axis=1)[:, :-1]
     np.minimum(cum, 1.0, out=cum)
     flat = cum.ravel()
 
@@ -599,8 +509,8 @@ def simulate_path(
     """Simulate one trajectory on [0, horizon]; the one-path case of the
     event loop behind simulate_terminal.
 
-    Holding time in state i is Exponential(-g_ii); the next state is j with
-    probability g_ij / (-g_ii). Deterministic given the seed. The path does
+    Holding time in state i is Exponential(q_i), q_i = sum of g_ij over
+    j != i; the next state is j with probability g_ij / q_i. Deterministic given the seed. The path does
     not depend on the rates, so G is validated with zero rates.
     """
     r = RateMap(np.zeros(G.n))

@@ -55,9 +55,17 @@ def bond_prices(G: GeneratorMatrix, r: RateMap, t: float, T: float) -> np.ndarra
 
 
 def _log_bonds(G: GeneratorMatrix, r: RateMap, t: float, Ts: np.ndarray) -> np.ndarray:
-    """log B(t, i; T) for every T >= t in Ts, shape (len(Ts), n)."""
-    scaled, log_scale = propagate(G, r, Ts - t, np.ones((G.n, 1)))
-    return np.log(scaled[:, :, 0]) + log_scale
+    """log B(t, i; T) for every T >= t in Ts, shape (len(Ts), n): log1p(-D)
+    where the killed mass D = 1 - B < 1/2, so that small yields keep their
+    relative accuracy and zero rates give exactly 0."""
+    V = np.zeros((G.n + 1, 2))
+    V[:G.n, 0] = V[G.n, 1] = 1.0
+    scaled, log_scale = propagate(G, r, Ts - t, V)
+    log_B = np.log(scaled[:, :, 0]) + log_scale[:, :1]
+    D = scaled[:, :, 1] * np.exp(log_scale[:, 1:])
+    small = D < 0.5
+    log_B[small] = np.log1p(-D[small])
+    return log_B
 
 
 def yield_curve(G: GeneratorMatrix, r: RateMap, t: float, Ts) -> np.ndarray:

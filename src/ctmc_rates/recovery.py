@@ -111,7 +111,8 @@ def _lu_solve(panels: list[tuple], b: np.ndarray) -> np.ndarray:
 
 
 def _perron(Q: np.ndarray, rates: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron pair of M = Q - diag(rates), checked by |M pi - rho pi| <= EIGEN_RESIDUAL_TOL |M| pi.
+    """Perron pair of M = Q - diag(rates), checked by |M pi - rho pi| <= EIGEN_RESIDUAL_TOL |M| pi,
+    each diagonal of Q taken as minus its row's off-diagonal sum.
 
     Each iterate v > 0 has w = A v, A = diag(rates) - Q, so [min w/v, max w/v]
     brackets -rho (Collatz-Wielandt). Inverse iteration uses one factoring of
@@ -143,7 +144,8 @@ def _perron(Q: np.ndarray, rates: np.ndarray) -> tuple[float, np.ndarray]:
             raise ModelValidationError(f"the bracket is open after {_MAX_STEPS} steps")
         # r is not 0, so rho < 0 even where it is nearer 0 than -5e-324
         rho, pi = -0.5 * (lo + hi) or -5e-324, v / np.linalg.norm(v)
-        M = Q - np.diag(rates)
+        M = np.where(np.eye(rates.size, dtype=bool), 0.0, Q)
+        np.fill_diagonal(M, -M.sum(axis=1) - rates)
         bad = ~((pi > 0) & (np.abs(M @ pi - rho * pi) <= EIGEN_RESIDUAL_TOL * (np.abs(M) @ pi)))
         if np.any(bad):
             raise ModelValidationError(

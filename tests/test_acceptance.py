@@ -79,7 +79,7 @@ def closed_form_pass():
 
 def test_criterion_1_closed_form_equivalence():
     # One wall-clock sample of identical work ranges from 0.03 s to 1.2 s on a
-    # contended 2-core machine (BLAS thread hand-offs inside matrix_exponential),
+    # contended 2-core machine (BLAS thread hand-offs inside the propagator's products),
     # so the time bound applies to the fastest of three passes.
     worsts, times = [], []
     for _ in range(3):

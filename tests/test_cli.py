@@ -189,6 +189,18 @@ class TestYieldCurve:
         _, rows = parse_csv(out)
         assert [r[3] for r in rows] == ["0", "0", "0"]
 
+    def test_zero_rates_print_every_yield_as_0(self, capsys, tmp_path):
+        # no mass is ever killed, so every yield is exactly +0: the stiff
+        # chain printed -3.27e-11 and the fixture -0 when bonds were row sums
+        stiff = "states: 2\ngenerator:\n-1e6 1e6\n2e6 -2e6\nrates: 0 0\n"
+        for k, text in enumerate((ZERO_RATE, stiff)):
+            p = tmp_path / f"zero{k}.txt"
+            p.write_text(text)
+            code, out, _ = run(capsys, "yield-curve", str(p), "--T-grid", "1:3:1")
+            assert code == 0
+            _, rows = parse_csv(out)
+            assert [r[1:3] for r in rows] == [["0", "0"]] * 3
+
     def test_empty_grid_exit_1(self, capsys, model_file):
         code, _, err = run(capsys, "yield-curve", model_file, "--T-grid", "5:1:1")
         assert code == 1
@@ -777,8 +789,42 @@ class TestGoldenBytes:
     4da495d3e7c9069e2b9e1dea55ded73057ac6d79013b6dea08891c99aba4bd3b and
     replicate-bd5 from
     d74f47c808d34f362c3cf7251491e231071bae987035c592f8d94829bfee9076 to
-    4d7702b112d087489c2e20cf621f9fd85783d3993c4b13e5f391e5f262c97e57. The
-    float digits come from numpy and its BLAS: on another numpy/OpenBLAS
+    4d7702b112d087489c2e20cf621f9fd85783d3993c4b13e5f391e5f262c97e57.
+
+    Nine pins were re-recorded when the propagator became the killed-chain
+    Taylor step on the conservative matrix, and yields came from the killed
+    mass. Distances to a 40-digit reference of the conservative model, max
+    and rms relative over each output's numbers, before -> after:
+    price-two bond 8.8e-17/6.4e-17 -> 9.0e-17/6.8e-17 (both below half an
+    ulp), caplet 8.2e-15/8.1e-15 -> 2.4e-15/2.4e-15, payoff
+    1.3e-16/1.0e-16 -> 1.1e-16/8.9e-17; yield-curve-two 2.8e-15/6.7e-16 ->
+    3.6e-16/2.0e-16, yield-curve-scalar 8.3e-16/6.3e-16 -> 2.8e-16/1.6e-16;
+    hedge-two 5.9e-15/4.0e-15 -> 2.0e-15/1.1e-15, hedge-bd5
+    9.1e-13/3.8e-13 -> 3.8e-12/1.6e-12 (its positions solve a system whose
+    own rounding, from correctly rounded bond prices, is 1.5e-12; the bond
+    prices it solves from moved closer, 6.7e-16 -> 3.3e-16 absolute);
+    replicate-two 3.1e-11/1.8e-11 -> 1.7e-11/9.9e-12, replicate-bd5
+    1.1e-9/5.8e-10 -> 1.2e-9/4.9e-10. The digests, old -> new:
+    price-two-0 263549e331851177804d6a6b7e0ce81a282cc571f1a9f2b149382e7bf23a3a11
+    -> 47e9fe70dabd11e07c7d0baf29c8862756550dcefc50b704d8cb5a4f2b137ed2,
+    price-two-1 f8bc5b0a70de1337b5e46f310be09e9f7d45a22114b5e6e7d13f91b62d9b504e
+    -> 5842c3ffb450a9a4b0186fe99dd1e7feecd4c3722c953d7b583614325c24df03,
+    price-two-2 f5137d782a7f302faadc94fb9d5c9878f66cf5d524f834ec4d4c108e3c7a2f8c
+    -> 737b67dbd440e23ca7ccd10b85d034ce71db9df1c5dd01bf0c789c5d5d64623b,
+    yield-curve-two-3 bca5dfd3751fa2f06eb29955a535ecc657c98337aed16d9f97ed4e688f5c56c4
+    -> 9bb611bbb6397822757ae38f3b291c0e5ed2c44552caf35808bd539789f8acd5,
+    yield-curve-scalar-4 b57b53e3264764f516cc3994d35e7e94763001772ac59cad6896caaab2eab4b1
+    -> 1f5b4eafd323ba325471d9c2266e01c124abb7a1964385af2bc16ffec51c7107,
+    hedge-two-5 f7951644b74ab947460cbb085f95f248e7f3fda7160353e74a68163d939b1fca
+    -> c614141d7daedc10c07f3bfc873803cf39b24188cdd03dacc4f602c5ff0799a6,
+    replicate-two-10 4da495d3e7c9069e2b9e1dea55ded73057ac6d79013b6dea08891c99aba4bd3b
+    -> 481c2054d9a6eef8f24d2a9faf33cd047577110f05b4b86c78d7763e4c702150,
+    hedge-bd5-12 edc05f3e0e6bbe6d4524985c2a4dbda44d6d63d6c8bd9f652b836b3de6848e41
+    -> 75ca29c140b71a1ae0be126455e27ba28b2df265d2cbf09e0419a4a628106553,
+    replicate-bd5-13 4d7702b112d087489c2e20cf621f9fd85783d3993c4b13e5f391e5f262c97e57
+    -> 85cda0b457dd73cacdcffeb9aeb6fc7b75ce7ceca586b0e69612d4a4964a2e72.
+    The recover, simulate and demo pins did not move, nor did any exit code.
+    The float digits come from numpy and its BLAS: on another numpy/OpenBLAS
     build (these pins are from numpy 2.4 with OpenBLAS on x86-64) a pin may
     move by the last digit.
     """
@@ -787,17 +833,17 @@ class TestGoldenBytes:
               "bd5": BIRTH_DEATH, "dense12": dense_text(seed=12, n=12, scale=1.0)}
     CASES = [
         ("two", ["price", "--T", "1", "--bond"], 0,
-         "263549e331851177804d6a6b7e0ce81a282cc571f1a9f2b149382e7bf23a3a11"),
+         "47e9fe70dabd11e07c7d0baf29c8862756550dcefc50b704d8cb5a4f2b137ed2"),
         ("two", ["price", "--t", "0.25", "--T", "1", "--Tb", "1.5", "--caplet", "0.05"], 0,
-         "f8bc5b0a70de1337b5e46f310be09e9f7d45a22114b5e6e7d13f91b62d9b504e"),
+         "5842c3ffb450a9a4b0186fe99dd1e7feecd4c3722c953d7b583614325c24df03"),
         ("two", ["price", "--T", "2", "--payoff", "1,3"], 0,
-         "f5137d782a7f302faadc94fb9d5c9878f66cf5d524f834ec4d4c108e3c7a2f8c"),
+         "737b67dbd440e23ca7ccd10b85d034ce71db9df1c5dd01bf0c789c5d5d64623b"),
         ("two", ["yield-curve", "--T-grid", "0.5:20:0.5"], 0,
-         "bca5dfd3751fa2f06eb29955a535ecc657c98337aed16d9f97ed4e688f5c56c4"),
+         "9bb611bbb6397822757ae38f3b291c0e5ed2c44552caf35808bd539789f8acd5"),
         ("scalar", ["yield-curve", "--T-grid", "1:5:1"], 0,
-         "b57b53e3264764f516cc3994d35e7e94763001772ac59cad6896caaab2eab4b1"),
+         "1f5b4eafd323ba325471d9c2266e01c124abb7a1964385af2bc16ffec51c7107"),
         ("two", ["hedge", "--T", "1", "--basis", "2", "--payoff", "1,0", "--t-grid", "0:1:0.125"], 0,
-         "f7951644b74ab947460cbb085f95f248e7f3fda7160353e74a68163d939b1fca"),
+         "c614141d7daedc10c07f3bfc873803cf39b24188cdd03dacc4f602c5ff0799a6"),
         ("two", ["recover"], 0,
          "72345ea68d7d7aa103763256f7bbfabf75f94b9cd6ee222984e34fa1b3a9b34d"),
         ("high", ["recover"], 0,
@@ -808,16 +854,16 @@ class TestGoldenBytes:
          "9b54039ca9955c1dfef14ce4a08113e517661c4e5cb7c56aed2a18db5372cb28"),
         ("two", ["replicate", "--T", "1", "--basis", "2", "--payoff", "1,0", "--dt", "0.01",
                  "--N", "4", "--seed", "3"], 0,
-         "4da495d3e7c9069e2b9e1dea55ded73057ac6d79013b6dea08891c99aba4bd3b"),
+         "481c2054d9a6eef8f24d2a9faf33cd047577110f05b4b86c78d7763e4c702150"),
         (None, ["demo", "--T-grid", "0.5:20:0.5"], 0,
          "6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c"),
         # the full basis hedges every j != s, not only the generator's support
         ("bd5", ["hedge", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--t-grid", "0:1:0.25"], 0,
-         "edc05f3e0e6bbe6d4524985c2a4dbda44d6d63d6c8bd9f652b836b3de6848e41"),
+         "75ca29c140b71a1ae0be126455e27ba28b2df265d2cbf09e0419a4a628106553"),
         ("bd5", ["replicate", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--dt", "0.01", "--N", "4", "--seed", "3"], 0,
-         "4d7702b112d087489c2e20cf621f9fd85783d3993c4b13e5f391e5f262c97e57"),
+         "85cda0b457dd73cacdcffeb9aeb6fc7b75ce7ceca586b0e69612d4a4964a2e72"),
         ("dense12", ["recover"], 0,
          "40ef722d0f8590731b8460701dfbeb11c98e177dc257b861e4d7a1ad75e15520"),
     ]
@@ -908,7 +954,7 @@ class TestStartup:
             "ModelValidationError", "RateMap",
             "RecoveryHypothesisError", "ReplicationReport", "TwoStateModel",
             "UnhedgeableBasisError", "arrow_debreu", "bond_prices",
-            "caplet", "floorlet", "forward_rate", "load_model", "matrix_exponential",
+            "caplet", "floorlet", "forward_rate", "load_model",
             "mc_price_claim", "parse_model_text", "perron_pair", "price_claim",
             "price_forward_rate_option", "recover_generator", "replicate_paths",
             "simulate_path", "simulate_terminal", "tipk_price", "validate_model",

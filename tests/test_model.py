@@ -17,7 +17,6 @@ from ctmc_rates import (
     GeneratorMatrix,
     ModelValidationError,
     RateMap,
-    matrix_exponential,
     simulate_path,
     simulate_terminal,
     validate_model,
@@ -208,22 +207,43 @@ class TestIrreducibility:
         assert out.stdout == "[]\n"
 
 
+def transition_matrix(G: GeneratorMatrix, t: float) -> np.ndarray:
+    """P(t) = e^{tG}, from propagate with zero rates."""
+    scaled, _ = model_module.propagate(G, RateMap(np.zeros(G.n)), [t], np.eye(G.n))
+    return scaled[0]
+
+
 class TestMatrixExponential:
+    """model._expm, e^{tau A} for the killed chain A of model._killed."""
+
     def test_zero_matrix(self):
-        assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+        X = model_module._expm(np.zeros((3, 3)), np.array([0.0, 1.0, 1e300]))
+        assert np.array_equal(X, np.broadcast_to(np.eye(3), (3, 3, 3)))
 
     def test_diagonal_case(self):
-        out = matrix_exponential(np.diag([0.3, -1.2]))
-        assert np.allclose(out, np.diag(np.exp([0.3, -1.2])), rtol=1e-14)
+        # no jumps: each state survives to tau with probability e^{-tau r_i}
+        # and the rest of its mass is killed
+        A = model_module._killed(GeneratorMatrix(np.zeros((2, 2))), RateMap([0.3, 1.2]))
+        X = model_module._expm(A, np.array([1.0]))[0]
+        assert np.allclose(X[:2, :2], np.diag(np.exp([-0.3, -1.2])), rtol=1e-14, atol=0.0)
+        assert np.allclose(X[:2, 2], -np.expm1([-0.3, -1.2]), rtol=1e-14, atol=0.0)
+        assert np.array_equal(X[2], [0.0, 0.0, 1.0])
 
     def test_matches_two_state_closed_form(self, two_state_example):
         m, G, r = two_state_example
-        M = 1.0 * (G.entries - r.diagonal)
-        assert np.allclose(matrix_exponential(M), closed_form_ad(m, 0.0, 1.0), rtol=1e-12)
+        X = model_module._expm(model_module._killed(G, r), np.array([1.0]))[0]
+        assert np.allclose(X[:2, :2], closed_form_ad(m, 0.0, 1.0), rtol=1e-12)
 
     def test_rejects_non_finite(self):
+        # the kernel's inputs are finite by construction: models and times
+        # with a nan or inf are refused before it runs
+        with pytest.raises(ModelValidationError):
+            GeneratorMatrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ModelValidationError):
+            RateMap(np.array([np.inf, 0.0]))
+        G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         with pytest.raises(ValueError):
-            matrix_exponential(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+            model_module.propagate(G, RateMap(np.zeros(2)), [np.nan], np.eye(2))
 
 
 class TestTransitionMatrix:
@@ -231,12 +251,12 @@ class TestTransitionMatrix:
 
     def test_identity_at_zero(self, two_state_example):
         _, G, _ = two_state_example
-        assert np.allclose(matrix_exponential(0.0 * G.entries), np.eye(2), atol=1e-15)
+        assert np.array_equal(transition_matrix(G, 0.0), np.eye(2))
 
     def test_symmetric_two_state_value(self, two_state_example):
         # off-diagonal of e^{tG} for symmetric intensity lam: (1 - e^{-2 lam t})/2
         _, G, _ = two_state_example
-        P = matrix_exponential(1.0 * G.entries)
+        P = transition_matrix(G, 1.0)
         expected = (1.0 - np.exp(-1.0)) / 2.0
         assert P[0, 1] == pytest.approx(expected, abs=1e-12)
         assert P[1, 0] == pytest.approx(expected, abs=1e-12)
@@ -245,21 +265,21 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(3)
         G, _ = random_model(rng)
         pi = stationary_distribution(G)
-        P = matrix_exponential(400.0 * G.entries)
+        P = transition_matrix(G, 400.0)
         assert np.allclose(P, np.tile(pi, (G.n, 1)), atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(G=generators(), t=st.floats(0.0, 5.0))
     def test_stochastic_within_policy(self, G, t):
-        P = matrix_exponential(t * G.entries)
+        P = transition_matrix(G, t)
         assert np.all(P >= -ENTRY_FLOOR)
         assert np.allclose(P.sum(axis=1), 1.0, atol=STOCHASTIC_TOL)
 
     @settings(max_examples=25, deadline=None)
     @given(G=generators(), s=st.floats(0.0, 5.0), t=st.floats(0.0, 5.0))
     def test_semigroup(self, G, s, t):
-        lhs = matrix_exponential((s + t) * G.entries)
-        rhs = matrix_exponential(s * G.entries) @ matrix_exponential(t * G.entries)
+        lhs = transition_matrix(G, s + t)
+        rhs = transition_matrix(G, s) @ transition_matrix(G, t)
         assert np.allclose(lhs, rhs, atol=SEMIGROUP_TOL)
 
 
@@ -297,7 +317,7 @@ class TestSimulation:
         n_paths = 100_000
         states, _ = simulate_terminal(G, r, 1, 0.7, n_paths, seed=23)
         observed = np.bincount(states, minlength=G.n)
-        expected = matrix_exponential(0.7 * G.entries)[1] * n_paths
+        expected = transition_matrix(G, 0.7)[1] * n_paths
         _, pvalue = stats.chisquare(observed, expected)
         assert pvalue > 1e-4
 

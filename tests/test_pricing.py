@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,14 @@ from ctmc_rates import (
     mc_price_claim,
     price_claim,
     price_forward_rate_option,
+    simulate_path,
+    simulate_terminal,
     tipk_price,
+    validate_model,
 )
+from ctmc_rates.model import ROW_SUM_TOL
 from ctmc_rates.pricing import yield_curve
+from ctmc_rates.recovery import perron_pair
 
 from conftest import models, random_model
 from oracles import closed_form_ad
@@ -34,6 +40,34 @@ Y0_REF = (0.01797931711080144, 0.08118019693166097)
 def seeded_models(seed=101, count=10, **kw):
     rng = np.random.default_rng(seed)
     return [random_model(rng, **kw) for _ in range(count)]
+
+
+def stiff_dense(intensity, rate_max, seed=6, n=5):
+    """A dense chain with off-diagonals intensity * U(0.5, 1.5) and rates
+    U(0, rate_max); each diagonal is the float minus its row's sum."""
+    rng = np.random.default_rng(seed)
+    Q = intensity * rng.uniform(0.5, 1.5, (n, n))
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return GeneratorMatrix(Q), RateMap(rng.uniform(0.0, rate_max, n))
+
+
+def conservative_yields(G, r, T, dps=60):
+    """Yields at dps digits of the conservative model: off-diagonals and
+    rates as given, each diagonal minus its row's exact off-diagonal sum."""
+    n = G.n
+    with mpmath.workdps(dps):
+        M = mpmath.matrix([[mpmath.mpf(float(x)) if i != j else 0 for j, x in enumerate(row)]
+                           for i, row in enumerate(G.entries)])
+        for i in range(n):
+            M[i, i] = -mpmath.fsum(M[i, j] for j in range(n)) - mpmath.mpf(float(r.rates[i]))
+        E = mpmath.expm(M * mpmath.mpf(T))
+        return np.array([float(-mpmath.log(mpmath.fsum(E[i, j] for j in range(n))) / T) for i in range(n)])
+
+
+# (intensity, largest rate) of stiff dense chains, the small rates being
+# where a yield is a small difference of large exit rates
+STIFF_DENSE = [(1e6, 2e-6), (1e3, 1e-3), (1e6, 1.0), (1e6, 1e-3)]
 
 
 class TestPriceClaim:
@@ -134,6 +168,16 @@ class TestYield:
         _, G, r = two_state_example
         with pytest.raises(ValueError):
             yield_curve(G, r, 1.0, [1.0])
+
+    @pytest.mark.parametrize("T", [1.0, 100.0])
+    @pytest.mark.parametrize("intensity, rate_max", STIFF_DENSE)
+    def test_stiff_yields_match_60_digits(self, intensity, rate_max, T):
+        # measured at most 7.8e-16 relative over these eight cases; the
+        # unnormalized Pade kernel was off by up to 6.8e-4 at (1e6, 2e-6)
+        G, r = stiff_dense(intensity, rate_max)
+        want = conservative_yields(G, r, T)
+        got = yield_curve(G, r, 0.0, [T])[0]
+        assert np.all(np.abs(got - want) <= 4e-15 * want)
 
     def test_bounded_by_rate_range(self):
         for G, r in seeded_models(seed=31, count=8):
@@ -298,6 +342,37 @@ def test_stiff_chain_pricing_properties(model, t, tau, delta, K):
     rel = 1e-12 + np.finfo(float).eps * (Tb - t) * np.abs(M).sum(axis=0).max()
     scale = (B_T + (1.0 + K * delta) * B_Tb) / delta
     assert np.all(np.abs(parity - (B_T - (1.0 + K * delta) * B_Tb) / delta) <= rel * scale)
+
+
+def test_stored_diagonal_is_checked_never_read():
+    # a diagonal shifted by 0.9 of what validate_model allows is still a
+    # valid model, and it prices, recovers and simulates as its conservative
+    # twin; read as stored, the shift made this chain's 1-year yields
+    # -3.45e-6 against 7.82e-7
+    G, r = stiff_dense(1e6, 2e-6)
+    Q = G.entries.copy()
+    Q[np.diag_indices(5)] += 0.9 * ROW_SUM_TOL * np.abs(Q).max()
+    shifted = GeneratorMatrix(Q)
+    assert not validate_model(shifted, r) and not np.array_equal(Q, G.entries)
+    payoff = ClaimPayoff(np.linspace(1.0, 2.0, 5), 3.0)
+
+    def outputs(twin, r):
+        return np.atleast_1d(
+            yield_curve(twin, r, 0.0, [0.5, 1.0, 100.0]), arrow_debreu(twin, r, 0.0, 2.0),
+            price_claim(twin, r, payoff, 1.0), *simulate_terminal(twin, r, 2, 1e-4, 500, seed=3),
+            *perron_pair(twin, r), simulate_path(twin, 0, 1e-5, 4).jump_times)
+
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(outputs(shifted, r), outputs(G, r)))
+    # the Perron gate judges the conservative matrix too: read as stored, a
+    # slow state's diagonal shifted within the allowance failed it
+    Q = np.array([[0.0, 1e6, 1.0], [1e6, 0.0, 1.0], [50.0, 50.0, 0.0]])
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    r = RateMap(np.array([0.01, 0.02, 0.03]))
+    twin = GeneratorMatrix(Q)
+    Q[2, 2] += 0.9 * ROW_SUM_TOL * 1e6
+    assert not validate_model(GeneratorMatrix(Q), r)
+    want, got = perron_pair(twin, r), perron_pair(GeneratorMatrix(Q), r)
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 class TestMonteCarloAgreement:

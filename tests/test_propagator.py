@@ -1,5 +1,6 @@
 """Property tests of model.propagate, the batched e^{tau (G - R)} V kernel,
-and of its matrix_exponential against independent oracles."""
+and of its step exponential model._expm against independent oracles: scipy's
+expm and mpmath at 40 to 60 digits."""
 import warnings
 
 import mpmath
@@ -10,13 +11,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import ctmc_rates.model as model_module
-from ctmc_rates import (
-    GeneratorMatrix,
-    ModelValidationError,
-    RateMap,
-    matrix_exponential,
-)
-from ctmc_rates.model import propagate
+from ctmc_rates import GeneratorMatrix, ModelValidationError, RateMap
+from ctmc_rates.model import _expm, _killed, propagate
+from ctmc_rates.pricing import yield_curve
 
 from conftest import models
 
@@ -50,6 +47,11 @@ def values(scaled, log_scale):
     return scaled * np.exp(log_scale)[:, None, :]
 
 
+def mpmath_expm(M, dps=60):
+    with mpmath.workdps(dps):
+        return np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
+
+
 def expm_floor(tau, M):
     """Forward error of scaling-and-squaring expm, about eps * ||tau M||_1.
 
@@ -75,6 +77,12 @@ def close(got, want, tau, M):
     return bool(np.all(np.abs(got - want) <= bound))
 
 
+def close_to_expm(got, tau, M, V):
+    """close to scipy's e^{tau M} V or, where scipy's own error exceeds the
+    bound (1.8 times it on a 2-state draw of norm 16), to the 60-digit one."""
+    return close(got, scipy_expm(tau * M) @ V, tau, M) or close(got, mpmath_expm(tau * M) @ V, tau, M)
+
+
 @settings(max_examples=80, deadline=None)
 @given(models_with_blocks(), time_grids())
 # a subnormal column the oracle rounds to 0: e^{-0.75} 5e-324 -> 0, while two
@@ -86,7 +94,7 @@ def test_matches_per_tau_matrix_exponential(case, taus):
     out = values(*propagate(G, r, taus, V))
     M = G.entries - r.diagonal
     for k, tau in enumerate(taus):
-        assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
+        assert close_to_expm(out[k], tau, M, V)
     assert not np.any(out[:, :, ~V.any(axis=0)])
     assert np.array_equal(out[taus == 0.0], np.broadcast_to(V, out[taus == 0.0].shape))
 
@@ -128,14 +136,14 @@ def test_log_bonds_stay_finite_at_long_maturities(data):
 
 
 def count_formed(monkeypatch):
-    """Record how many matrices each matrix_exponential call of propagate forms."""
+    """Record how many matrices each _expm call of propagate forms."""
     formed = []
 
-    def counting(M):
-        formed.append(len(np.reshape(M, (-1, *np.shape(M)[-2:]))))
-        return matrix_exponential(M)
+    def counting(A, taus):
+        formed.append(len(taus))
+        return _expm(A, taus)
 
-    monkeypatch.setattr(model_module, "matrix_exponential", counting)
+    monkeypatch.setattr(model_module, "_expm", counting)
     return formed
 
 
@@ -167,7 +175,7 @@ def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch):
     assert sum(formed) == 1
     M = G.entries - r.diagonal
     for k, tau in enumerate(taus):
-        assert close(out[k], matrix_exponential(tau * M) @ V, tau, M)
+        assert close_to_expm(out[k], tau, M, V)
 
 
 def birth_death_5(q=1.0):
@@ -181,7 +189,7 @@ def birth_death_5(q=1.0):
 def reversible_propagator(G, r, taus, V, dps=40):
     """e^{tau (G - R)} V at dps digits for a birth-death chain, from the
     eigendecomposition of D (G - R) D^-1, which is symmetric for D the square
-    root of the chain's reversible law; shares nothing with the Pade kernel."""
+    root of the chain's reversible law; shares nothing with the Taylor kernel."""
     with mpmath.workdps(dps):
         Q = [[mpmath.mpf(float(x)) for x in row] for row in G.entries]
         n = len(Q)
@@ -223,9 +231,8 @@ def test_mesh_with_off_mesh_times(monkeypatch, q):
     out = values(*propagate(G, r, taus, V))
     assert sum(formed) <= 1 + 8
     M = G.entries - r.diagonal
-    want = matrix_exponential(taus[:, None, None] * M) @ V  # each matrix as from its own call
     for k, tau in enumerate(taus):
-        assert close(out[k], want[k], tau, M)
+        assert close(out[k], scipy_expm(tau * M) @ V, tau, M)
     if q == 1.0:
         want = reversible_propagator(G, r, taus, V)
         for k, tau in enumerate(taus):
@@ -235,12 +242,22 @@ def test_mesh_with_off_mesh_times(monkeypatch, q):
 @pytest.mark.parametrize("T, dt", [(3.7, 1e-3), (2.0, 1e-4)])
 @pytest.mark.parametrize("q", [1.0, 1e2, 1e3, 1e6])
 def test_stiff_meshes_form_one_exponential_per_jump_time(monkeypatch, T, dt, q):
-    # the longer meshes of the same kind; 20,000 doubling steps at q = 1 are
-    # 1.7 times close's bound from per-tau expm, so only the count is checked
+    # the longer meshes of the same kind. Each doubling's rows are
+    # renormalized, so a run of 20,000 steps keeps close's bound: on the
+    # (2, 1e-4) mesh at q = 1 the worst point is 7.8e-16 relative from the
+    # 40-digit propagator, 0.0008 of the bound (1.7e-12, 1.72 times it, with
+    # the unnormalized Pade steps)
     G, r = birth_death_5(q)
     formed = count_formed(monkeypatch)
-    propagate(G, r, mesh_with_jumps(T, dt), np.ones((5, 1)))
+    taus = mesh_with_jumps(T, dt)
+    V = np.ones((5, 1))
+    out = values(*propagate(G, r, taus, V))
     assert sum(formed) <= 1 + 8
+    if (T, dt, q) == (2.0, 1e-4, 1.0):
+        M = G.entries - r.diagonal
+        want = reversible_propagator(G, r, taus, V)
+        for k, tau in enumerate(taus):
+            assert close(out[k], want[k], tau, M)
 
 
 def test_rejects_bad_input():
@@ -252,7 +269,7 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         propagate(G, r, [1.0], np.ones(2))
     with pytest.raises(ValueError):
-        propagate(G, r, [1.0], np.ones((3, 1)))
+        propagate(G, r, [1.0], np.ones((4, 1)))  # n + 1 rows is the killed state's value
     with pytest.raises(ModelValidationError):
         propagate(G, RateMap(np.zeros(3)), [1.0], np.ones((2, 1)))
 
@@ -266,22 +283,12 @@ def stiff_generator(q, ratio=8.8e4 / 1.75e5):
     return np.array([[-q, q], [ratio * q, -ratio * q]])
 
 
-def mpmath_expm(M, dps=60):
-    with mpmath.workdps(dps):
-        return np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
-
-
 @settings(max_examples=200, deadline=None)
 @given(models(), st.floats(0.0, 20.0))
 def test_matrix_exponential_matches_scipy_expm(model, tau):
     G, r = model
-    M = G.entries - r.diagonal
-    got = matrix_exponential(tau * M)
-    if not close(got, scipy_expm(tau * M), tau, M):
-        # scipy's own error can exceed the bound (1.8 times it on a 2-state
-        # draw of norm 16, where this kernel's error was under 1% of it):
-        # then the 60-digit value decides
-        assert close(got, mpmath_expm(tau * M), tau, M)
+    A = _killed(G, r)
+    assert close_to_expm(_expm(A, np.array([tau]))[0], tau, A, np.eye(len(A)))
 
 
 @pytest.mark.parametrize("q, tau", STIFF)
@@ -292,14 +299,14 @@ def test_stiff_two_state_matches_mpmath(q, tau):
         M = G - np.diag(rates)
         want = mpmath_expm(tau * M)
         assert close(scipy_expm(tau * M), want, tau, M)
-        assert close(matrix_exponential(tau * M), want, tau, M)
+        assert close(values(*propagate(GeneratorMatrix(G), RateMap(rates), [tau], np.eye(2)))[0], want, tau, M)
 
 
 @pytest.mark.parametrize("q, tau", STIFF)
 def test_stiff_transition_rows_sum_to_one(q, tau):
     for ratio in (1.0, 8.8e4 / 1.75e5):
         G = GeneratorMatrix(stiff_generator(q, ratio))
-        rows = matrix_exponential(tau * G.entries).sum(axis=1)
+        rows = propagate(G, RateMap(np.zeros(2)), [tau], np.eye(2))[0][0].sum(axis=1)
         assert np.all(np.abs(rows - 1.0) <= expm_floor(tau, G.entries))
 
 
@@ -332,37 +339,24 @@ def test_first_order_steps_on_a_stiff_chain(monkeypatch):
     assert np.array_equal(out_tiny[0], V)
 
 
-def test_stack_matches_each_matrix_bit_for_bit():
-    # scales of 1e-4 ... 2e3 take the Pade step through degrees 3, 5, 7, 9
-    # and 13, the last with and without squarings; diagonal matrices take
-    # the exact shortcut
+def test_stack_matches_each_matrix_bit_for_bit(monkeypatch):
+    # steps of 1e-4 ... 2e3 take 0 to 13 squarings; blocks of three
+    # matrices split the stack, and each matrix comes back as from its own call
     G, r = birth_death_5()
-    M = G.entries - r.diagonal
-    stack = [tau * M for tau in (1e-4, 0.01, 0.1, 0.4, 1.0, 2.0, 30.0, 2e3)]
-    stack += [np.zeros((5, 5)), np.diag([0.3, -1.2, 0.0, 2.0, -745.5]), 0.5 * G.entries]
-    got = matrix_exponential(np.array(stack))
-    for X, A in zip(got, stack):
-        assert X.tobytes() == matrix_exponential(A).tobytes()
-    assert matrix_exponential(np.array(stack).reshape(11, 1, 5, 5)).shape == (11, 1, 5, 5)
-    assert matrix_exponential(np.empty((0, 5, 5))).shape == (0, 5, 5)
+    A = _killed(G, r)
+    taus = np.array([1e-4, 0.01, 0.1, 0.4, 1.0, 2.0, 30.0, 2e3, 0.0, 0.5, 5e-324])
+    monkeypatch.setattr(model_module, "_EXPM_BLOCK", 3 * A.size)
+    got = _expm(A, taus)
+    for X, tau in zip(got, taus):
+        assert X.tobytes() == _expm(A, np.array([tau]))[0].tobytes()
+    assert _expm(A, np.empty(0)).shape == (0, 6, 6)
 
 
-def test_diagonal_inputs_are_exact():
-    for d in ([0.7], [-745.5], [0.3, -1.2, 0.0], [0.0, 0.0, 0.0]):
-        assert np.array_equal(matrix_exponential(np.diag(d)), np.diag(np.exp(d)))
-    assert np.array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
-
-
-def test_overflow_is_a_typed_error_not_a_warning():
-    # e^M overflows in the last two; in the first it is finite, but A^2 of
-    # the Pade step is not (||M||_1 = 2e200)
-    huge = (
-        np.array([[-1e200, 1e200], [1e200, -1e200]]),
-        np.array([[800.0, 1.0], [1.0, 800.0]]),
-        np.array([[800.0]]),
-    )
-    for M in huge:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ModelValidationError, match="e\\^M"):
-                matrix_exponential(M)
+def test_huge_intensities_price_without_a_warning():
+    # the Pade port raised a typed overflow on this finite e^M (||M||_1 =
+    # 2e200); the chain mixes at once, so every yield is the mean rate
+    G = GeneratorMatrix(np.array([[-1e200, 1e200], [1e200, -1e200]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = yield_curve(G, RateMap(np.array([0.0, 0.5])), 0.0, [1.0, 10.0, 1e4])
+    assert np.all(np.abs(y - 0.25) <= 4 * np.spacing(0.25))
