@@ -31,6 +31,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# characters per stdout write of _write_output
+_CHUNK = 1 << 16
+
+
 def _write_output(args, header: list[str], columns, params: dict) -> None:
     # equal-length columns, numeric ones as %.17g; one row template formats all cells in C
     arrays = [np.asarray(c) for c in columns]
@@ -72,7 +76,11 @@ def _write_output(args, header: list[str], columns, params: dict) -> None:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
     else:
-        sys.stdout.write(text)
+        # in bounded chunks: a stdout that writes through (PYTHONUNBUFFERED=1)
+        # drops the rest of a write the reader leaves partway, but the next
+        # chunk raises BrokenPipeError
+        for k in range(0, len(text), _CHUNK):
+            sys.stdout.write(text[k:k + _CHUNK])
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -202,10 +202,11 @@ def _expm(A: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return X
 
 
-# Half the exponent range of a double. A bond falls no faster than
-# e^{-tau max r}, so below this tau max r nothing the kernel propagates comes
-# near underflow, even after scaling by a payoff as small as 1e-150.
-_LOG_HEADROOM = -0.5 * np.log(np.finfo(float).tiny)
+# Half the exponent range of a double, about 354. Below tau (-rho) = 354 a bond
+# is at least e^{rho tau} min phi / max phi, far from underflow; past it, at
+# most e^{rho tau} max phi / min phi, so 1 - B rounds to 1 unless phi spans
+# e^318, and the Perron factorization of the time loses nothing.
+_LOG_HEADROOM = -0.5 * math.log(np.finfo(float).tiny)
 # a run is looked for among this many times ahead of the point reached, and
 # past them only while its lattice goes on
 _PLAN_WINDOW = 256
@@ -225,7 +226,7 @@ def _lattice(d: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, int]:
     return k, on, int(ks[hole[0]] if hole.size else ks[-1])
 
 
-def _plan(u: np.ndarray, reach: float, longest: float):
+def _plan(u: np.ndarray, reach: float):
     """Runs of equal steps that reach the sorted distinct times u from time 0.
 
     Returns (runs, point, off). runs lists (h, count): count steps of h,
@@ -244,8 +245,7 @@ def _plan(u: np.ndarray, reach: float, longest: float):
     ..., 10 the first run is the one step to 5, not 5 and 10 with 49 times
     off them. Where a run is one step and no gap among the next
     _PLAN_WINDOW times comes three times, as with random maturities, the
-    farthest of them is the step and the others are fresh steps from a. A
-    step longer than `longest` is taken as the fewest equal pieces within it.
+    farthest of them is the step and the others are fresh steps from a.
     """
     N = len(u)
     runs: list[tuple[float, int]] = []
@@ -276,16 +276,14 @@ def _plan(u: np.ndarray, reach: float, longest: float):
         else:
             gaps = np.sort(np.diff(d, prepend=0.0))
             if not np.any(gaps[2:] - gaps[:-2] <= _LATTICE * gaps[2:]):  # no gap comes three times
-                h = float(d[min(d.size - 1, max(int(np.searchsorted(d, longest, side="right")) - 1, 0))])
-        pieces = max(1, math.ceil(h / longest))
-        step, count = h / pieces, L * pieces
+                h = float(d[-1])
         d = d[:int(np.searchsorted(d, L * h + reach, side="right"))]
-        j = np.clip(np.rint(d / step), 0, count)
-        far = np.abs(d - j * step) > reach
-        j[far] = np.clip(np.floor(d[far] / step), 0, count - 1)
-        point[i:i + d.size], off[i:i + d.size] = base + j.astype(np.intp), d - j * step
-        runs.append((step, count))
-        i, a, base = i + d.size, a + L * h, base + count
+        j = np.clip(np.rint(d / h), 0, L)
+        far = np.abs(d - j * h) > reach
+        j[far] = np.clip(np.floor(d[far] / h), 0, L - 1)
+        point[i:i + d.size], off[i:i + d.size] = base + j.astype(np.intp), d - j * h
+        runs.append((h, L))
+        i, a, base = i + d.size, a + L * h, base + L
     return runs, point, off
 
 
@@ -297,10 +295,13 @@ def propagate(
     Returns (scaled, log_scale) with shapes (len(taus), n, m) and
     (len(taus), m): column j of e^{taus[k] M} V is
     scaled[k, :, j] * exp(log_scale[k, j]). M is the chain killed at rate
-    r (_killed), so V may have a row n, the value at the killed state:
+    r (_killed), so V may have a row n, the value v at the killed state:
     V = [0; 1] gives the mass lost to killing by tau, 1 - B, to its own
     relative accuracy. The taus may be unsorted and repeated; equal taus
-    get equal bits and tau = 0 gets V exactly. The distinct taus are split
+    get equal bits and tau = 0 gets V exactly.
+
+    A distinct time takes the killed chain, log_scale 0, while tau (-rho)
+    <= _LOG_HEADROOM, rho the Perron eigenvalue of M. These times are split
     into runs of equal steps (see _plan). A run of L steps of h takes
     log2 L products: from its step S = e^{hM}, X[w:2w] = S^w X[0:w] and
     S^{2w} = S^w S^w, its rows renormalized. A time delta off a run point X
@@ -308,11 +309,15 @@ def propagate(
     point, is X + delta M X: the terms left out of e^{delta M} are below
     2^-55, an eighth of eps. A time farther off, such as a path's jump time
     between mesh points, is one fresh step from the run point below it.
-    All fresh exponentials come from one _expm call. When e^{-tau max r}
-    could underflow, a run is taken in pieces no longer than the headroom
-    and each column is rescaled by a power of two after every piece, which
-    keeps log B finite at any maturity; otherwise log_scale is 0 and scaled
-    is the plain product.
+    All fresh exponentials come from one _expm call.
+
+    A time past the headroom takes the long-term factorization e^{tau M} =
+    e^{rho tau} Phi e^{tau G^phi} Phi^-1, Phi = diag(phi), of Hansen &
+    Scheinkman (2009) and Qin & Linetsky (2016), on V - v with v added back:
+    e^{tau G^phi} comes from propagate on recover_generator(G, phi) at zero
+    rates, and log_scale is rho tau where v = 0, else 0. The pair is solved
+    once, and only when some tau max r >= tau (-rho) passes the headroom;
+    where perron_pair fails, every time takes the killed chain.
     """
     if G.n != r.n:
         raise ModelValidationError("generator and rate vector sizes differ")
@@ -329,55 +334,54 @@ def propagate(
     order = np.argsort(taus, kind="stable")
     t = taus[order]
     new = np.diff(t, prepend=-1.0) > 0
+    u = t[new]
     at = np.empty(taus.size, dtype=np.intp)
-    at[order] = np.cumsum(new) - 1  # taus[k] is the distinct time t[new][at[k]]
-    rate_max = float(r.rates.max())
-    rescale = float(taus.max(initial=0.0)) * rate_max > _LOG_HEADROOM
-    longest = _LOG_HEADROOM / rate_max if rescale else math.inf
+    at[order] = np.cumsum(new) - 1  # taus[k] is the distinct time u[at[k]]
+    cut = u.size  # u[:cut] takes the killed chain, u[cut:] the factorization
+    if u.size and float(u[-1]) * float(r.rates.max()) > _LOG_HEADROOM:
+        from .recovery import perron_pair, recover_generator  # recovery imports this module
+        try:
+            rho, phi = perron_pair(G, r)
+            G_phi, cut = recover_generator(G, phi), int(np.searchsorted(u, _LOG_HEADROOM / -rho, side="right"))
+        except ModelValidationError:  # pi past the double range, say: the killed chain takes all
+            pass
     norm = float(np.abs(M).sum(axis=0).max())
     reach = 2.0**-27 / norm if norm else math.inf
-    runs, point, off = _plan(t[new], reach, longest)
-
+    runs, point, off = _plan(u[:cut], reach)
     lengths = sorted({h for h, _ in runs})
     far = np.abs(off) > reach
     fresh, near = np.flatnonzero(far), np.flatnonzero((off != 0) & ~far)
     S = _expm(M, np.concatenate([lengths, off[fresh]]))
-    # X[:, j] holds step number j of the runs, then the times off them, fresh
-    # steps first; it is state-major, so that a product over many points is
-    # one matrix product
+    # X[:, j] holds run step j, the times off the runs (fresh first) and those past
+    # the headroom; state-major, so a product over many points is one matrix product
     steps = sum(count for _, count in runs)
     moved = np.concatenate([fresh, near])
-    X = np.zeros((n, 1 + steps + moved.size, m))
+    end = 1 + steps + moved.size
+    X = np.zeros((n, end + u.size - cut, m))
     X[:len(V), 0] = V
-    exponent = np.zeros((X.shape[1], m), dtype=np.int64)
     j = 0
     for h, count in runs:
-        step = S[lengths.index(h)]
-        piece = count if not rescale else max(1, int(longest // h))
-        for lo in range(j, j + count, piece):
-            hi = min(lo + piece, j + count)  # fill X[:, lo + 1 : hi + 1]
-            Sw, w = step, 1
-            while lo + w <= hi:
-                take = min(w, hi + 1 - lo - w)
-                np.matmul(Sw, X[:, lo:lo + take].reshape(n, -1),
-                          out=X[:, lo + w:lo + w + take].reshape(n, -1))
-                if take == w and lo + 2 * w <= hi:
-                    Sw = _stochastic(Sw @ Sw)
-                w += take
-            exponent[lo + 1:hi + 1] = exponent[lo]
-            if rescale:
-                _, e = np.frexp(np.abs(X[:, hi]).max(axis=0))
-                X[:, hi] = np.ldexp(X[:, hi], -e)
-                exponent[hi] += e
+        Sw, w = S[lengths.index(h)], 1
+        while w <= count:  # fill X[:, j + w : j + w + take] from X[:, j : j + take]
+            take = min(w, count + 1 - w)
+            np.matmul(Sw, X[:, j:j + take].reshape(n, -1), out=X[:, j + w:j + w + take].reshape(n, -1))
+            if take == w and 2 * w <= count:
+                Sw = _stochastic(Sw @ Sw)
+            w += take
         j += count
-    np.take(X, point[moved], axis=1, out=X[:, 1 + steps:])
-    exponent[1 + steps:] = exponent[point[moved]]
-    F, Q = X[:, 1 + steps:1 + steps + fresh.size], X[:, 1 + steps + fresh.size:]
+    np.take(X, point[moved], axis=1, out=X[:, 1 + steps:end])
+    F, Q = X[:, 1 + steps:1 + steps + fresh.size], X[:, 1 + steps + fresh.size:end]
     F[...] = (S[len(lengths):] @ F.transpose(1, 0, 2)).transpose(1, 0, 2)
     Q += off[near, None] * (M @ Q.reshape(n, -1)).reshape(Q.shape)
     point[moved] = 1 + steps + np.arange(moved.size)
-    scaled = X[:-1].transpose(1, 0, 2)[point[at]]
-    return scaled, exponent[point[at]] * np.log(2.0)
+    log_scale = np.zeros((u.size, m))
+    if cut < u.size:
+        v = V[G.n] if len(V) == n else np.zeros(m)  # the killed state's value, added back where not 0
+        Y = propagate(G_phi, RateMap(np.zeros(G.n)), u[cut:], (V[:G.n] - v) / phi[:, None])[0]
+        log_scale[cut:] = np.where(v != 0, 0.0, rho * u[cut:, None])
+        Y *= np.exp(rho * u[cut:, None] - log_scale[cut:])[:, None]
+        X[:-1, end:] = phi[:, None, None] * Y.transpose(1, 0, 2) + v
+    return X[:-1].transpose(1, 0, 2)[np.append(point, np.arange(end, X.shape[1]))[at]], log_scale[at]
 
 
 def _check_horizon(horizon: float) -> None:

@@ -4,7 +4,8 @@ Every claim paying phi(J_T) has value vector e^{(T-t)(G-R)} Phi, with R the
 diagonal matrix of short rates. Bonds, yields, forward rates, caplets,
 floorlets and Arrow-Debreu securities are all special cases, and all of them
 go through model.propagate: yields and forward rates through its log scale,
-so they stay finite at any maturity.
+so they stay finite at any maturity, or name the maturity whose bond rounds
+to 0 where no Perron pair exists to factor it.
 """
 from __future__ import annotations
 
@@ -57,10 +58,15 @@ def bond_prices(G: GeneratorMatrix, r: RateMap, t: float, T: float) -> np.ndarra
 def _log_bonds(G: GeneratorMatrix, r: RateMap, t: float, Ts: np.ndarray) -> np.ndarray:
     """log B(t, i; T) for every T >= t in Ts, shape (len(Ts), n): log1p(-D)
     where the killed mass D = 1 - B < 1/2, so that small yields keep their
-    relative accuracy and zero rates give exactly 0."""
+    relative accuracy and zero rates give exactly 0. A bond that rounds to 0
+    (where perron_pair cannot factor a long maturity) is a ModelValidationError."""
     V = np.zeros((G.n + 1, 2))
     V[:G.n, 0] = V[G.n, 1] = 1.0
     scaled, log_scale = propagate(G, r, Ts - t, V)
+    if not scaled[:, :, 0].all():
+        k, i = np.argwhere(scaled[:, :, 0] == 0)[0]
+        raise ModelValidationError(
+            f"bond price B(t, {i}; T) at t = {float(t)!r}, T = {float(Ts[k])!r} is below the double range")
     log_B = np.log(scaled[:, :, 0]) + log_scale[:, :1]
     D = scaled[:, :, 1] * np.exp(log_scale[:, 1:])
     small = D < 0.5

@@ -187,17 +187,24 @@ def perron_pair(G: GeneratorMatrix, r: RateMap) -> tuple[float, np.ndarray]:
 
 def recover_generator(G: GeneratorMatrix, pi: np.ndarray) -> GeneratorMatrix:
     """Real-world generator G^pi: off-diagonals pi(j)/pi(i) g_ij, diagonals
-    rebalanced. It divides by pi, which must be a finite, strictly positive (n,) array."""
+    rebalanced. It divides by pi, which must be a finite, strictly positive (n,) array.
+
+    Since pi > 0, G^pi has G's transition graph, also where a pi-scaled
+    intensity lies below SUPPORT_EPS: irreducibility is judged on G, the row
+    sums and signs on G^pi.
+    """
     ok = isinstance(pi, np.ndarray) and pi.dtype.kind in "iuf" and pi.shape == (G.n,)
     if not (ok and np.all((pi > 0) & (pi < np.inf))):
         raise ModelValidationError(f"eigenvector must be a finite, strictly positive array of length {G.n}")
     Gp = (pi[None, :] / pi[:, None]) * G.entries
     np.fill_diagonal(Gp, 0.0)
     np.fill_diagonal(Gp, -Gp.sum(axis=1))
-    G_p = GeneratorMatrix(Gp)
-    bad = validate_model(G_p, RateMap(np.zeros(G.n)))
+    G_p, zero = GeneratorMatrix(Gp), RateMap(np.zeros(G.n))
+    bad = [v for v, part in validate_model(G_p, zero) if part != "generator"]
+    bad += [v for v, part in validate_model(G, zero) if part == "generator"]
     if bad:
-        raise ModelValidationError(f"recovered generator inadmissible: {'; '.join(v for v, _ in bad)}")
+        raise ModelValidationError(f"recovered generator inadmissible: {'; '.join(bad)}")
+    object.__setattr__(G_p, "_passed", True)  # the checks of validate_model, on G^pi's graph
     return G_p
 
 

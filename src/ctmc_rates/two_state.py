@@ -40,15 +40,23 @@ def closed_form_log_bonds(m: TwoStateModel, t: float, T) -> np.ndarray:
     shape (2,) for one maturity T and (len(T), 2) for an array of them.
 
     rho = -limiting_yield(m), c_{0,1} = (gamma + 2 lambda +- r)/(2 gamma) and
-    d_i = 1 - c_i, so the log term is log1p(d_i expm1(-gamma tau)), which no
-    factor e^{gamma tau} can overflow: finite at every maturity.
+    d_i = 1 - c_i. With s = r + 2 lambda + gamma, they are formed without a
+    difference: c_0 = 1 - d_0, d_0 = -2 lambda r/(gamma s), c_1 = lambda
+    (1 + 2 lambda/(gamma + r))/gamma and d_1 = r (r + gamma)/(gamma s), so
+    they keep their relative accuracy where r >> lambda. The log term is
+    log1p(x), x = d_i expm1(-gamma tau), while x > -1/2, and otherwise
+    log(c_i + d_i e^{-gamma tau}), a sum of positive terms: no factor
+    e^{gamma tau} can overflow, and it is finite at every maturity.
     """
     if np.any(t > np.asarray(T)):
         raise ValueError(f"need t <= T, got t={t}, T={T}")
     lam, r, gam = m.lam, m.rate, m.gamma
     tau = np.subtract(T, t)[..., None]
-    d = np.array([gam - 2.0 * lam - r, gam - 2.0 * lam + r]) / (2.0 * gam)
-    return -limiting_yield(m) * tau + np.log1p(d * np.expm1(-gam * tau))
+    s = r + 2.0 * lam + gam
+    d = np.array([-2.0 * lam * r, r * (r + gam)]) / (gam * s)
+    c = np.array([1.0 - d[0], lam * (1.0 + 2.0 * lam / (gam + r)) / gam])
+    x = d * np.expm1(-gam * tau)
+    return -limiting_yield(m) * tau + np.where(x > -0.5, np.log1p(x), np.log(c + d * np.exp(-gam * tau)))
 
 
 def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
@@ -58,5 +66,6 @@ def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
 
 
 def limiting_yield(m: TwoStateModel) -> float:
-    """Long-maturity yield (r + 2 lambda - gamma)/2, i.e. minus the Perron eigenvalue."""
-    return (m.rate + 2.0 * m.lam - m.gamma) / 2.0
+    """Long-maturity yield (r + 2 lambda - gamma)/2, i.e. minus the Perron
+    eigenvalue, as 2 lambda r/(r + 2 lambda + gamma), which does not cancel."""
+    return 2.0 * m.lam * m.rate / (m.rate + 2.0 * m.lam + m.gamma)

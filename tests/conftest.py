@@ -28,6 +28,17 @@ def models(draw, n_max=5, rate_max=1.0):
     return GeneratorMatrix(Q), RateMap(np.array(rates))
 
 
+def pi_beyond_double_range():
+    """80 states, intensities 1e-3, rates 100 but r_0 = 0: pi falls by ~1e-5
+    per state, below the smallest double by state 70, so perron_pair raises."""
+    n = 80
+    Q = np.diag(np.full(n - 1, 1e-3), 1) + np.diag(np.full(n - 1, 1e-3), -1)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    rates = np.full(n, 100.0)
+    rates[0] = 0.0
+    return GeneratorMatrix(Q), RateMap(rates)
+
+
 @pytest.fixture
 def two_state_example():
     """Two-state model with the worked-example parameters."""

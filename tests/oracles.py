@@ -8,6 +8,7 @@ square system; the wealth recursion is run step by step, not as a scan.
 """
 import bisect
 
+import mpmath
 import numpy as np
 
 from ctmc_rates import ChainPath, GeneratorMatrix, ModelValidationError, RateMap, UnhedgeableBasisError
@@ -24,6 +25,29 @@ def eigen_pairs(m: TwoStateModel):
         v = np.array([r + sign * gam, 2.0 * lam])
         out.append((rho, v / np.linalg.norm(v)))
     return tuple(out)
+
+
+def mp_two_state_log_bonds(lam: float, rate: float, tau: float, dps: int = 60) -> np.ndarray:
+    """(log B(0,0;tau), log B(0,1;tau)) of the two-state model in mpmath at
+    `dps` digits, from rho tau + log(c_i + (1 - c_i) e^{-gamma tau}) with rho
+    and c_i written without differences, so that r >> lambda loses nothing
+    and no bond underflows."""
+    with mpmath.workdps(dps):
+        lam, r, tau = mpmath.mpf(lam), mpmath.mpf(rate), mpmath.mpf(tau)
+        g = mpmath.sqrt(4 * lam**2 + r**2)
+        s = r + 2 * lam + g
+        cs = (1 + 2 * lam * r / (g * s), lam * (1 + 2 * lam / (g + r)) / g)
+        return np.array([float(-2 * lam * r / s * tau + mpmath.log(c + (1 - c) * mpmath.exp(-g * tau)))
+                         for c in cs])
+
+
+def mp_log_bonds(Q: np.ndarray, rates: np.ndarray, tau: float, dps: int = 60) -> np.ndarray:
+    """log B(0, i; tau) = log of the row sums of e^{tau (Q - R)}, all in mpmath
+    at `dps` digits: accurate wherever the bonds lie far above 10^-dps."""
+    with mpmath.workdps(dps):
+        M = mpmath.matrix(Q.tolist()) - mpmath.diag(rates.tolist())
+        E = mpmath.expm(tau * M)
+        return np.array([float(mpmath.log(mpmath.fsum(E[i, j] for j in range(len(Q))))) for i in range(len(Q))])
 
 
 def closed_form_ad(m: TwoStateModel, t: float, T: float) -> np.ndarray:

@@ -20,7 +20,10 @@ from ctmc_rates import (GeneratorMatrix, ModelValidationError, RateMap, load_mod
                         recover_generator, recovery, validate_model)
 from ctmc_rates import cli
 from ctmc_rates.cli import _parse_grid, _write_output, main
+from ctmc_rates.model import SUPPORT_EPS
 from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL
+
+from conftest import pi_beyond_double_range
 
 TWO_STATE = """\
 states: 2
@@ -72,6 +75,15 @@ def dense_text(seed=11, n=5, scale=1e6):
     rates = rng.uniform(0.01, 0.2, n)
     return (f"states: {n}\ngenerator:\n" + "\n".join(" ".join(map(repr, row.tolist())) for row in Q)
             + "\nrates: " + " ".join(map(repr, rates.tolist())) + "\n")
+
+
+def model_text(Q, rates):
+    """A model file's text for generator Q and rates, every number written with repr."""
+    return (f"states: {len(Q)}\ngenerator:\n" + "\n".join(" ".join(map(repr, row.tolist())) for row in Q)
+            + "\nrates: " + " ".join(map(repr, rates.tolist())) + "\n")
+
+
+SLOW = "states: 2\ngenerator:\n-1e-9 1e-9\n1e-9 -1e-9\nrates: 0 1e3\n"
 
 
 @pytest.fixture
@@ -173,6 +185,20 @@ class TestYieldCurve:
         assert float(rows[0][1]) == pytest.approx(0.2928179282508686, abs=1e-12)
         assert float(rows[0][2]) == pytest.approx(0.2931704776856764, abs=1e-12)
 
+    def test_bond_below_the_double_range_exits_1(self, tmp_path):
+        # no Perron pair, so the killed chain takes every time; near T = 8 a
+        # bond falls below the smallest double, where log gave -inf and a
+        # divide-by-zero warning
+        G, r = pi_beyond_double_range()
+        p = tmp_path / "chain80.txt"
+        p.write_text(model_text(G.entries, r.rates))
+        argv = [sys.executable, "-W", "error", "-m", "ctmc_rates.cli", "yield-curve", str(p), "--T-grid"]
+        ok = subprocess.run(argv + ["1:7:3"], env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (ok.returncode, ok.stderr, len(parse_csv(ok.stdout)[1])) == (0, "", 3)
+        bad = subprocess.run(argv + ["7:8:1"], env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (bad.returncode, bad.stdout) == (1, "")
+        assert bad.stderr == "error: bond price B(t, 65; T) at t = 0.0, T = 8.0 is below the double range\n"
+
     def test_scalar_model_flat_curve(self, capsys, tmp_path):
         p = tmp_path / "one.txt"
         p.write_text(SCALAR)
@@ -242,6 +268,17 @@ class TestWriter:
         assert self.write(capsys, header, columns) == per_cell_csv(header, self.ROWS)
         arrays = [np.array(c, dtype=object if j == 0 else None) for j, c in enumerate(columns)]
         assert self.write(capsys, header, arrays) == per_cell_csv(header, self.ROWS)
+
+    def test_truncated_unbuffered_output_exits_1(self):
+        # with PYTHONUNBUFFERED=1 one write of the whole 12 MB text came back
+        # whole after the reader left partway, and the command exited 0
+        env = dict(child_env(), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen([sys.executable, "-m", "ctmc_rates.cli", "demo", "--T-grid", "0.01:2000:0.01"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (head, proc.returncode, err) == (b"T,yield_state0,yield", 1, b"")
 
     def test_numeric_arrays_and_empty_table(self, capsys):
         x = np.array([np.pi, -1e300, 2.5e-310, 123456789.123456789])
@@ -486,6 +523,18 @@ class TestRecover:
         assert np.all(np.abs(M @ pi - rho * pi) <= EIGEN_RESIDUAL_TOL * (np.abs(M) @ pi))
         Gp = GeneratorMatrix(np.array(report["generator_p"]))
         assert validate_model(Gp, RateMap(np.zeros(len(pi)))) == ()
+
+    def test_tiny_pi_scaled_intensities_recover(self, capsys, tmp_path):
+        # pi = (1, 1e-12), so G^pi_01 = 1e-21 lies below SUPPORT_EPS; G^pi
+        # still has G's edges, and both commands exited 1 on "not irreducible"
+        p = tmp_path / "slow.txt"
+        p.write_text(SLOW)
+        code, out, err = run(capsys, "recover", str(p))
+        assert (code, err) == (0, "")
+        assert 0 < json.loads(out)["generator_p"][0][1] < SUPPORT_EPS
+        code, out, err = run(capsys, "simulate", str(p), "--measure", "p", "--N", "100", "--horizon", "1",
+                             "--seed", "1")
+        assert (code, err) == (0, "")
 
     def test_scalar_model_rho(self, capsys, tmp_path):
         p = tmp_path / "one.txt"
@@ -824,6 +873,13 @@ class TestGoldenBytes:
     replicate-bd5-13 4d7702b112d087489c2e20cf621f9fd85783d3993c4b13e5f391e5f262c97e57
     -> 85cda0b457dd73cacdcffeb9aeb6fc7b75ce7ceca586b0e69612d4a4964a2e72.
     The recover, simulate and demo pins did not move, nor did any exit code.
+
+    The demo pin was re-recorded when the two-state closed form stopped
+    forming r + 2 lambda - gamma and its counterparts as differences: its
+    distance to a 60-digit reference, max and rms relative, went from
+    4.6e-15/1.7e-15 to 2.7e-16/1.4e-16, and demo-None-11 from
+    6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c to
+    fcecc3d18301a59859152f6845e23e08ab55ea7c9b81c4d01a01d9fe1f464d6e.
     The float digits come from numpy and its BLAS: on another numpy/OpenBLAS
     build (these pins are from numpy 2.4 with OpenBLAS on x86-64) a pin may
     move by the last digit.
@@ -856,7 +912,7 @@ class TestGoldenBytes:
                  "--N", "4", "--seed", "3"], 0,
          "481c2054d9a6eef8f24d2a9faf33cd047577110f05b4b86c78d7763e4c702150"),
         (None, ["demo", "--T-grid", "0.5:20:0.5"], 0,
-         "6012906d9fabeb8cb70cb23c1878c1c3acbb3bcec8e5a6e1a22dbcc7f6f40b0c"),
+         "fcecc3d18301a59859152f6845e23e08ab55ea7c9b81c4d01a01d9fe1f464d6e"),
         # the full basis hedges every j != s, not only the generator's support
         ("bd5", ["hedge", "--T", "1", "--basis", "2,3,4,5", "--payoff", "1,0,0,0,0",
                  "--t-grid", "0:1:0.25"], 0,

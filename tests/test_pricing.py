@@ -29,7 +29,7 @@ from ctmc_rates.model import ROW_SUM_TOL
 from ctmc_rates.pricing import yield_curve
 from ctmc_rates.recovery import perron_pair
 
-from conftest import models, random_model
+from conftest import models, pi_beyond_double_range, random_model
 from oracles import closed_form_ad
 
 # frozen from the two-state closed form (lam=0.5, r=0.1, T=1)
@@ -185,6 +185,24 @@ class TestYield:
                 for i in range(G.n):
                     y = yield_curve(G, r, 0.0, [T])[0, i]
                     assert r.rates.min() - 1e-12 <= y <= r.rates.max() + 1e-12
+
+
+    def test_bond_below_the_double_range_is_a_typed_error(self):
+        # no Perron pair, so the killed chain takes every time; near T = 8 a
+        # bond falls below the smallest double, where log gave -inf and a
+        # divide-by-zero warning
+        G, r = pi_beyond_double_range()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelValidationError):
+                perron_pair(G, r)
+            y = yield_curve(G, r, 0.0, [1.0, 4.0, 7.0])
+            assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
+            for T in (8.0, 10.0):
+                with pytest.raises(ModelValidationError, match=rf"B\(t, 65; T\) at t = 0.0, T = {T!r} is below"):
+                    yield_curve(G, r, 0.0, [7.0, T])
+            with pytest.raises(ModelValidationError, match=r"T = 8.0 is below the double range"):
+                forward_rate(G, r, 0.0, 0, 7.0, 8.0)
 
 
 class TestForwardRate:

@@ -1,6 +1,7 @@
 """Property tests of model.propagate, the batched e^{tau (G - R)} V kernel,
 and of its step exponential model._expm against independent oracles: scipy's
 expm and mpmath at 40 to 60 digits."""
+import time
 import warnings
 
 import mpmath
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 import ctmc_rates.model as model_module
-from ctmc_rates import GeneratorMatrix, ModelValidationError, RateMap
-from ctmc_rates.model import _expm, _killed, propagate
+import ctmc_rates.recovery as recovery_module
+from ctmc_rates import GeneratorMatrix, ModelValidationError, RateMap, TwoStateModel
+from ctmc_rates.model import _LOG_HEADROOM, _expm, _killed, propagate
 from ctmc_rates.pricing import yield_curve
+from ctmc_rates.two_state import limiting_yield
 
 from conftest import models
+from oracles import mp_log_bonds, mp_two_state_log_bonds
 
 
 @st.composite
@@ -360,3 +364,120 @@ def test_huge_intensities_price_without_a_warning():
         warnings.simplefilter("error")
         y = yield_curve(G, RateMap(np.array([0.0, 0.5])), 0.0, [1.0, 10.0, 1e4])
     assert np.all(np.abs(y - 0.25) <= 4 * np.spacing(0.25))
+
+
+def two_state_yields(rate, Ts):
+    """Yields at t = 0 of [[-1, 1], [1, -1]] with rates (0, rate), shape (len(Ts), 2)."""
+    G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    return yield_curve(G, RateMap(np.array([0.0, rate])), 0.0, Ts)
+
+
+def assert_two_state_yields(got, rate, Ts):
+    """Within 4e-15 relative of the 60-digit closed form, each yield."""
+    for y, T in zip(got, Ts):
+        want = -mp_two_state_log_bonds(1.0, rate, T) / T
+        assert np.all(np.abs(y - want) <= 4e-15 * np.abs(want)), (rate, T, y, want)
+
+
+def test_long_maturities_take_bounded_work():
+    # rates (0, r) took ceil(tau max r / 354) pieces: 0.56 s at (1e5, 100),
+    # 3.4 s at (1e5, 1e3), and (1e6, 1e4) did not finish. Past tau (-rho) =
+    # 354 the Perron factorization takes the time, in milliseconds
+    probes = [(1e5, 100.0), (1e5, 1e3), (1e6, 1e4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        got = [two_state_yields(rate, [T]) for rate, T in probes]
+        elapsed = time.perf_counter() - start
+    for y, (rate, T) in zip(got, probes):
+        assert_two_state_yields(y, rate, [T])
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("rate", [1e2, 1e4, 1e6, 1e10])
+def test_rates_far_past_the_headroom_at_T_1e4(rate):
+    # tau max r from 1e6 to 1e14 on one grid, times on both routes
+    Ts = [0.5, 10.0, 300.0, 400.0, 1e3, 1e4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = two_state_yields(rate, Ts)
+    assert_two_state_yields(y, rate, Ts)
+
+
+def test_a_rate_of_1e300_prices_without_a_warning():
+    # _plan's piece count for it did not fit an integer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = two_state_yields(1e300, [1.0])
+    assert_two_state_yields(y, 1e300, [1.0])
+
+
+@pytest.mark.parametrize("Q, rates, T", [
+    (np.array([[-1e-9, 1e-9], [1e-9, -1e-9]]), np.array([0.0, 1e3]), 1.0),
+    (1e-6 * (np.ones((3, 3)) - 3.0 * np.eye(3)), np.array([0.0, 50.0, 1e3]), 10.0),
+])
+def test_slow_chains_at_high_rates_keep_the_killed_chain(Q, rates, T):
+    # tau max r passes the headroom, but tau (-rho) is about 1e-9 and 2e-5:
+    # routed by tau max r, the factorization lost the killed mass 1 - B
+    # (8.9e-8 and 5.0e-12 relative off)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = yield_curve(GeneratorMatrix(Q), RateMap(rates), 0.0, [T])[0]
+    want = -mp_log_bonds(Q, rates, T) / T
+    assert np.all(np.abs(y - want) <= 4e-15 * want)
+
+
+def test_perron_pair_is_solved_only_past_the_headroom(monkeypatch):
+    solved = []
+
+    def counting(G, r):
+        solved.append(G.n)
+        return perron_pair(G, r)
+
+    perron_pair = recovery_module.perron_pair
+    monkeypatch.setattr(recovery_module, "perron_pair", counting)
+    G = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    for r, taus in ((RateMap(np.array([0.0, 1.0])), [0.5, _LOG_HEADROOM, 1.0]),
+                    (RateMap(np.array([0.0, 1e5])), [1e-3, _LOG_HEADROOM / 1e5])):
+        propagate(G, r, taus, np.ones((2, 1)))
+        yield_curve(G, r, 0.0, taus)
+    G5, r5 = birth_death_5(1e6)
+    propagate(G5, r5, mesh_with_jumps(2.0, 1e-3), np.ones((5, 1)))
+    assert solved == []
+    # past it, one solve per call for all its times
+    two_state_yields(1e5, [1.0, 100.0, 1e3, 2e3, 1e4])
+    assert solved == [2]
+
+
+def test_factorized_times_in_log_form():
+    # unsorted and repeated times on both sides of tau (-rho) = 354 in one
+    # call; V's last row is the killed state's value v
+    m = TwoStateModel(1.0, 1e5)
+    G, r = m.generator(), m.rate_map()
+    rho = recovery_module.perron_pair(G, r)[0]
+    assert rho == pytest.approx(-limiting_yield(m), rel=1e-15)
+    taus = np.array([1e3, 1.0, 0.0, 1e3, 400.0, 300.0])
+    past = taus * -rho > _LOG_HEADROOM
+    assert past.tolist() == [True, False, False, True, True, False]
+    V = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled, log_scale = propagate(G, r, taus, V)
+    # v = 0 carries e^{rho tau} in its log scale; elsewhere e^{tau M}(V - v)
+    # is below e^{-354} of v, which is all that is left
+    assert np.array_equal(log_scale[past, 0], rho * taus[past])
+    assert not log_scale[:, 1:].any() and not log_scale[~past].any()
+    assert np.array_equal(scaled[past, :, 1:], np.broadcast_to([0.5, 1.0], (3, 2, 2)))
+    assert scaled[0].tobytes() == scaled[3].tobytes()
+    assert np.array_equal(scaled[2], V[:2])
+    # column 0 is the Arrow-Debreu column of state 0 at 60 digits
+    with mpmath.workdps(60):
+        lam, rate = mpmath.mpf(1), mpmath.mpf(1e5)
+        gam = mpmath.sqrt(4 * lam**2 + rate**2)
+        for k, tau in enumerate(taus):
+            e, tau = mpmath.exp(gam * tau), mpmath.mpf(tau)
+            pref = mpmath.exp(-tau * (gam + 2 * lam + rate) / 2) / (2 * gam)
+            want = [pref * ((gam - rate) + (gam + rate) * e), pref * 2 * lam * (e - 1)]
+            got = np.log(scaled[k, :, 0]) + log_scale[k, 0] if tau else scaled[k, :, 0]
+            want = [float(mpmath.log(w)) for w in want] if tau else [1.0, 0.0]
+            assert np.allclose(got, want, rtol=1e-14, atol=0)

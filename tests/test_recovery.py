@@ -21,7 +21,7 @@ from ctmc_rates import (
 )
 from ctmc_rates import recovery
 from ctmc_rates.cli import main as cli_main
-from ctmc_rates.model import simulate_terminal
+from ctmc_rates.model import SUPPORT_EPS, simulate_terminal
 from ctmc_rates.pricing import mean_and_se
 from ctmc_rates.recovery import EIGEN_RESIDUAL_TOL
 from ctmc_rates.two_state import TwoStateModel
@@ -301,6 +301,25 @@ class TestRecoverGenerator:
             rec = recover_generator(G, perron_pair(G, r)[1])
             assert validate_model(rec, RateMap(np.zeros(G.n))) == ()
             assert np.array_equal(rec.entries != 0.0, G.entries != 0.0)
+
+
+    def test_tiny_pi_scaled_intensities_keep_the_edges_of_G(self):
+        # pi = (1, 1e-12), so G^pi_01 = 1e-21 lies below SUPPORT_EPS: G^pi is
+        # judged irreducible on G's edges, and simulate_terminal takes it
+        G = GeneratorMatrix(np.array([[-1e-9, 1e-9], [1e-9, -1e-9]]))
+        rho, pi = perron_pair(G, RateMap(np.array([0.0, 1e3])))
+        rec = recover_generator(G, pi)
+        assert 0 < rec.entries[0, 1] < SUPPORT_EPS
+        zero = RateMap(np.zeros(2))
+        assert validate_model(rec, zero) == ()
+        states, _ = simulate_terminal(rec, zero, 1, 1.0, 100, 0)
+        assert np.all(states == 0)  # state 1 leaves at rate 1e3
+
+    def test_reducible_generator_is_refused(self):
+        # state 2 is absorbing: no pi makes G^pi irreducible
+        G = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ModelValidationError, match="recovered generator inadmissible: generator is not irreducible"):
+            recover_generator(G, np.ones(3))
 
 
 # each would otherwise divide by zero, report a non-positive pi as generator

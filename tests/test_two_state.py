@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from oracles import (
     closed_form_hedge,
     closed_form_recovered_generator,
     eigen_pairs,
+    mp_two_state_log_bonds,
 )
 
 GRID = [
@@ -159,6 +161,20 @@ class TestLogForm:
                 for i in (0, 1):
                     y = closed_form_yield(m, 0.0, 1e4, i)
                     assert abs(y - (limiting_yield(m) - np.log(c[i]) / 1e4)) <= 1e-12
+
+
+    @pytest.mark.parametrize("lam, r", [(1.0, 1e5), (1.0, 1e6), (1e-9, 1e3), (10.0, 1e-6), (0.5, 0.1)])
+    def test_no_cancellation_at_any_rate_ratio(self, lam, r):
+        # r + 2 lam - gamma and gamma - 2 lam - r, formed as differences, were
+        # 3.4e-12 off at (1, 1e5) and 1.1e-5 off at (1e-9, 1e3). (Far below
+        # 1/gamma, rho tau and the log term still cancel: 3e-13 at tau = 1e-3.)
+        m = TwoStateModel(lam, r)
+        Ts = [0.5, 1.0, 20.0, 100.0, 1e3, 1e4]
+        for T in Ts:
+            want = mp_two_state_log_bonds(lam, r, T)
+            assert np.all(np.abs(closed_form_log_bonds(m, 0.0, T) - want) <= 4e-16 * np.abs(want))
+        assert abs(limiting_yield(m) + float(mpmath.mpf(-2) * lam * r / (r + 2 * lam + mpmath.sqrt(
+            mpmath.mpf(4) * lam**2 + mpmath.mpf(r)**2)))) <= 2e-16 * limiting_yield(m)
 
 
 class TestClosedFormHedge:
