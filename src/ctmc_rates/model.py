@@ -6,7 +6,6 @@ immutable objects defined here.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ class GeneratorMatrix:
     """
 
     entries: np.ndarray
-    # set once the generator checks of validate_model have passed
+    # set by validate_model once its generator checks pass, by recover_generator on construction
     _passed: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class RateMap:
-    """Per-state short rate r(i) >= 0; exposes the diagonal matrix form."""
+    """Per-state short rate r(i) >= 0."""
 
     rates: np.ndarray
 
@@ -73,10 +72,6 @@ class RateMap:
     @property
     def n(self) -> int:
         return self.rates.shape[0]
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.rates)
 
 
 def _reaches_all(edges: np.ndarray) -> bool:
@@ -420,13 +415,6 @@ class ChainPath:
     @property
     def n_jumps(self) -> int:
         return len(self.jump_times)
-
-    def state_at(self, t: float) -> int:
-        """State J_t (cadlag: at a jump time the post-jump state)."""
-        if not (0 <= t <= self.horizon):
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        k = bisect.bisect_right(self.jump_times, t)
-        return self.initial_state if k == 0 else self.post_jump_states[k - 1]
 
 
 def _sample_chain(

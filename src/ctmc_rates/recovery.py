@@ -189,22 +189,22 @@ def recover_generator(G: GeneratorMatrix, pi: np.ndarray) -> GeneratorMatrix:
     """Real-world generator G^pi: off-diagonals pi(j)/pi(i) g_ij, diagonals
     rebalanced. It divides by pi, which must be a finite, strictly positive (n,) array.
 
-    Since pi > 0, G^pi has G's transition graph, also where a pi-scaled
-    intensity lies below SUPPORT_EPS: irreducibility is judged on G, the row
-    sums and signs on G^pi.
+    G must pass validate_model at zero rates, the gate of perron_pair. G^pi
+    then passes by construction and is marked so: pi > 0 keeps G's graph and
+    signs, also where a pi-scaled intensity lies below SUPPORT_EPS, and each
+    diagonal is minus its row's off-diagonal sum.
     """
     ok = isinstance(pi, np.ndarray) and pi.dtype.kind in "iuf" and pi.shape == (G.n,)
     if not (ok and np.all((pi > 0) & (pi < np.inf))):
         raise ModelValidationError(f"eigenvector must be a finite, strictly positive array of length {G.n}")
+    bad = validate_model(G, RateMap(np.zeros(G.n)))
+    if bad:
+        raise ModelValidationError(f"recovered generator inadmissible: {'; '.join(v for v, _ in bad)}")
     Gp = (pi[None, :] / pi[:, None]) * G.entries
     np.fill_diagonal(Gp, 0.0)
     np.fill_diagonal(Gp, -Gp.sum(axis=1))
-    G_p, zero = GeneratorMatrix(Gp), RateMap(np.zeros(G.n))
-    bad = [v for v, part in validate_model(G_p, zero) if part != "generator"]
-    bad += [v for v, part in validate_model(G, zero) if part == "generator"]
-    if bad:
-        raise ModelValidationError(f"recovered generator inadmissible: {'; '.join(bad)}")
-    object.__setattr__(G_p, "_passed", True)  # the checks of validate_model, on G^pi's graph
+    G_p = GeneratorMatrix(Gp)
+    object.__setattr__(G_p, "_passed", True)
     return G_p
 
 

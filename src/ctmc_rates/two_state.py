@@ -59,12 +59,6 @@ def closed_form_log_bonds(m: TwoStateModel, t: float, T) -> np.ndarray:
     return -limiting_yield(m) * tau + np.where(x > -0.5, np.log1p(x), np.log(c + d * np.exp(-gam * tau)))
 
 
-def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
-    if t >= T:
-        raise ValueError(f"yield needs t < T, got t={t}, T={T}")
-    return float(-closed_form_log_bonds(m, t, T)[i] / (T - t))
-
-
 def limiting_yield(m: TwoStateModel) -> float:
     """Long-maturity yield (r + 2 lambda - gamma)/2, i.e. minus the Perron
     eigenvalue, as 2 lambda r/(r + 2 lambda + gamma), which does not cancel."""

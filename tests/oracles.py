@@ -71,6 +71,13 @@ def closed_form_bonds(m: TwoStateModel, t: float, T: float) -> np.ndarray:
     return np.exp(closed_form_log_bonds(m, t, T))
 
 
+def closed_form_yield(m: TwoStateModel, t: float, T: float, i: int) -> float:
+    """Zero-coupon yield of state i, -log B(t,i;T) / (T - t)."""
+    if t >= T:
+        raise ValueError(f"yield needs t < T, got t={t}, T={T}")
+    return float(-closed_form_log_bonds(m, t, T)[i] / (T - t))
+
+
 def closed_form_hedge(m: TwoStateModel, t: float, T: float, T1: float, k: int) -> float:
     """Bonds to hold against the k-th Arrow-Debreu claim; state-independent here."""
     A = closed_form_ad(m, t, T)
@@ -160,12 +167,20 @@ def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:
     return pi
 
 
+def state_at(path: ChainPath, t: float) -> int:
+    """State J_t of a path (cadlag: at a jump time the post-jump state)."""
+    if not (0 <= t <= path.horizon):
+        raise ValueError(f"time {t} outside [0, {path.horizon}]")
+    k = bisect.bisect_right(path.jump_times, t)
+    return path.initial_state if k == 0 else path.post_jump_states[k - 1]
+
+
 def segments(path: ChainPath, start: float, end: float):
     """Constant-state pieces (t0, t1, state) of a path covering [start, end]."""
     if not (0 <= start <= end <= path.horizon):
         raise ValueError(f"interval [{start}, {end}] outside [0, {path.horizon}]")
     t0 = start
-    state = path.state_at(start)
+    state = state_at(path, start)
     k = bisect.bisect_right(path.jump_times, start)
     while k < len(path.jump_times) and path.jump_times[k] < end:
         yield (t0, path.jump_times[k], state)

@@ -518,7 +518,7 @@ class TestRecover:
         assert (code, err) == (0, "")
         report = json.loads(out)
         spec = load_model(str(p))
-        M = spec.generator.entries - spec.rates.diagonal
+        M = spec.generator.entries - np.diag(spec.rates.rates)
         rho, pi = report["rho"], np.array(report["pi"])
         assert np.all(np.abs(M @ pi - rho * pi) <= EIGEN_RESIDUAL_TOL * (np.abs(M) @ pi))
         Gp = GeneratorMatrix(np.array(report["generator_p"]))

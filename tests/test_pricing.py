@@ -356,7 +356,7 @@ def test_stiff_chain_pricing_properties(model, t, tau, delta, K):
     assert np.all(np.abs(A.sum(axis=1) - B_T) <= 1e-14 * B_T)
     assert np.all(A >= 0.0)
     parity = caplet(G, r, t, T, Tb, K) - floorlet(G, r, t, T, Tb, K)
-    M = G.entries - r.diagonal
+    M = G.entries - np.diag(r.rates)
     rel = 1e-12 + np.finfo(float).eps * (Tb - t) * np.abs(M).sum(axis=0).max()
     scale = (B_T + (1.0 + K * delta) * B_Tb) / delta
     assert np.all(np.abs(parity - (B_T - (1.0 + K * delta) * B_Tb) / delta) <= rel * scale)

@@ -19,6 +19,7 @@ from ctmc_rates import (
     tipk_price,
     validate_model,
 )
+import ctmc_rates.model as model_module
 from ctmc_rates import recovery
 from ctmc_rates.cli import main as cli_main
 from ctmc_rates.model import SUPPORT_EPS, simulate_terminal
@@ -32,7 +33,7 @@ from oracles import closed_form_recovered_generator, eigen_pairs
 
 
 def entrywise_residual_ok(G, r, rho, pi, tol=EIGEN_RESIDUAL_TOL):
-    M = G.entries - r.diagonal
+    M = G.entries - np.diag(r.rates)
     return bool(np.all(np.abs(M @ pi - rho * pi) <= tol * (np.abs(M) @ pi)))
 
 
@@ -138,7 +139,7 @@ class TestPerronPair:
         for _ in range(10):
             G, r = random_model(rng, n_max=10)
             rho, pi = perron_pair(G, r)
-            resid = np.linalg.norm((G.entries - r.diagonal) @ pi - rho * pi)
+            resid = np.linalg.norm((G.entries - np.diag(r.rates)) @ pi - rho * pi)
             assert resid <= EIGEN_RESIDUAL_TOL
             assert np.all(pi > 0)
             assert np.linalg.norm(pi) == pytest.approx(1.0, abs=1e-12)
@@ -149,7 +150,7 @@ class TestPerronPair:
         for _ in range(5):
             G, r = random_model(rng)
             rho, pi = perron_pair(G, r)
-            vals, vecs = eig(G.entries - r.diagonal)
+            vals, vecs = eig(G.entries - np.diag(r.rates))
             k = int(np.argmax(vals.real))
             pi_eig = np.abs(vecs[:, k].real) / np.linalg.norm(vecs[:, k].real)
             assert float(vals[k].real) == pytest.approx(rho, abs=1e-9)
@@ -220,7 +221,7 @@ class TestPerronPair:
         rho_ref, pi_ref = inverse_iteration_reference(G, r, rho, pi)
         assert abs(rho - rho_ref) <= 1e-13 * abs(rho_ref)
         assert np.max(np.abs(pi - pi_ref) / pi_ref) <= 1e-13
-        assert np.linalg.norm((G.entries - r.diagonal) @ pi_ref - rho_ref * pi_ref) > EIGEN_RESIDUAL_TOL
+        assert np.linalg.norm((G.entries - np.diag(r.rates)) @ pi_ref - rho_ref * pi_ref) > EIGEN_RESIDUAL_TOL
         assert entrywise_residual_ok(G, r, rho_ref, pi_ref)
 
     @settings(max_examples=200, deadline=None)
@@ -320,6 +321,36 @@ class TestRecoverGenerator:
         G = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(ModelValidationError, match="recovered generator inadmissible: generator is not irreducible"):
             recover_generator(G, np.ones(3))
+
+    def test_generator_refused_by_validate_model_is_refused(self):
+        # row 1 sums to 0.1: perron_pair and load_model refuse this G, and
+        # recover_generator applies the same gate before it builds G^pi
+        G = GeneratorMatrix(np.array([[-1.0, 1.0], [0.5, -0.4]]))
+        with pytest.raises(ModelValidationError,
+                           match=r"^recovered generator inadmissible: generator row 1 sums to 1\.000e-01, not 0$"):
+            recover_generator(G, np.ones(2))
+
+    @pytest.mark.parametrize("n", [3, 50, 200])
+    def test_dense_chain_is_the_formula_and_is_not_checked_again(self, monkeypatch, n):
+        # G^pi is pi(j)/pi(i) g_ij off the diagonal and minus its row's sum on
+        # it, bit for bit; it passes validate_model by construction, so
+        # simulating under it searches no graph
+        rng = np.random.default_rng(7 + n)
+        Q = rng.uniform(0.0, 1.0, (n, n)) / n
+        np.fill_diagonal(Q, 0.0)
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        G, r = GeneratorMatrix(Q), RateMap(rng.uniform(0.0, 0.1, n))
+        pi = perron_pair(G, r)[1]
+        want = (pi[None, :] / pi[:, None]) * Q
+        np.fill_diagonal(want, 0.0)
+        np.fill_diagonal(want, -want.sum(axis=1))
+        rec = recover_generator(G, pi)
+        assert rec.entries.tobytes() == want.tobytes()
+        calls = []
+        real = model_module.is_irreducible
+        monkeypatch.setattr(model_module, "is_irreducible", lambda G: calls.append(G) or real(G))
+        simulate_terminal(rec, RateMap(np.zeros(n)), 0, 1.0, 100, 0)
+        assert calls == []
 
 
 # each would otherwise divide by zero, report a non-positive pi as generator

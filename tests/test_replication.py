@@ -23,7 +23,7 @@ from ctmc_rates.model import SUPPORT_EPS
 from ctmc_rates.replication import _hedge
 
 from conftest import models, random_model
-from oracles import closed_form_hedge, hedge_svd_gate, wealth_loop
+from oracles import closed_form_hedge, hedge_svd_gate, state_at, wealth_loop
 
 
 def birth_death_model(n=4, up=0.8, down=0.6, rate_step=0.03):
@@ -575,7 +575,7 @@ class TestReplicateOnPath:
         X = price_claim(G, r, payoff, 0.0)[0]
         track = 0.0
         for t0, t1 in zip(ts[:-1], ts[1:]):
-            s0, s1 = path.state_at(t0), path.state_at(t1)
+            s0, s1 = state_at(path, t0), state_at(path, t1)
             D = plan.positions(t0, s0)
             X = D @ bonds(t1, s1) + (X - D @ bonds(t0, s0)) * np.exp(r.rates[s0] * (t1 - t0))
             track = max(track, abs(X - price_claim(G, r, payoff, t1)[s1]))

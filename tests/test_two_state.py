@@ -15,17 +15,14 @@ from ctmc_rates import (
 )
 from ctmc_rates.cli import main
 from ctmc_rates.pricing import yield_curve
-from ctmc_rates.two_state import (
-    closed_form_log_bonds,
-    closed_form_yield,
-    limiting_yield,
-)
+from ctmc_rates.two_state import closed_form_log_bonds, limiting_yield
 
 from oracles import (
     closed_form_ad,
     closed_form_bonds,
     closed_form_hedge,
     closed_form_recovered_generator,
+    closed_form_yield,
     eigen_pairs,
     mp_two_state_log_bonds,
 )
