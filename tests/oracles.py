@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 
 from ctmc_rates import ChainPath, GeneratorMatrix, ModelValidationError, RateMap, UnhedgeableBasisError
+from ctmc_rates.model import ROW_SUM_TOL, SUPPORT_EPS
 from ctmc_rates.replication import CONDITION_LIMIT, EXPOSURE_CUTOFF, HEDGE_RESIDUAL_TOL
 from ctmc_rates.two_state import TwoStateModel, closed_form_log_bonds
 
@@ -155,6 +156,35 @@ def closed_form_recovered_generator(m: TwoStateModel) -> np.ndarray:
     g01 = 2.0 * lam**2 / (gam + r)
     g10 = (gam + r) / 2.0
     return np.array([[-g01, g01], [g10, -g10]])
+
+
+def recovered_generator_defects(G: GeneratorMatrix, rec: GeneratorMatrix) -> list[str]:
+    """What keeps `rec` from being a generator on G's own transition graph.
+
+    Checked on rec's entries directly, never through validate_model (which
+    trusts an instance marked as passed): finite entries, row sums within
+    ROW_SUM_TOL of the largest entry, no negative off-diagonal or positive
+    diagonal, the same off-diagonal zeros as G, and G's edges g_ij >
+    SUPPORT_EPS strongly connected, by repeated squaring of the reachability
+    matrix. A pi-scaled intensity below SUPPORT_EPS is thus still an edge.
+    """
+    Q, n = rec.entries, G.n
+    if Q.shape != (n, n) or not np.all(np.isfinite(Q)):
+        return ["shape or finiteness"]
+    out = []
+    scale = max(1.0, float(np.max(np.abs(Q))))
+    out += [f"row {i} sums to {s:.3e}" for i, s in enumerate(Q.sum(axis=1)) if abs(s) > ROW_SUM_TOL * scale]
+    off = ~np.eye(n, dtype=bool)
+    if np.any(Q[off] < 0) or np.any(np.diag(Q) > 0):
+        out.append("sign")
+    if not np.array_equal(Q[off] != 0, G.entries[off] != 0):
+        out.append("off-diagonal zeros differ from G's")
+    reach = (G.entries > SUPPORT_EPS) | ~off
+    for _ in range(max(1, n).bit_length()):
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    if not reach.all():
+        out.append("G's graph is not strongly connected")
+    return out
 
 
 def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 from ctmc_rates import (
     BondBasis,
     ClaimPayoff,
+    GeneratorMatrix,
     HedgePlan,
     RateMap,
     TwoStateModel,
@@ -34,6 +35,7 @@ from oracles import (
     closed_form_hedge,
     closed_form_recovered_generator,
     closed_form_yield,
+    recovered_generator_defects,
 )
 
 GRID = [
@@ -210,7 +212,8 @@ def test_criterion_5_recovery_soundness():
         resid = np.linalg.norm((G.entries - np.diag(r.rates)) @ pi - rho * pi)
         worst_resid = max(worst_resid, resid)
         rec = recover_generator(G, pi)
-        all_valid &= validate_model(rec, RateMap(np.zeros(G.n))) == ()
+        all_valid &= recovered_generator_defects(G, rec) == []
+        all_valid &= validate_model(GeneratorMatrix(rec.entries), RateMap(np.zeros(G.n))) == ()
 
         T = 1.5
         states, integ = simulate_terminal(G, r, 0, T, 200_000, seed=rng.integers(2**31))

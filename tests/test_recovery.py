@@ -29,7 +29,7 @@ from ctmc_rates.two_state import TwoStateModel
 from scipy.linalg import eig
 
 from conftest import models, random_model
-from oracles import closed_form_recovered_generator, eigen_pairs
+from oracles import closed_form_recovered_generator, eigen_pairs, recovered_generator_defects
 
 
 def entrywise_residual_ok(G, r, rho, pi, tol=EIGEN_RESIDUAL_TOL):
@@ -233,7 +233,8 @@ class TestPerronPair:
         assert rho < 0 and np.all(pi > 0)
         assert entrywise_residual_ok(G, r, rho, pi)
         rec = recover_generator(G, pi)
-        assert validate_model(rec, RateMap(np.zeros(G.n))) == ()
+        assert recovered_generator_defects(G, rec) == []
+        assert validate_model(GeneratorMatrix(rec.entries), RateMap(np.zeros(G.n))) == ()
 
     @pytest.mark.parametrize("rate", [1e-303, 1.1125369292536007e-308, 1e-311, 5e-324])
     @pytest.mark.parametrize("intensity", [1.0, 1e6])
@@ -258,7 +259,9 @@ class TestPerronPair:
         rho, pi = perron_pair(G, r)
         assert -max(rates) <= rho < 0 and np.all(pi > 0)
         assert entrywise_residual_ok(G, r, rho, pi)
-        assert validate_model(recover_generator(G, pi), RateMap(np.zeros(n))) == ()
+        rec = recover_generator(G, pi)
+        assert recovered_generator_defects(G, rec) == []
+        assert validate_model(GeneratorMatrix(rec.entries), RateMap(np.zeros(n))) == ()
 
     def test_pi_beyond_double_range_is_a_typed_error(self):
         # pi falls by ~1e-5 per state, below the smallest double by state 70
@@ -300,19 +303,23 @@ class TestRecoverGenerator:
         for _ in range(10):
             G, r = random_model(rng, n_max=8)
             rec = recover_generator(G, perron_pair(G, r)[1])
-            assert validate_model(rec, RateMap(np.zeros(G.n))) == ()
+            assert recovered_generator_defects(G, rec) == []
+            assert validate_model(GeneratorMatrix(rec.entries), RateMap(np.zeros(G.n))) == ()
             assert np.array_equal(rec.entries != 0.0, G.entries != 0.0)
 
 
     def test_tiny_pi_scaled_intensities_keep_the_edges_of_G(self):
         # pi = (1, 1e-12), so G^pi_01 = 1e-21 lies below SUPPORT_EPS: G^pi is
-        # judged irreducible on G's edges, and simulate_terminal takes it
+        # judged irreducible on G's edges, and simulate_terminal takes it;
+        # judged on its own entries, an unmarked copy reads as reducible
         G = GeneratorMatrix(np.array([[-1e-9, 1e-9], [1e-9, -1e-9]]))
         rho, pi = perron_pair(G, RateMap(np.array([0.0, 1e3])))
         rec = recover_generator(G, pi)
         assert 0 < rec.entries[0, 1] < SUPPORT_EPS
         zero = RateMap(np.zeros(2))
+        assert recovered_generator_defects(G, rec) == []
         assert validate_model(rec, zero) == ()
+        assert validate_model(GeneratorMatrix(rec.entries), zero) != ()
         states, _ = simulate_terminal(rec, zero, 1, 1.0, 100, 0)
         assert np.all(states == 0)  # state 1 leaves at rate 1e3
 
@@ -346,6 +353,7 @@ class TestRecoverGenerator:
         np.fill_diagonal(want, -want.sum(axis=1))
         rec = recover_generator(G, pi)
         assert rec.entries.tobytes() == want.tobytes()
+        assert recovered_generator_defects(G, rec) == []
         calls = []
         real = model_module.is_irreducible
         monkeypatch.setattr(model_module, "is_irreducible", lambda G: calls.append(G) or real(G))
